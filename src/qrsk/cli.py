@@ -379,12 +379,19 @@ def cmd_simulate(args) -> int:
         print("exact mode cannot sample q-geometric input (needs the infinite "
               "product); use --mode float", file=sys.stderr)
         return 2
+    if args.alpha and args.beta:
+        print("give --alpha or --beta, not both", file=sys.stderr)
+        return 2
+    wrong, right = ("beta", "alpha") if is_alpha else ("alpha", "beta")
+    if getattr(args, wrong):
+        print(f"{args.system} takes --{right}, not --{wrong}", file=sys.stderr)
+        return 2
     rng = random.Random(args.seed)
     n = args.levels
     exact = args.mode == "exact"
     q = args.q if exact else float(args.q)
     a = [x if exact else float(x) for x in _parse_params(args, n)][:n]
-    pars = args.alpha if args.alpha else (args.beta or [Fraction(1, 3)])
+    pars = args.alpha or args.beta or [Fraction(1, 3)]
     pars = [x if exact else float(x) for x in pars]
 
     def par_at(t):
@@ -489,9 +496,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mode", choices=["exact", "float"], default="float")
     s.add_argument("--q", type=rational, default=Fraction(1, 2))
     s.add_argument("--alpha", type=rational, action="append",
-                   help="step parameter, repeatable per time step")
+                   help="step parameter of the q-geometric (alpha) systems, "
+                        "repeatable per time step")
     s.add_argument("--beta", type=rational, action="append",
-                   help="step parameter, repeatable per time step")
+                   help="step parameter of the Bernoulli (beta) systems, "
+                        "repeatable per time step")
     s.add_argument("--a", action="append", help="level parameter, repeatable")
     s.add_argument("--out", help="output path prefix")
     s.set_defaults(func=cmd_simulate)

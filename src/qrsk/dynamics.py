@@ -20,6 +20,7 @@ q = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .gt import (
@@ -34,6 +35,7 @@ from .gt import (
 from .qnum import (
     INF,
     PhiParams,
+    QSampler,
     phi_sample,
     phi_weight,
     q_binomial,
@@ -66,6 +68,11 @@ class DynamicsSpec:
     def __post_init__(self):
         if self.kind not in ALPHA_KINDS + BETA_KINDS:
             raise ValueError(f"unknown dynamics kind {self.kind!r}")
+
+    @cached_property
+    def sampler(self) -> QSampler:
+        """Floating-mode sampling tables at this q, shared by every step drawn with this spec."""
+        return QSampler(self.q)
 
 
 @dataclass(frozen=True)
@@ -381,13 +388,20 @@ def row_alpha_prob(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
     return row_alpha_v(ctx, nu, q) * (alpha * a_j) ** v * q_pochhammer_inf(alpha * a_j, q)
 
 
-def _sample_row_alpha_level(lam_bar, nu_bar, lam, vj, q, rng):
+def _sample_row_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None):
+    """One level update: the input vj at the left, then each lower move c_i split by W_i.
+
+    `sampler` is an optional `QSampler` for q, passed on to `phi_sample`.
+    """
     j = len(lam)
     c = tuple(nu_bar[i] - lam_bar[i] for i in range(j - 1))
     nu = list(lam)
     nu[0] += vj
     for i in range(1, j):
-        wi = phi_sample(_row_alpha_phi_params(lam_bar, lam, c, i, q), rng) if c[i - 1] else 0
+        wi = (
+            phi_sample(_row_alpha_phi_params(lam_bar, lam, c, i, q), rng, sampler)
+            if c[i - 1] else 0
+        )
         nu[i - 1] += wi
         nu[i] += c[i - 1] - wi
     return tuple(nu)
@@ -492,14 +506,15 @@ def col_alpha_prob(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
     return w * (alpha * a_j) ** v * q_pochhammer_inf(alpha * a_j, q)
 
 
-def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng):
+def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None):
     """One level update: voluntary jumps split off the input vj, then pushes.
 
     The voluntary jumps X_i are drawn by conditioning the independent input
     on the running remainder: given that positions i..j still have r boxes of
     input to absorb, X_i = r - W with W drawn from the inverse-regime weight
     with exponent gap_i.  This conditional is parameter-free and reduces to
-    move donation at q = 0.
+    move donation at q = 0.  `sampler` is an optional `QSampler` for q,
+    passed on to `phi_sample`.
     """
     j = len(lam)
     c = tuple(nu_bar[i] - lam_bar[i] for i in range(j - 1))
@@ -514,7 +529,7 @@ def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng):
         elif remaining == 0:
             x = 0
         else:
-            x = remaining - phi_sample(PhiParams.inverse(q, gap, INF, remaining), rng)
+            x = remaining - phi_sample(PhiParams.inverse(q, gap, INF, remaining), rng, sampler)
         remaining -= x
         if i == j:
             y = c[0] if j >= 2 else 0
@@ -525,9 +540,9 @@ def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng):
             ell = c[j - i]
             b_exp = _pt(lam_bar, j - i) - part(lam_bar, j - i + 1)
             h = gap - x
-            y = h - phi_sample(PhiParams.inverse(q, ell, b_exp, h), rng)
+            y = h - phi_sample(PhiParams.inverse(q, ell, b_exp, h), rng, sampler)
             if i >= 3 and r_exp > 0:
-                z = (h - y) - phi_sample(PhiParams.inverse(q, r_exp, INF, h - y), rng)
+                z = (h - y) - phi_sample(PhiParams.inverse(q, r_exp, INF, h - y), rng, sampler)
             else:
                 z = 0
             r_exp += ell - y - z
@@ -749,21 +764,29 @@ def classical_rsk_step(kind: str, arr: InterlacingArray, inputs: Sequence[int]) 
 # ---------------------------------------------------------------------------
 
 def sample_inputs(spec: DynamicsSpec, rng) -> Tuple[int, ...]:
-    """The independent per-level inputs V_1..V_N for one time step."""
+    """The independent per-level inputs V_1..V_N for one time step.
+
+    Alpha kinds draw from the q-geometric tables of `spec.sampler`, so the
+    normaliser log (alpha a_j; q)_inf is computed once per spec and level.
+    """
     vs = []
     for aj in spec.a:
         x = float(spec.step_param * aj)
         if spec.kind in BETA_KINDS:
             vs.append(1 if rng.random() < x / (1 + x) else 0)
         else:
-            vs.append(sample_q_geometric(x, float(spec.q), rng))
+            vs.append(sample_q_geometric(x, float(spec.q), rng, spec.sampler))
     return tuple(vs)
 
 
 def sample_step(
     spec: DynamicsSpec, arr: InterlacingArray, rng, inputs: Optional[Sequence[int]] = None
 ) -> InterlacingArray:
-    """One time step of the multivariate dynamics; output always interlaces."""
+    """One time step of the multivariate dynamics.
+
+    Raises ValueError if a level update returns a level that does not
+    interlace with the one below it.
+    """
     n = len(arr)
     q = spec.q
     if inputs is None:
@@ -777,9 +800,13 @@ def sample_step(
         elif spec.kind == COL_BETA:
             new = _sample_col_beta_level(lam_bar, nu_bar, lam, inputs[j - 1], q, rng)
         elif spec.kind == ROW_ALPHA:
-            new = _sample_row_alpha_level(lam_bar, nu_bar, lam, inputs[j - 1], q, rng)
+            new = _sample_row_alpha_level(
+                lam_bar, nu_bar, lam, inputs[j - 1], q, rng, spec.sampler
+            )
         elif spec.kind == COL_ALPHA:
-            new = _sample_col_alpha_level(lam_bar, nu_bar, lam, inputs[j - 1], q, rng)
+            new = _sample_col_alpha_level(
+                lam_bar, nu_bar, lam, inputs[j - 1], q, rng, spec.sampler
+            )
         elif spec.kind in (PUSH_BLOCK_BETA, PUSH_BLOCK_ALPHA):
             new = _sample_push_block_level(spec.kind, lam, nu_bar, spec.step_param, a_j, q, rng)
         else:
@@ -787,7 +814,11 @@ def sample_step(
         out.append(new)
     result = tuple(out)
     for j in range(1, n):
-        assert interlaces_h(result[j - 1], result[j]), "interlacing violated"
+        if not interlaces_h(result[j - 1], result[j]):
+            raise ValueError(
+                f"{spec.kind} step: level {j + 1} {result[j]} does not interlace "
+                f"with level {j} {result[j - 1]}"
+            )
     return result
 
 

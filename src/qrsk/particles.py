@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from .qnum import INF, PhiParams, phi_sample, qpow, sample_q_geometric
+from .qnum import INF, PhiParams, QSampler, phi_sample, qpow, sample_q_geometric
 
 ParticleConfig = Tuple[int, ...]
 
@@ -77,6 +77,7 @@ def geometric_qpush_step(cfg, alpha, a, q, rng) -> ParticleConfig:
     """
     _check_ordered(cfg)
     x = list(cfg)
+    sampler = QSampler(q)  # one log (q;q)_n table for the step's pushes
     for j in range(len(x)):
         v = sample_q_geometric(float(alpha * a[j]), float(q), rng)
         w = 0
@@ -84,7 +85,7 @@ def geometric_qpush_step(cfg, alpha, a, q, rng) -> ParticleConfig:
             gap = cfg[j - 1] - cfg[j] - 1
             c = cfg[j - 1] - x[j - 1]  # left displacement of the neighbor
             if c > 0:
-                w = phi_sample(PhiParams.inverse(q, gap, INF, c), rng)
+                w = phi_sample(PhiParams.inverse(q, gap, INF, c), rng, sampler)
         x[j] -= v + w
     return tuple(x)
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .qnum import INF, PhiParams, log_q_pochhammer_inf, phi_sample
+from .dynamics import _sample_col_alpha_level, _sample_row_alpha_level
+from .gt import zero_array
+from .qnum import QSampler, sample_q_geometric
 
 RealWord = List[float]
 RealArray = List[RealWord]
@@ -104,10 +106,14 @@ class PolymerEnv:
     mode 'LogGamma': weights[t-1][j-1] is the vertex weight at (t, j).
     mode 'StrictWeak': weights[t-1][j-1] is the weight of the horizontal edge
     (t-1, j) -> (t, j).
+
+    A batch of environments is a numpy array of shape (t, n, replicas): each
+    weight is then a vector over replicas, and partition functions come out
+    as vectors too.
     """
 
     mode: str
-    weights: List[List[float]]
+    weights: Union[List[List[float]], np.ndarray]
 
     @property
     def t_max(self) -> int:
@@ -117,7 +123,12 @@ class PolymerEnv:
     def n(self) -> int:
         return len(self.weights[0])
 
-    def w(self, t: int, j: int) -> float:
+    @property
+    def batch_shape(self) -> Tuple[int, ...]:
+        """() for one environment, (replicas,) for a batch."""
+        return np.shape(self.weights)[2:]
+
+    def w(self, t: int, j: int):
         return self.weights[t - 1][j - 1]
 
 
@@ -149,7 +160,7 @@ def _loggamma_tuples(env: PolymerEnv, j: int, k: int, t: int):
             for h in range(prev, target + 1):
                 ww = w
                 for i in range(prev, h + 1):
-                    ww *= env.w(s + 1, i)
+                    ww = ww * env.w(s + 1, i)  # not in place: ww may share a batch array
                 heights.append(h)
                 yield from rec(s + 1, h, heights, ww)
                 heights.pop()
@@ -195,59 +206,66 @@ def _strictweak_tuples(env: PolymerEnv, j: int, k: int, t: int):
 
 
 def _single_path_sums_loggamma(env: PolymerEnv, t: int, jmax: int) -> np.ndarray:
-    """E[p, r] = weighted sum over single up/right paths (1, p) -> (t, r)."""
+    """E[..., p, r] = weighted sum over single up/right paths (1, p) -> (t, r)."""
     n = jmax
-    E = np.zeros((n + 1, n + 1))
+    batch = env.batch_shape
+    E = np.zeros(batch + (n + 1, n + 1))
     for p in range(1, n + 1):
-        dp = np.zeros((t + 1, n + 1))
-        dp[1][p] = env.w(1, p)
+        dp = np.zeros(batch + (t + 1, n + 1))
+        dp[..., 1, p] = env.w(1, p)
         for i in range(p + 1, n + 1):
-            dp[1][i] = dp[1][i - 1] * env.w(1, i)
+            dp[..., 1, i] = dp[..., 1, i - 1] * env.w(1, i)
         for s in range(2, t + 1):
-            for i in range(p, n + 1):
-                dp[s][i] = (dp[s - 1][i] + (dp[s][i - 1] if i > p else 0.0)) * env.w(s, i)
-        for r in range(1, n + 1):
-            E[p, r] = dp[t][r]
+            dp[..., s, p] = dp[..., s - 1, p] * env.w(s, p)
+            for i in range(p + 1, n + 1):
+                dp[..., s, i] = (dp[..., s - 1, i] + dp[..., s, i - 1]) * env.w(s, i)
+        E[..., p, 1:] = dp[..., t, 1:]
     return E
 
 
 def _h_product_strictweak(env: PolymerEnv, t: int) -> np.ndarray:
     """H(a_1) ... H(a_t) for the strict-weak weights (bidiagonal transfers)."""
     n = env.n
-    M = np.eye(n)
+    batch = env.batch_shape
+    M = np.broadcast_to(np.eye(n), batch + (n, n))
     for s in range(1, t + 1):
-        H = np.zeros((n, n))
+        H = np.zeros(batch + (n, n))
         for i in range(n):
-            H[i, i] = env.w(s, i + 1)
+            H[..., i, i] = env.w(s, i + 1)
             if i + 1 < n:
-                H[i, i + 1] = 1.0
+                H[..., i, i + 1] = 1.0
         M = M @ H
     return M
 
 
-def lgv_partition(env: PolymerEnv, j: int, k: int, t: int, method: str = "enumerate") -> float:
+def _scalar_or_batch(x):
+    """A float for one environment, an array over replicas for a batch."""
+    return float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+
+
+def lgv_partition(
+    env: PolymerEnv, j: int, k: int, t: int, method: str = "enumerate"
+) -> Union[float, np.ndarray]:
     """Partition function over nonintersecting path k-tuples.
 
     method 'enumerate' sums tuples directly; 'determinant' uses the
     nonintersecting-path determinant of single-path sums as an independent
-    second route.
+    second route.  A batch environment gives one value per replica.
     """
     if env.mode == "LogGamma":
         if t < k:
             raise ValueError("LogGamma needs t >= k")
         if method == "enumerate":
-            return float(sum(_loggamma_tuples(env, j, k, t)))
+            return _scalar_or_batch(sum(_loggamma_tuples(env, j, k, t)))
         E = _single_path_sums_loggamma(env, t, max(j, k))
-        M = np.array([[E[p, j - k + r] for r in range(1, k + 1)] for p in range(1, k + 1)])
-        return float(np.linalg.det(M))
+        return _scalar_or_batch(np.linalg.det(E[..., 1:k + 1, j - k + 1:j + 1]))
     if env.mode == "StrictWeak":
         if t < j - k:
             raise ValueError("StrictWeak needs t >= j - k")
         if method == "enumerate":
-            return float(sum(_strictweak_tuples(env, j, k, t)))
+            return _scalar_or_batch(sum(_strictweak_tuples(env, j, k, t)))
         M = _h_product_strictweak(env, t)
-        minor = M[np.ix_(range(0, k), range(j - k, j))]
-        return float(np.linalg.det(minor))
+        return _scalar_or_batch(np.linalg.det(M[..., 0:k, j - k:j]))
     raise ValueError(f"unknown polymer mode {env.mode!r}")
 
 
@@ -323,21 +341,26 @@ def sample_inverse_gamma(theta: float, rng) -> float:
     return 1.0 / rng.gammavariate(theta, 1.0)
 
 
-class _QGeomCache:
-    """q-geometric samplers with cached log-normalizations per parameter."""
+def _scaled_replicas(level, n, t, thetas, theta_hats, eps, replicas, rng):
+    """Final arrays of `replicas` runs of t steps of a q-geometric insertion dynamics.
 
-    def __init__(self, q: float):
-        self.q = q
-        self._norms: Dict[float, float] = {}
-
-    def sample(self, alpha: float, rng) -> int:
-        from .qnum import sample_q_geometric
-
-        norm = self._norms.get(alpha)
-        if norm is None:
-            norm = log_q_pochhammer_inf(alpha, self.q)
-            self._norms[alpha] = norm
-        return sample_q_geometric(alpha, self.q, rng, log_norm=norm)
+    q = e^-eps, alpha_s = e^(-theta_hat_s eps), a_j = e^(-theta_j eps); `level`
+    is the shared level update of the kind.  One `QSampler` serves the whole
+    call, so each q-geometric table is built once per (alpha_s, a_j).
+    """
+    q = math.exp(-eps)
+    a = [math.exp(-thetas[j] * eps) for j in range(n)]
+    alphas = [math.exp(-theta_hats[s] * eps) for s in range(t)]
+    sampler = QSampler(q)
+    for _ in range(replicas):
+        arr = zero_array(n)
+        for alpha in alphas:
+            out = [(arr[0][0] + sample_q_geometric(alpha * a[0], q, rng, sampler),)]
+            for j in range(2, n + 1):
+                vj = sample_q_geometric(alpha * a[j - 1], q, rng, sampler)
+                out.append(level(arr[j - 2], out[j - 2], arr[j - 1], vj, q, rng, sampler))
+            arr = out
+        yield arr
 
 
 def scaled_row_arrays(n, t, thetas, theta_hats, eps, replicas, rng):
@@ -346,40 +369,13 @@ def scaled_row_arrays(n, t, thetas, theta_hats, eps, replicas, rng):
     Returns a dict (j, k) -> list of log(R-hat^j_k(t, eps)) over replicas,
     for 1 <= k <= min(t, j) <= n.
     """
-    from .gt import zero_array
-
-    q = math.exp(-eps)
-    a = [math.exp(-thetas[j] * eps) for j in range(n)]
-    alphas = [math.exp(-theta_hats[s] * eps) for s in range(t)]
-    cache = _QGeomCache(q)
     out = {(j, k): [] for j in range(1, n + 1) for k in range(1, min(t, j) + 1)}
     log_inv_eps = math.log(1.0 / eps)
-    for _ in range(replicas):
-        arr = [list(level) for level in zero_array(n)]
-        for s in range(t):
-            arr = _scaled_row_step(arr, alphas[s], a, q, cache, rng)
+    for arr in _scaled_replicas(
+        _sample_row_alpha_level, n, t, thetas, theta_hats, eps, replicas, rng
+    ):
         for (j, k), acc in out.items():
             acc.append(eps * arr[j - 1][k - 1] - (t + j - 2 * k + 1) * log_inv_eps)
-    return out
-
-
-def _scaled_row_step(arr, alpha, a, q, cache, rng):
-    n = len(arr)
-    out = [[arr[0][0] + cache.sample(alpha * a[0], rng)]]
-    for j in range(2, n + 1):
-        lam_bar, nu_bar, lam = arr[j - 2], out[j - 2], arr[j - 1]
-        nu = list(lam)
-        nu[0] += cache.sample(alpha * a[j - 1], rng)
-        for i in range(1, j):
-            c = nu_bar[i - 1] - lam_bar[i - 1]
-            if c == 0:
-                continue
-            a_exp = lam[i - 1] - lam_bar[i - 1]
-            b_exp = INF if i == 1 else lam_bar[i - 2] - lam_bar[i - 1]
-            w = phi_sample(PhiParams.inverse(q, a_exp, b_exp, c), rng)
-            nu[i - 1] += w
-            nu[i] += c - w
-        out.append(nu)
     return out
 
 
@@ -388,12 +384,6 @@ def scaled_col_arrays(n, t, thetas, theta_hats, eps, replicas, rng):
 
     Returns (j, k) -> list of log(L-hat^j_k(t, eps)), 1 <= k <= j <= min(n, k+t-1).
     """
-    from .gt import zero_array
-
-    q = math.exp(-eps)
-    a = [math.exp(-thetas[j] * eps) for j in range(n)]
-    alphas = [math.exp(-theta_hats[s] * eps) for s in range(t)]
-    cache = _QGeomCache(q)
     out = {
         (j, k): []
         for j in range(1, n + 1)
@@ -401,48 +391,33 @@ def scaled_col_arrays(n, t, thetas, theta_hats, eps, replicas, rng):
         if j <= min(n, k + t - 1)
     }
     log_inv_eps = math.log(1.0 / eps)
-    for _ in range(replicas):
-        arr = [list(level) for level in zero_array(n)]
-        for s in range(t):
-            arr = _scaled_col_step(arr, alphas[s], a, q, cache, rng)
+    for arr in _scaled_replicas(
+        _sample_col_alpha_level, n, t, thetas, theta_hats, eps, replicas, rng
+    ):
         for (j, k), acc in out.items():
             ell = arr[j - 1][j - k]          # k-th particle from the left
             acc.append((t - j + 2 * k - 1) * log_inv_eps - eps * ell)
     return out
 
 
-def _scaled_col_step(arr, alpha, a, q, cache, rng):
-    from .dynamics import _sample_col_alpha_level
-
-    n = len(arr)
-    out = [[arr[0][0] + cache.sample(alpha * a[0], rng)]]
-    for j in range(2, n + 1):
-        vj = cache.sample(alpha * a[j - 1], rng)
-        new = _sample_col_alpha_level(
-            tuple(arr[j - 2]), tuple(out[j - 2]), tuple(arr[j - 1]), vj, q, rng
-        )
-        out.append(list(new))
-    return out
-
-
 def polymer_log_ratios(mode, n, t, thetas, theta_hats, replicas, rng, targets):
-    """Replicas of log(Z^j_k / Z^j_{k-1}) for the random-weight polymer."""
-    out = {key: [] for key in targets}
-    for _ in range(replicas):
-        weights = []
-        for s in range(1, t + 1):
-            row = []
-            for j in range(1, n + 1):
-                th = thetas[j - 1] + theta_hats[s - 1]
-                row.append(
-                    sample_inverse_gamma(th, rng) if mode == "LogGamma" else sample_gamma(th, rng)
-                )
-            weights.append(row)
-        env = PolymerEnv(mode, weights)
-        for (j, k) in targets:
-            zk = lgv_partition(env, j, k, t, method="determinant")
-            zk1 = lgv_partition(env, j, k - 1, t, method="determinant") if k > 1 else 1.0
-            out[(j, k)].append(math.log(zk / zk1))
+    """Replicas of log(Z^j_k / Z^j_{k-1}) for the random-weight polymer.
+
+    The weights of all replicas are drawn at once from a numpy generator
+    seeded from `rng` (one 64-bit draw), and the partition functions are
+    computed over the replica axis.
+    """
+    gen = np.random.default_rng(rng.getrandbits(64))
+    shape = np.add.outer(theta_hats[:t], thetas[:n])[:, :, None]
+    weights = gen.gamma(shape, size=(t, n, replicas))
+    if mode == "LogGamma":
+        weights = 1.0 / weights
+    env = PolymerEnv(mode, weights)
+    out = {}
+    for (j, k) in targets:
+        zk = lgv_partition(env, j, k, t, method="determinant")
+        zk1 = lgv_partition(env, j, k - 1, t, method="determinant") if k > 1 else 1.0
+        out[(j, k)] = np.log(zk / zk1).tolist()
     return out
 
 

@@ -125,3 +125,20 @@ def test_mode_flag(tmp_path, capsys):
     code, _ = run(["verify", "main-eq", "--mode", "float", "--levels", "2",
                    "--max-part", "1"], capsys)
     assert code == 0
+
+
+def test_simulate_rejects_mismatched_parameter_flags(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "run")]
+    # both flags at once
+    assert main(["simulate", "row-beta", "--alpha", "1/3", "--beta", "1/3"] + out) == 2
+    assert main(["simulate", "row-alpha", "--alpha", "1/3", "--beta", "1/3"] + out) == 2
+    # --beta for an alpha kind, --alpha for a beta kind, arrays and particles
+    assert main(["simulate", "row-alpha", "--beta", "1/3"] + out) == 2
+    assert main(["simulate", "geometric-qtasep", "--beta", "1/3"] + out) == 2
+    assert main(["simulate", "col-beta", "--alpha", "1/3"] + out) == 2
+    assert main(["simulate", "bernoulli-qpush", "--alpha", "1/3"] + out) == 2
+    assert "takes --alpha, not --beta" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+    # the matching flag still runs
+    assert main(["simulate", "col-beta", "-T", "2", "--beta", "1/3"] + out) == 0
+    assert main(["simulate", "col-alpha", "-T", "2", "--alpha", "1/3"] + out) == 0

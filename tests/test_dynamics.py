@@ -333,6 +333,28 @@ def test_sample_step_interlaces_and_weight_law():
     assert abs(mean - p) < 4 * math.sqrt(p * (1 - p) / len(inc))
 
 
+def test_sample_step_rejects_a_level_that_does_not_interlace(monkeypatch):
+    # a broken level sampler: both level-2 particles leap past level 1
+    monkeypatch.setattr(
+        dyn, "_sample_row_beta_level",
+        lambda lam_bar, nu_bar, lam, vj, q, rng: (lam[0] + 5, lam[1] + 5),
+    )
+    spec = DynamicsSpec(ROW_BETA, 0.5, 0.4, (1.0, 0.9))
+    with pytest.raises(ValueError, match="does not interlace"):
+        sample_step(spec, zero_array(2), random.Random(0), inputs=(0, 0))
+
+
+def test_alpha_spec_shares_one_sampler_across_steps():
+    spec = DynamicsSpec(ROW_ALPHA, 0.5, 0.35, (1.0, 0.9))
+    rng = random.Random(1)
+    arr = zero_array(2)
+    for _ in range(5):
+        arr = sample_step(spec, arr, rng)
+    assert spec.sampler is spec.sampler and spec.sampler.q == 0.5
+    # one q-geometric table per level parameter alpha a_j
+    assert sorted(spec.sampler._cdfs) == sorted({0.35 * 1.0, 0.35 * 0.9})
+
+
 def test_exact_array_distribution_matches_process_weight():
     # the Bernoulli row insertion run from the zero array samples the process
     q = F(1, 2)

@@ -119,6 +119,31 @@ def test_lgv_two_oracles_agree():
                     assert abs(e - d) <= 1e-12 * max(abs(e), 1e-300), (mode, n, t, j, k)
 
 
+def test_lgv_batch_matches_one_environment_at_a_time():
+    # a batch of environments (replica axis last) against the scalar loop
+    gen = np.random.default_rng(5)
+    n, t, reps = 4, 4, 6
+    for mode in ("LogGamma", "StrictWeak"):
+        weights = 0.5 + gen.random((t, n, reps))
+        batch = PolymerEnv(mode, weights)
+        singles = [PolymerEnv(mode, weights[:, :, r].tolist()) for r in range(reps)]
+        for j in range(1, n + 1):
+            for k in range(1, min(j, 3) + 1):
+                for method in ("determinant", "enumerate"):
+                    got = lgv_partition(batch, j, k, t, method)
+                    want = [lgv_partition(env, j, k, t, method) for env in singles]
+                    assert got.shape == (reps,)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=str((mode, j, k)))
+
+
+def test_polymer_log_ratios_are_seeded_by_rng():
+    args = ("LogGamma", 2, 2, [1.2, 0.8], [0.9, 1.1], 50)
+    r1 = polymer_log_ratios(*args, random.Random(1), [(2, 1), (2, 2)])
+    r2 = polymer_log_ratios(*args, random.Random(1), [(2, 1), (2, 2)])
+    assert r1 == r2 and len(r1[(2, 1)]) == 50
+    assert all(isinstance(v, float) for v in r1[(2, 2)])
+
+
 def test_lgv_positivity_and_size_guard():
     env = PolymerEnv("LogGamma", [[1.0, 2.0], [0.5, 1.5]])
     assert lgv_partition(env, 2, 2, 2) > 0

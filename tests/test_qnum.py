@@ -4,10 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from qrsk import qnum
 from qrsk.qnum import (
     INF,
     ExactModeError,
     PhiParams,
+    QSampler,
+    ZeroMassError,
     phi_pmf,
     phi_sample,
     phi_support,
@@ -19,6 +22,8 @@ from qrsk.qnum import (
     qpow,
     sample_q_geometric,
 )
+
+SIGMAS = 6.0
 
 
 def qbinom_recurrence(n, k, q):
@@ -209,3 +214,116 @@ def test_sample_q_geometric_frequencies():
         pr = q_geometric_pmf(alpha, q, v)
         sd = math.sqrt(pr * (1 - pr) * n)
         assert abs(counts.get(v, 0) - pr * n) <= 4 * sd
+
+
+# ---------------------------------------------------------------------------
+# floating-mode samplers near q = 1 (weights far below the float range)
+# ---------------------------------------------------------------------------
+
+def q_geometric_mean_var(alpha, q):
+    """The q-geometric law is a sum of independent geometric variables with
+    ratios alpha q^i: mean sum r/(1-r), variance sum r/(1-r)^2."""
+    m = v = 0.0
+    r = alpha
+    while r > 1e-18:
+        m += r / (1 - r)
+        v += r / (1 - r) ** 2
+        r *= q
+    return m, v
+
+
+@pytest.mark.parametrize("eps", [2e-3, 5e-4])
+def test_q_geometric_mean_where_the_weights_underflow(eps):
+    # log (alpha;q)_inf is below -745 here, so pmf(0) = (alpha;q)_inf, where a
+    # walk from n = 0 would start, underflows to 0.0 in floating point
+    q, alpha = math.exp(-eps), math.exp(-2.1 * eps)
+    assert qnum.log_q_pochhammer_inf(alpha, q) < -745
+    mean, var = q_geometric_mean_var(alpha, q)
+    rng = random.Random(17)
+    for draws, sampler in ((4000, QSampler(q)), (150, None)):
+        xs = [sample_q_geometric(alpha, q, rng, sampler) for _ in range(draws)]
+        assert abs(sum(xs) / draws - mean) <= SIGMAS * math.sqrt(var / draws), (eps, sampler)
+
+
+def _exact_ratio_pmf(qe, a, b, c):
+    """{s: pmf} of the inverse-regime weight from the exact Fraction ratios
+    phi(s+1)/phi(s), each rounded to float once and chained in log space."""
+    sup = phi_support(PhiParams.inverse(qe, a, b, c))
+    logs = [0.0]
+    for r in sup[:-1]:
+        logs.append(logs[-1] + math.log(qnum._phi_inverse_ratio(qe, a, b, c, r)))
+    top = max(logs)
+    ws = [math.exp(v - top) for v in logs]
+    total = math.fsum(ws)
+    return {s: w / total for s, w in zip(sup, ws)}
+
+
+@pytest.mark.parametrize("a, b, c", [(600, INF, 600), (520, 1500, 700)])
+def test_phi_inverse_float_matches_exact_pmf_at_large_c(a, b, c):
+    qe = F(999, 1000)
+    qf = float(qe)
+    exact = _exact_ratio_pmf(qe, a, b, c)
+    pf = PhiParams.inverse(qf, a, b, c)
+    # the closed-form float weight, pointwise
+    for s, pr in exact.items():
+        if pr > 1e-12:
+            assert phi_weight(pf, s) == pytest.approx(pr, rel=1e-9), s
+    # the sampler, bin by bin and in the mean
+    rng = random.Random(23)
+    n = 20_000
+    sampler = QSampler(qf)
+    draws = [phi_sample(pf, rng, sampler) for _ in range(n)]
+    counts = {}
+    for s in draws:
+        counts[s] = counts.get(s, 0) + 1
+    assert set(counts) <= set(exact)
+    for s, pr in exact.items():
+        if pr * n >= 10:
+            assert abs(counts.get(s, 0) - pr * n) <= 5 * math.sqrt(pr * (1 - pr) * n), s
+    mean = sum(s * pr for s, pr in exact.items())
+    var = sum((s - mean) ** 2 * pr for s, pr in exact.items())
+    assert abs(sum(draws) / n - mean) <= SIGMAS * math.sqrt(var / n)
+    # the one-shot draw (no sampler) has the same law
+    one_shot = [phi_sample(pf, rng) for _ in range(300)]
+    assert abs(sum(one_shot) / 300 - mean) <= SIGMAS * math.sqrt(var / 300)
+
+
+def test_phi_inverse_float_closed_form_and_mode_against_exact():
+    rnd = random.Random(29)
+    for _ in range(400):
+        q = F(rnd.randint(1, 9), 10)
+        b = rnd.choice([rnd.randint(0, 14), INF])
+        cap = 14 if b == INF else b
+        a, c = rnd.randint(0, cap), rnd.randint(0, cap)
+        p = PhiParams.inverse(q, a, b, c)
+        pf = PhiParams.inverse(float(q), a, b, c)
+        sup = phi_support(p)
+        ws = [phi_weight(p, s) for s in sup]
+        for s, w in zip(sup, ws):
+            assert phi_weight(pf, s) == pytest.approx(float(w), rel=1e-12, abs=1e-300)
+        mode = qnum._phi_inverse_mode(float(q), a, b, c, sup[0], sup[-1])
+        assert ws[mode - sup[0]] == max(ws), (q, a, b, c)
+
+
+def test_zero_mass_raises_instead_of_returning_a_constant():
+    rng = random.Random(31)
+    q = math.exp(-1e-3)
+    # (xi;q)_inf = e^-1645 and (xi;q)_5000 underflow to 0.0
+    for y in (INF, 5000):
+        with pytest.raises(ZeroMassError):
+            phi_sample(PhiParams.direct(q, q, 0.0, y), rng)
+    # the walk itself refuses a mode weight with no mass
+    with pytest.raises(ZeroMassError):
+        qnum._chop_down(0.5, 3, 0, 10, 0.0, lambda s: 1.0)
+
+
+def test_q_geometric_table_is_per_sampler_and_agrees_with_the_walk():
+    q, alpha = 0.5, 0.4
+    s1, s2 = QSampler(q), QSampler(q)
+    lo, cdf = s1.q_geometric_cdf(alpha)
+    assert lo == 0 and cdf[-1] == 1.0 and not s2._cdfs
+    for n in range(6):
+        lower = cdf[n - 1] if n else 0.0
+        assert cdf[n] - lower == pytest.approx(q_geometric_pmf(alpha, q, n), rel=1e-12)
+    with pytest.raises(ValueError):
+        sample_q_geometric(alpha, 0.25, random.Random(0), s1)
