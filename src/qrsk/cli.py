@@ -1,8 +1,10 @@
 """Command-line front end: exact verification suites, simulators, experiments.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
-All randomness flows from ``random.Random(seed + replica_index)`` streams, so
-every subcommand is reproducible from its flags.  Rationals are accepted as
+All randomness is drawn from one ``random.Random`` stream seeded by ``--seed``;
+the polymer side of ``polymer-limit`` draws from a ``numpy.random.Generator``
+seeded with one 64-bit draw from that stream.  So every subcommand is
+reproducible from its flags.  Rationals are accepted as
 "p/q" strings so the exact suites are driveable without code changes.
 """
 
@@ -403,8 +405,13 @@ def cmd_simulate(args) -> int:
         kind = ARRAY_SYSTEMS[args.system]
         arr = gt.zero_array(n)
         v_log = []
+        # one spec per step parameter, so its sampling tables serve every step
+        specs = {}
         for t in range(1, args.steps + 1):
-            spec = dynamics.DynamicsSpec(kind, q, par_at(t - 1), tuple(a))
+            par = par_at(t - 1)
+            spec = specs.get(par)
+            if spec is None:
+                spec = specs[par] = dynamics.DynamicsSpec(kind, q, par, tuple(a))
             inputs = dynamics.sample_inputs(spec, rng)
             v_log.append(list(inputs))
             arr = dynamics.sample_step(spec, arr, rng, inputs=inputs)

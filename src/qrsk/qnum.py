@@ -413,17 +413,11 @@ class QSampler:
     def draw_phi_inverse(self, a: int, b, c: int, lo: int, hi: int, u: float) -> int:
         """The inverse-regime draw for uniform u on the support [lo, hi], q > 0."""
         q = self.q
-
-        def ratio(r):
-            # phi(r+1)/phi(r) as in _phi_inverse_ratio, without its generic qpow calls
-            num = 1.0 - q ** (c - r)
-            if b != INF:
-                num *= 1.0 - q ** (b - a - r)
-            den = (1.0 - q ** (a - c + r + 1)) * (1.0 - q ** (r + 1))
-            return q ** (a + 2 * r + 1 - c) * num / den
-
         mode = _phi_inverse_mode(q, a, b, c, lo, hi)
-        return _chop_down(u, mode, lo, hi, math.exp(self.log_phi_inverse(a, b, c, mode)), ratio)
+        return _chop_down(
+            u, mode, lo, hi, math.exp(self.log_phi_inverse(a, b, c, mode)),
+            lambda r: _phi_inverse_ratio(q, a, b, c, r),
+        )
 
     def q_geometric_cdf(self, alpha: float) -> Tuple[int, List[float]]:
         """(lo, cdf): cdf[i] is the law's mass on lo..lo+i, over the table's points.

@@ -142,3 +142,22 @@ def test_simulate_rejects_mismatched_parameter_flags(tmp_path, capsys):
     # the matching flag still runs
     assert main(["simulate", "col-beta", "-T", "2", "--beta", "1/3"] + out) == 0
     assert main(["simulate", "col-alpha", "-T", "2", "--alpha", "1/3"] + out) == 0
+
+
+def test_simulate_builds_one_spec_per_step_parameter(tmp_path, capsys, monkeypatch):
+    # the sampling tables of a spec are reused across every step with its parameter
+    built = []
+
+    class CountingSpec(dyn.DynamicsSpec):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self.step_param)
+
+    monkeypatch.setattr(dyn, "DynamicsSpec", CountingSpec)
+    code, _ = run(
+        ["simulate", "row-alpha", "-N", "2", "-T", "6", "--seed", "3",
+         "--alpha", "1/3", "--alpha", "1/4", "--out", str(tmp_path / "ra")],
+        capsys,
+    )
+    assert code == 0
+    assert sorted(built) == [0.25, 1 / 3]
