@@ -388,11 +388,14 @@ def cmd_simulate(args) -> int:
     if getattr(args, wrong):
         print(f"{args.system} takes --{right}, not --{wrong}", file=sys.stderr)
         return 2
-    rng = random.Random(args.seed)
     n = args.levels
+    if args.a and len(args.a) not in (1, n):
+        print(f"give one --a, or one per level ({n})", file=sys.stderr)
+        return 2
+    rng = random.Random(args.seed)
     exact = args.mode == "exact"
     q = args.q if exact else float(args.q)
-    a = [x if exact else float(x) for x in _parse_params(args, n)][:n]
+    a = [x if exact else float(x) for x in _parse_params(args, n)]
     pars = args.alpha or args.beta or [Fraction(1, 3)]
     pars = [x if exact else float(x) for x in pars]
 
@@ -405,13 +408,11 @@ def cmd_simulate(args) -> int:
         kind = ARRAY_SYSTEMS[args.system]
         arr = gt.zero_array(n)
         v_log = []
-        # one spec per step parameter, so its sampling tables serve every step
-        specs = {}
+        # one spec per step parameter, so its sampling tables serve every step;
+        # building them all first validates every parameter before any output
+        specs = {par: dynamics.DynamicsSpec(kind, q, par, tuple(a)) for par in pars}
         for t in range(1, args.steps + 1):
-            par = par_at(t - 1)
-            spec = specs.get(par)
-            if spec is None:
-                spec = specs[par] = dynamics.DynamicsSpec(kind, q, par, tuple(a))
+            spec = specs[par_at(t - 1)]
             inputs = dynamics.sample_inputs(spec, rng)
             v_log.append(list(inputs))
             arr = dynamics.sample_step(spec, arr, rng, inputs=inputs)

@@ -7,10 +7,12 @@ evaluator and as a sampler sharing the same rule tables:
 * row/column insertion driven by q-geometric input (usual-parameter kinds),
 * push-block dynamics (dual exact; usual in floating mode).
 
-The evaluators enumerate whatever hidden randomness (independent input,
-island stay choices, split variables, voluntary/push/fund decompositions)
-is consistent with the requested transition and sum its probabilities, so
-samplers and evaluators can be tested against each other.
+The insertion evaluators enumerate whatever hidden randomness (independent
+input, island stay choices, split variables, voluntary/push/fund
+decompositions) is consistent with the requested transition and sum its
+probabilities, so samplers and evaluators can be tested against each other.
+The push-block sampler and evaluator share one chain recursion over the
+parts of the new level.
 
 The classical insertion steps (deterministic propagation with pull/push
 operations) are also provided; the randomized kinds degenerate to them at
@@ -19,6 +21,7 @@ q = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -36,6 +39,7 @@ from .qnum import (
     INF,
     PhiParams,
     QSampler,
+    ZeroMassError,
     phi_sample,
     phi_weight,
     q_binomial,
@@ -68,6 +72,11 @@ class DynamicsSpec:
     def __post_init__(self):
         if self.kind not in ALPHA_KINDS + BETA_KINDS:
             raise ValueError(f"unknown dynamics kind {self.kind!r}")
+        if not 0 <= self.q < 1:
+            raise ValueError(f"need 0 <= q < 1, got q = {self.q}")
+        pars = self.step_param if isinstance(self.step_param, (list, tuple)) else [self.step_param]
+        if self.kind in ALPHA_KINDS and any(par * aj >= 1 for par in pars for aj in self.a):
+            raise ValueError(f"need alpha a_j < 1, got alpha = {self.step_param}, a = {self.a}")
 
     @cached_property
     def sampler(self) -> QSampler:
@@ -564,116 +573,98 @@ def _v_strips_above(lam):
             yield nu
 
 
-def push_block_prob(kind: str, lam, nu_bar, nu, par, a_j, q, rel_tol=2.0 ** -50):
+def _push_block_chain(kind, lam, nu_bar, par, a_j, q):
+    """The push-block weight of one level as a nearest-neighbour chain in nu_1..nu_j.
+
+    With x = par a_j, x^|nu| psi_{nu/nu_bar} psi'_{nu/lam} (phi_{nu/lam} for the
+    usual kind) is x^(sum lo) prod_i node(i, nu_i) prod_i edge(i, nu_i, nu_{i+1})
+    (0-based i), each nu_i ranging over its own interval from lo_i.  node holds
+    x^(nu_i - lo_i), so no weight underflows, and the phi factor of nu_i; edge
+    is the psi (and psi') weight of the pair (nu_i, nu_{i+1}), whose product
+    over the pairs is psi_{nu/nu_bar} (psi'_{nu/lam}).
+
+    Returns (ranges, node, edge, back), where back[i][v - lo_i] sums the factors
+    of nu_i..nu_j given nu_i = v.  The usual kind is floating-mode only; its
+    unbounded nu_1 is cut once back[0][v] / (1 - x) is below 2^-50 of the sum.
+    """
+    j = len(lam)
+    beta = kind == PUSH_BLOCK_BETA
+    x = par * a_j
+    if not beta:
+        if kind != PUSH_BLOCK_ALPHA:
+            raise ValueError(f"not a push-block kind: {kind!r}")
+        x, q = float(x), float(q)
+        if not 0 <= x < 1:
+            raise ValueError(f"need 0 <= alpha a_j < 1, got {x}")
+    lo = [max(lam[i], part(nu_bar, i + 1)) for i in range(j)]
+    hi = [min(lam[i] + 1 if beta else _pt(lam, i), _pt(nu_bar, i)) for i in range(j)]
+
+    def node(i, v):
+        val = x ** (v - lo[i])
+        if beta:
+            return val
+        if i == 0:
+            return val * phi_coef((v,), lam[:1], q)
+        return val * phi_coef((lam[i - 1], v), lam[i - 1:i + 1], q)
+
+    def edge(i, v, w):
+        val = psi((v, w), nu_bar[i:i + 1], q)
+        return val * psi_prime((v, w), lam[i:i + 2], q) if beta else val
+
+    def column(i, v):
+        if i == j - 1:
+            return node(i, v)
+        return node(i, v) * sum(edge(i, v, w) * b for w, b in zip(ranges[i + 1], back[i + 1]))
+
+    ranges = [None if h == INF else range(l, h + 1) for l, h in zip(lo, hi)]
+    back = [None] * j
+    for i in range(j - 1, 0, -1):
+        back[i] = [column(i, v) for v in ranges[i]]
+    if beta:
+        back[0] = [column(0, v) for v in ranges[0]]
+    else:
+        back[0] = [column(0, lo[0])]
+        while back[0][-1] / (1 - x) >= 2.0 ** -50 * sum(back[0]) > 0:
+            back[0].append(column(0, lo[0] + len(back[0])))
+        ranges[0] = range(lo[0], lo[0] + len(back[0]))
+    return ranges, node, edge, back
+
+
+def push_block_prob(kind: str, lam, nu_bar, nu, par, a_j, q):
     """Conditional probability not depending on the lower starting state.
 
     The dual kind is exact (the normalizing sum is finite); the usual kind
-    truncates a geometrically convergent sum and is floating-mode only.
+    cuts the sum over nu_1 (see `_push_block_chain`) and is floating-mode only.
     """
-    x = par * a_j
-    if kind == PUSH_BLOCK_BETA:
-        num = x ** (weight(nu)) * psi(nu, nu_bar, q) * psi_prime(nu, lam, q)
-        if num == 0:
-            return num
-        den = q * 0
-        for kap in _v_strips_above(lam):
-            den += x ** weight(kap) * psi(kap, nu_bar, q) * psi_prime(kap, lam, q)
-        return num / den
-    if kind != PUSH_BLOCK_ALPHA:
-        raise ValueError(f"not a push-block kind: {kind!r}")
-    base = sum(max(part(lam, i), part(nu_bar, i)) for i in range(1, len(lam) + 1))
-    num = float(x) ** (weight(nu) - base) * float(psi(nu, nu_bar, q)) * float(
-        phi_coef(nu, lam, q)
-    )
-    if num == 0:
-        return 0.0
-    den = _push_block_alpha_norm(lam, nu_bar, float(x), float(q), rel_tol, base)
-    return num / den
-
-
-def _push_block_alpha_norm(lam, nu_bar, x, q, rel_tol, base=0):
-    """sum_kappa x^(|kappa| - base) psi_{kappa/nu_bar} phi_{kappa/lam}, truncated.
-
-    Terms decay like x^{kappa_1}, so the first-part sum is cut once the bound
-    term/(1-x) falls below rel_tol times the running total.  The `base` shift
-    keeps the powers of x away from underflow; numerators must use the same
-    shift.
-    """
-    j = len(lam)
-    total = 0.0
-    lo1 = max(part(lam, 1), part(nu_bar, 1))
-    uppers = [min(part(lam, i - 1), _bounded(_pt(nu_bar, i - 1))) for i in range(2, j + 1)]
-    lowers = tuple(max(part(lam, i + 1), part(nu_bar, i)) for i in range(2, j + 1))
-    tails = list(signatures_between(lowers, uppers)) if j > 1 else [()]
-    k1 = lo1
-    while True:
-        layer = 0.0
-        for tail in tails:
-            if tail and k1 < tail[0]:
-                continue
-            kap = (k1,) + tail
-            layer += x ** (weight(kap) - base) * float(psi(kap, nu_bar, q)) * float(
-                phi_coef(kap, lam, q)
-            )
-        total += layer
-        if layer > 0 and layer / (1.0 - x) < rel_tol * total:
-            break
-        if layer == 0 and k1 > lo1 + 4:
-            break
-        k1 += 1
-    return total
-
-
-def _bounded(v):
-    return 10 ** 9 if v == INF else v
+    _, node, edge, back = _push_block_chain(kind, lam, nu_bar, par, a_j, q)
+    strip = interlaces_v if kind == PUSH_BLOCK_BETA else interlaces_h
+    if len(nu) != len(lam) or not strip(lam, nu) or not interlaces_h(nu_bar, nu):
+        return 0.0 if kind == PUSH_BLOCK_ALPHA else q * 0
+    w = math.prod(node(i, v) for i, v in enumerate(nu))
+    w *= math.prod(edge(i, v, u) for i, (v, u) in enumerate(zip(nu, nu[1:])))
+    return w / sum(back[0])
 
 
 def _sample_push_block_level(kind, lam, nu_bar, par, a_j, q, rng):
-    if kind == PUSH_BLOCK_BETA:
-        cands = [
-            (nu, push_block_prob(kind, lam, nu_bar, nu, par, a_j, q))
-            for nu in _v_strips_above(lam)
-            if interlaces_h(nu_bar, nu)
-        ]
-        u = rng.random() * float(sum(p for _, p in cands))
-        acc = 0.0
-        for nu, p in cands:
-            acc += float(p)
-            if u <= acc:
-                return nu
-        return cands[-1][0]
-    # usual kind: the first part is unbounded, so walk candidates with an
-    # increasing first-part cap until the CDF covers the uniform draw; the
-    # normalizing sum is computed once per level update
-    x = float(par * a_j)
-    qf = float(q)
-    j = len(lam)
-    lo1 = max(part(lam, 1), part(nu_bar, 1))
-    uppers = [min(part(lam, i - 1), _bounded(_pt(nu_bar, i - 1))) for i in range(2, j + 1)]
-    lowers = tuple(max(part(lam, i + 1), part(nu_bar, i)) for i in range(2, j + 1))
-    base = lo1 + sum(lowers)  # minimal candidate weight, factored out of x powers
-    den = _push_block_alpha_norm(lam, nu_bar, x, qf, 2.0 ** -50, base)
-    u = rng.random()
-    acc = 0.0
-    last = None
-    tails = list(signatures_between(lowers, uppers)) if j > 1 else [()]
-    k1 = lo1
-    while True:
-        for tail in tails:
-            if tail and k1 < tail[0]:
-                continue
-            nu = (k1,) + tail
-            p = x ** (weight(nu) - base) * float(psi(nu, nu_bar, qf)) * float(
-                phi_coef(nu, lam, qf)
-            ) / den
-            if p > 0:
-                last = nu
-                acc += p
-                if u <= acc:
-                    return nu
-        if acc > 1 - 1e-12 and last is not None:
-            return last
-        k1 += 1
+    """Draw nu_1 from the chain's backward sums, then each nu_{i+1} given nu_i."""
+    ranges, node, edge, back = _push_block_chain(kind, lam, nu_bar, par, a_j, q)
+    nu = []
+    weights = back[0]
+    for i, values in enumerate(ranges):
+        if i:
+            weights = [edge(i - 1, nu[-1], w) * b for w, b in zip(values, back[i])]
+        u = rng.random() * float(sum(weights))
+        pick = None
+        for v, w in zip(values, weights):
+            if w > 0:
+                pick = v
+                u -= float(w)
+                if u < 0:
+                    break
+        if pick is None:
+            raise ZeroMassError(f"{kind}: no admissible level above {lam} over {nu_bar}")
+        nu.append(pick)
+    return tuple(nu)
 
 
 # ---------------------------------------------------------------------------
@@ -696,11 +687,6 @@ def _push(lam: List[int], lower: List[int], i: int) -> None:
     lam[m - 1] += 1
 
 
-def _impulse(lam: List[int], lower: List[int], start: int) -> None:
-    """A moving impulse at position `start`, donated rightward when blocked."""
-    _push(lam, lower, start)
-
-
 def classical_level_update(kind: str, lam_bar, nu_bar, lam, vj: int) -> Signature:
     """Deterministic propagation of the lower move to level j, plus the input vj."""
     j = len(lam)
@@ -721,7 +707,7 @@ def classical_level_update(kind: str, lam_bar, nu_bar, lam, vj: int) -> Signatur
                 lower[i - 1] += 1
     elif kind == COL_ALPHA:
         for _ in range(vj):
-            _impulse(nu, lower, j)
+            _push(nu, lower, j)
         for i in range(j - 1, 0, -1):
             for _ in range(c[i - 1]):
                 _push(nu, lower, i)
@@ -732,7 +718,7 @@ def classical_level_update(kind: str, lam_bar, nu_bar, lam, vj: int) -> Signatur
                 _push(nu, lower, i)
                 lower[i - 1] += 1
         for _ in range(vj):
-            _impulse(nu, lower, j)
+            _push(nu, lower, j)
     else:
         raise ValueError(f"not an insertion kind: {kind!r}")
     return tuple(nu)
@@ -831,8 +817,8 @@ def level_candidates(kind: str, lam: Signature, nu_bar: Signature, v_cap: int):
                 yield nu
         return
     lowers = tuple(max(part(lam, i), part(nu_bar, i)) for i in range(1, j + 1))
-    uppers = [min(part(lam, i - 1), _bounded(_pt(nu_bar, i - 1))) for i in range(1, j + 1)]
-    uppers[0] = lowers[0] + v_cap + weight(nu_bar)
+    uppers = [lowers[0] + v_cap + weight(nu_bar)]
+    uppers += [min(part(lam, i - 1), part(nu_bar, i - 1)) for i in range(2, j + 1)]
     yield from signatures_between(lowers, uppers)
 
 
@@ -931,6 +917,10 @@ def main_equation_residual(kind: str, lam, nu, nu_bar, par, a_j, q, alpha_float=
     is evaluated in floating mode because of its non-closed normalization.
     """
     is_beta = kind in BETA_KINDS
+    push_block = kind in (PUSH_BLOCK_BETA, PUSH_BLOCK_ALPHA)
+    if push_block:
+        # the push-block law does not depend on the lower starting state lam_bar
+        u_push = push_block_prob(kind, lam, nu_bar, nu, par, a_j, q)
     x = par * a_j
     if is_beta:
         rhs = psi(nu, nu_bar, q) * psi_prime(nu, lam, q) / (1 + x)
@@ -951,18 +941,16 @@ def main_equation_residual(kind: str, lam, nu, nu_bar, par, a_j, q, alpha_float=
             w2 = phi_coef(nu_bar, lam_bar, q)
         if w2 == 0:
             continue
-        if kind == ROW_BETA:
+        if push_block:
+            u = u_push
+        elif kind == ROW_BETA:
             u = row_beta_prob(LevelUpdateContext(lam_bar, nu_bar, lam), nu, par, a_j, q)
         elif kind == COL_BETA:
             u = col_beta_prob(LevelUpdateContext(lam_bar, nu_bar, lam), nu, par, a_j, q)
-        elif kind == PUSH_BLOCK_BETA:
-            u = push_block_prob(kind, lam, nu_bar, nu, par, a_j, q)
         elif kind == ROW_ALPHA:
             u = row_alpha_v(LevelUpdateContext(lam_bar, nu_bar, lam), nu, q)
         elif kind == COL_ALPHA:
             u = col_alpha_v(LevelUpdateContext(lam_bar, nu_bar, lam), nu, par, a_j, q)
-        elif kind == PUSH_BLOCK_ALPHA:
-            u = push_block_prob(kind, lam, nu_bar, nu, par, a_j, q)
         else:
             raise ValueError(kind)
         if u == 0:

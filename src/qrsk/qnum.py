@@ -128,7 +128,9 @@ def q_binomial(n, k: int, q: Scalar) -> Scalar:
         if is_exact(q):
             raise ExactModeError("q_binomial with n = inf needs floating scalars")
         return 1.0 / q_pochhammer(q, q, k)
-    # prod_{i=1}^{k} (1 - q^{n-k+i}) / (1 - q^i); exact-friendly
+    # prod_{i=1}^{k} (1 - q^{n-k+i}) / (1 - q^i), over the smaller of k and n - k;
+    # exact-friendly
+    k = min(k, n - k)
     num = q * 0 + 1
     den = num
     for i in range(1, k + 1):

@@ -161,3 +161,17 @@ def test_simulate_builds_one_spec_per_step_parameter(tmp_path, capsys, monkeypat
     )
     assert code == 0
     assert sorted(built) == [0.25, 1 / 3]
+
+
+def test_simulate_rejects_out_of_range_parameters(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "run")]
+    # two level parameters for three levels: neither one nor one per level
+    assert main(["simulate", "row-beta", "-N", "3", "--a", "1", "--a", "1/2"] + out) == 2
+    assert main(["simulate", "bernoulli-qtasep", "-N", "3", "--a", "1", "--a", "1/2"] + out) == 2
+    assert "one per level" in capsys.readouterr().err
+    # q outside [0, 1), and alpha a_j >= 1 at any step
+    assert main(["simulate", "row-beta", "--q", "3/2"] + out) == 2
+    assert main(["simulate", "push-block-alpha", "--alpha", "1/3", "--alpha", "3/2"] + out) == 2
+    assert not (tmp_path / "run.csv").exists()
+    # one --a per level still runs
+    assert main(["simulate", "row-beta", "-N", "2", "-T", "2", "--a", "1", "--a", "1/2"] + out) == 0

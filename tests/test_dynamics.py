@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qrsk.dynamics as dyn
 from qrsk.dynamics import (
@@ -39,7 +41,7 @@ from qrsk.gt import (
     zero_array,
 )
 from qrsk.qnum import INF, PhiParams, phi_weight, q_pochhammer
-from qrsk.whittaker import SpecParams, process_weight
+from qrsk.whittaker import SpecParams, process_weight, psi, psi_prime
 
 Q = F(1, 2)
 BETA = F(1, 3)
@@ -355,12 +357,13 @@ def test_alpha_spec_shares_one_sampler_across_steps():
     assert sorted(spec.sampler._cdfs) == sorted({0.35 * 1.0, 0.35 * 0.9})
 
 
-def test_exact_array_distribution_matches_process_weight():
-    # the Bernoulli row insertion run from the zero array samples the process
+@pytest.mark.parametrize("kind", BETA_KINDS)
+def test_exact_array_distribution_matches_process_weight(kind):
+    # every Bernoulli dynamics run from the zero array samples the process
     q = F(1, 2)
     a = (F(1), F(2, 3))
     betas = [F(1, 3), F(1, 4)]
-    spec = DynamicsSpec(ROW_BETA, q, betas, a)
+    spec = DynamicsSpec(kind, q, betas, a)
     dist = exact_array_distribution(spec, 2, 2)
     assert sum(dist.values()) == 1
     measure = SpecParams.betas(*betas)
@@ -464,3 +467,73 @@ def test_alpha_evaluators_are_stochastic_float():
                 else:
                     total += col_alpha_prob(ctx, nu, alpha, aj, qf)
             assert abs(total - 1) < 1e-10, (kind, lam, lam_bar, nu_bar, total)
+
+
+def test_dynamics_spec_rejects_out_of_range_parameters():
+    for q in (1, F(3, 2), -0.1):
+        with pytest.raises(ValueError, match="q"):
+            DynamicsSpec(ROW_BETA, q, F(1, 3), (F(1),))
+    with pytest.raises(ValueError, match="alpha a_j"):
+        DynamicsSpec(ROW_ALPHA, 0.5, 0.5, (1.0, 2.0))
+    # a per-step list is checked entry by entry
+    with pytest.raises(ValueError, match="alpha a_j"):
+        DynamicsSpec(PUSH_BLOCK_ALPHA, 0.5, [0.3, 1.0], (1.0, 0.9))
+    # the bound on alpha a_j is for q-geometric input only
+    DynamicsSpec(ROW_BETA, 0.5, [0.3, 2.0], (1.0, 0.9))
+
+
+def test_push_block_beta_float_matches_exact_at_large_parts():
+    # x ** |nu| underflowed here, so every float probability read 0.0
+    lam, nu_bar = (520, 480, 430), (520, 480)
+    total = F(0)
+    for nu in level_candidates(PUSH_BLOCK_BETA, lam, nu_bar, 1):
+        exact = push_block_prob(PUSH_BLOCK_BETA, lam, nu_bar, nu, F(2, 5), F(4, 5), F(1, 2))
+        p = push_block_prob(PUSH_BLOCK_BETA, lam, nu_bar, nu, 0.4, 0.8, 0.5)
+        assert exact > 0 and abs(p - exact) <= 1e-12 * exact, nu
+        total += exact
+    assert total == 1
+
+
+def test_push_block_beta_long_run_keeps_moving():
+    # past |nu| ~ 700 the lower parts of levels 2 and 3 used to freeze
+    spec = DynamicsSpec(PUSH_BLOCK_BETA, 0.5, 0.4, (1.0, 0.9, 0.8))
+    rng = random.Random(29)
+    arr = zero_array(3)
+    for _ in range(2500):
+        arr = sample_step(spec, arr, rng)
+    moved = set()
+    for _ in range(500):
+        new = sample_step(spec, arr, rng)
+        moved |= {(j, i) for j in (1, 2) for i in range(j + 1) if new[j][i] != arr[j][i]}
+        arr = new
+    assert moved == {(j, i) for j in (1, 2) for i in range(j + 1)}
+
+
+@st.composite
+def _push_block_squares(draw):
+    """(lam, nu_bar, x, q): level j with parts up to 40, nu_bar a Bernoulli move below it."""
+    j = draw(st.integers(2, 4))
+    lam = tuple(sorted(draw(st.lists(st.integers(0, 40), min_size=j, max_size=j)), reverse=True))
+    lam_bar = [draw(st.integers(lam[i + 1], lam[i])) for i in range(j - 1)]
+    nu_bar = tuple(b + draw(st.integers(0, 1)) for b in lam_bar)
+    assume(all(nu_bar[i] >= nu_bar[i + 1] for i in range(j - 2)))
+    x = draw(st.fractions(F(1, 10), 3, max_denominator=10))
+    q = draw(st.fractions(0, F(9, 10), max_denominator=10))
+    return lam, nu_bar, x, q
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_push_block_squares())
+def test_push_block_beta_matches_brute_force(square):
+    lam, nu_bar, x, q = square
+
+    def w(nu):
+        return x ** weight(nu) * psi(nu, nu_bar, q) * psi_prime(nu, lam, q)
+
+    den = sum(w(kap) for kap in dyn._v_strips_above(lam))
+    total = F(0)
+    for nu in level_candidates(PUSH_BLOCK_BETA, lam, nu_bar, 1):
+        p = push_block_prob(PUSH_BLOCK_BETA, lam, nu_bar, nu, x, F(1), q)
+        assert p == w(nu) / den, nu
+        total += p
+    assert total == 1
