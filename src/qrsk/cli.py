@@ -15,6 +15,7 @@ import csv
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 from . import dynamics, gt, moments, particles, polymers, qnum, whittaker
@@ -337,9 +338,12 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
+    t0 = time.perf_counter()
     result = suite(args)
+    elapsed = time.perf_counter() - t0
     cases, failures = result[0], result[1]
-    report = {"suite": args.suite, "cases": cases, "failures": failures}
+    report = {"suite": args.suite, "cases": cases, "elapsed_s": round(elapsed, 3),
+              "failures": failures}
     if len(result) > 2:
         report.update(result[2])
     text = json.dumps(report, indent=2, default=str)
@@ -387,6 +391,9 @@ def cmd_simulate(args) -> int:
     wrong, right = ("beta", "alpha") if is_alpha else ("alpha", "beta")
     if getattr(args, wrong):
         print(f"{args.system} takes --{right}, not --{wrong}", file=sys.stderr)
+        return 2
+    if not 0 <= args.q < 1:
+        print(f"need 0 <= q < 1, got q = {args.q}", file=sys.stderr)
         return 2
     n = args.levels
     if args.a and len(args.a) not in (1, n):

@@ -770,13 +770,18 @@ def sample_step(
 ) -> InterlacingArray:
     """One time step of the multivariate dynamics.
 
-    Raises ValueError if a level update returns a level that does not
-    interlace with the one below it.
+    Raises ValueError if the spec has not one a_j, or `inputs` not one
+    input, per level of `arr`, or if a level update returns a level that
+    does not interlace with the one below it.
     """
     n = len(arr)
     q = spec.q
+    if len(spec.a) != n:
+        raise ValueError(f"{spec.kind} step: {len(spec.a)} level parameters a_j for {n} levels")
     if inputs is None:
         inputs = sample_inputs(spec, rng)
+    elif len(inputs) != n:
+        raise ValueError(f"{spec.kind} step: {len(inputs)} inputs for {n} levels")
     out: List[Signature] = [(arr[0][0] + inputs[0],)]
     for j in range(2, n + 1):
         lam_bar, nu_bar, lam = arr[j - 2], out[j - 2], arr[j - 1]

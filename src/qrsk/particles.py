@@ -8,6 +8,7 @@ initial configuration is x_i(0) = -i.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 from .qnum import INF, PhiParams, QSampler, phi_sample, qpow, sample_q_geometric
@@ -24,14 +25,22 @@ def flip(cfg: Sequence[int]) -> ParticleConfig:
     return tuple(-x for x in cfg)
 
 
-def _check_ordered(x: Sequence[int]) -> None:
+def _check_step(x: Sequence[int], q) -> None:
+    if not 0 <= q < 1:
+        raise ValueError(f"need 0 <= q < 1, got q = {q}")
     if any(x[i] <= x[i + 1] for i in range(len(x) - 1)):
         raise ValueError("particles must be strictly decreasing")
 
 
+@lru_cache(maxsize=8)
+def _sampler(q: float) -> QSampler:
+    """The sampling tables at q, shared by every geometric step at that q."""
+    return QSampler(q)
+
+
 def bernoulli_qpush_step(cfg, beta, a, q, rng) -> ParticleConfig:
     """One step of the Bernoulli q-PushTASEP (left jumps)."""
-    _check_ordered(cfg)
+    _check_step(cfg, q)
     x = list(cfg)
     prev_jumped = False
     for j in range(len(x)):
@@ -50,7 +59,7 @@ def bernoulli_qpush_step(cfg, beta, a, q, rng) -> ParticleConfig:
 
 def bernoulli_qtasep_step(cfg, beta, a, q, rng) -> ParticleConfig:
     """One step of the Bernoulli q-TASEP (right jumps)."""
-    _check_ordered(cfg)
+    _check_step(cfg, q)
     x = list(cfg)
     prev_jumped = True  # the first particle is never blocked
     for j in range(len(x)):
@@ -75,11 +84,11 @@ def geometric_qpush_step(cfg, alpha, a, q, rng) -> ParticleConfig:
     x_j jumps by an independent q-geometric amount plus a push split off the
     move of its right neighbor.
     """
-    _check_ordered(cfg)
+    _check_step(cfg, q)
     x = list(cfg)
-    sampler = QSampler(q)  # one log (q;q)_n table for the step's pushes
+    sampler = _sampler(float(q))
     for j in range(len(x)):
-        v = sample_q_geometric(float(alpha * a[j]), float(q), rng)
+        v = sample_q_geometric(float(alpha * a[j]), float(q), rng, sampler)
         w = 0
         if j > 0:
             gap = cfg[j - 1] - cfg[j] - 1
@@ -92,12 +101,12 @@ def geometric_qpush_step(cfg, alpha, a, q, rng) -> ParticleConfig:
 
 def geometric_qtasep_step(cfg, alpha, a, q, rng) -> ParticleConfig:
     """One step of the geometric q-TASEP (right jumps)."""
-    _check_ordered(cfg)
+    _check_step(cfg, q)
     x = list(cfg)
     for j in range(len(x)):
         gap = INF if j == 0 else cfg[j - 1] - cfg[j] - 1
         if gap == INF:
-            w = sample_q_geometric(float(alpha * a[j]), float(q), rng)
+            w = sample_q_geometric(float(alpha * a[j]), float(q), rng, _sampler(float(q)))
         elif gap == 0:
             w = 0
         else:

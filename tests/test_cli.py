@@ -175,3 +175,24 @@ def test_simulate_rejects_out_of_range_parameters(tmp_path, capsys):
     assert not (tmp_path / "run.csv").exists()
     # one --a per level still runs
     assert main(["simulate", "row-beta", "-N", "2", "-T", "2", "--a", "1", "--a", "1/2"] + out) == 0
+
+
+def test_simulate_rejects_q_outside_unit_interval_for_particles(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "run")]
+    for system, flag in [("bernoulli-qpush", "--beta"), ("bernoulli-qtasep", "--beta"),
+                         ("geometric-qpush", "--alpha"), ("geometric-qtasep", "--alpha")]:
+        for q in ("3/2", "1"):
+            args = ["simulate", system, "-N", "3", "-T", "3", "--q", q, flag, "1/3"]
+            assert main(args + out) == 2, (system, q)
+        assert main(["simulate", system, "-N", "3", "-T", "0", "--q", "3/2", flag, "1/3"]
+                    + out) == 2, system
+    assert "need 0 <= q < 1" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+    assert not (tmp_path / "run.json").exists()
+
+
+def test_verify_reports_elapsed_seconds(capsys):
+    code, out = run(["verify", "moments", "--steps", "1"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert isinstance(report["elapsed_s"], float) and report["elapsed_s"] >= 0

@@ -346,6 +346,19 @@ def test_sample_step_rejects_a_level_that_does_not_interlace(monkeypatch):
         sample_step(spec, zero_array(2), random.Random(0), inputs=(0, 0))
 
 
+def test_sample_step_rejects_a_count_that_differs_from_the_levels():
+    # three a_j (or three inputs) for a two-level array: named, not an IndexError
+    spec = DynamicsSpec(ROW_BETA, 0.5, 0.4, (1.0, 0.9, 0.8))
+    with pytest.raises(ValueError, match="3 level parameters a_j for 2 levels"):
+        sample_step(spec, zero_array(2), random.Random(0))
+    spec = DynamicsSpec(ROW_BETA, 0.5, 0.4, (1.0,))
+    with pytest.raises(ValueError, match="1 level parameters a_j for 2 levels"):
+        sample_step(spec, zero_array(2), random.Random(0))
+    spec = DynamicsSpec(ROW_BETA, 0.5, 0.4, (1.0, 0.9))
+    with pytest.raises(ValueError, match="3 inputs for 2 levels"):
+        sample_step(spec, zero_array(2), random.Random(0), inputs=(0, 0, 1))
+
+
 def test_alpha_spec_shares_one_sampler_across_steps():
     spec = DynamicsSpec(ROW_ALPHA, 0.5, 0.35, (1.0, 0.9))
     rng = random.Random(1)

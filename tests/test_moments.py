@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrsk.moments import (
     MomentDivergenceError,
@@ -96,3 +102,62 @@ def test_equal_a_recovered_by_perturbation():
         a = (1 + d * scale, 1 + 2 * d * scale)
         vals.append(float(nested_moment_residues(MomentQuery(1, (2,), 2, Q, BETA, a))))
     assert abs(vals[0] - vals[1]) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "qy",
+    [
+        MomentQuery(3, (2, 1, 1), 1, Q, BETA, A),
+        MomentQuery(3, (3, 2, 1), 2, Q, BETA, A),
+        MomentQuery(3, (2, 2, 1), 1, Q, BETA, system="TwoPart", t_left=1),
+    ],
+    ids=["push-211-t1", "push-321-t2", "twopart-221-t1+1"],
+)
+def test_k3_matches_oracle(qy):
+    assert nested_moment_residues(qy) == exact_qmoment(qy)
+
+
+def test_coincident_poles():
+    # q a_1 = a_2: the residue of z_1 at q z_2 turns 1/(1 - a_1 z_1) into
+    # 1/(1 - a_2 z_2), so with n_2 = 2 the pole at z_2 = 1/a_2 = 2 has order 2
+    a = (F(1), F(1, 2))
+    for t in (1, 2):
+        qy = MomentQuery(2, (2, 2), t, F(1, 2), BETA, a)
+        assert nested_moment_residues(qy) == exact_qmoment(qy), t
+
+
+@st.composite
+def _moment_queries(draw):
+    """Small k <= 2 queries with rational q, beta and distinct a_i."""
+    q = draw(st.fractions(F(1, 10), F(9, 10), max_denominator=10))
+    beta = draw(st.fractions(F(1, 10), 3, max_denominator=10))
+    k = draw(st.integers(1, 2))
+    t = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        n = tuple(sorted(draw(st.lists(st.integers(1, 3), min_size=k, max_size=k)), reverse=True))
+        return MomentQuery(k, n, t, q, beta, system="TwoPart", t_left=draw(st.integers(0, 2)))
+    a = tuple(
+        draw(
+            st.lists(
+                st.fractions(F(1, 5), 2, max_denominator=6), min_size=1, max_size=3, unique=True
+            )
+        )
+    )
+    n = tuple(sorted(draw(st.lists(st.integers(1, len(a)), min_size=k, max_size=k)), reverse=True))
+    return MomentQuery(k, n, t, q, beta, a)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_moment_queries())
+def test_residues_match_oracle_property(qy):
+    assert nested_moment_residues(qy) == exact_qmoment(qy)
+
+
+def test_import_does_not_load_sympy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c", "import qrsk, sys; assert 'sympy' not in sys.modules"],
+        env=env,
+        check=True,
+    )

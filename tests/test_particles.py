@@ -2,6 +2,8 @@ import math
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from qrsk.dynamics import COL_ALPHA, ROW_BETA, DynamicsSpec, LevelUpdateContext, exact_array_distribution
 from qrsk.particles import (
     bernoulli_qpush_step,
@@ -222,3 +224,29 @@ def test_row_alpha_marginal_is_geometric_qpush():
                 phi_weight(PhiParams.inverse(qf, gap, INF, c), w)
             ) * q_geometric_pmf(alpha * aj, qf, d - w)
         assert abs(mass - want) < 1e-10, (d, mass, want)
+
+
+@pytest.mark.parametrize("step, sign", [(geometric_qpush_step, -1), (geometric_qtasep_step, 1)])
+def test_geometric_first_particle_long_run_mean(step, sign):
+    # particle 1 moves by an independent q-geometric(alpha a_1) amount each step
+    q, alpha, a = 0.5, 0.35, [1.0, 0.9, 0.8]
+    rng = random.Random(17)
+    cfg = step_config(3)
+    moves = []
+    for _ in range(2000):
+        new = step(cfg, alpha, a, q, rng)
+        moves.append(sign * (new[0] - cfg[0]))
+        cfg = new
+    pmf = [q_geometric_pmf(alpha * a[0], q, v) for v in range(80)]
+    mean = sum(v * p for v, p in enumerate(pmf))
+    var = sum(v * v * p for v, p in enumerate(pmf)) - mean ** 2
+    assert abs(sum(moves) / len(moves) - mean) <= 6 * math.sqrt(var / len(moves))
+
+
+@pytest.mark.parametrize(
+    "step", [bernoulli_qpush_step, bernoulli_qtasep_step, geometric_qpush_step, geometric_qtasep_step]
+)
+def test_steps_reject_q_outside_unit_interval(step):
+    for q in (1.5, 1.0, -0.1, F(3, 2)):
+        with pytest.raises(ValueError, match="q"):
+            step(step_config(2), 0.3, [1.0, 0.9], q, random.Random(0))
