@@ -30,11 +30,17 @@ def weight(lam: Sequence[int]) -> int:
     return sum(lam)
 
 
+def padded(lam: Sequence[int], n: int) -> Signature:
+    """lam as a tuple, zero-padded to length n if it is shorter."""
+    return (*lam, *(0,) * (n - len(lam)))
+
+
 def interlaces_h(mu: Sequence[int], lam: Sequence[int]) -> bool:
     """True iff lam/mu is a horizontal strip (lam_1 >= mu_1 >= lam_2 >= ...)."""
     n = max(len(mu), len(lam))
-    for i in range(1, n + 1):
-        if part(mu, i) > part(lam, i) or part(lam, i + 1) > part(mu, i):
+    lam = padded(lam, n + 1)
+    for m, upper, lower in zip(padded(mu, n), lam, lam[1:]):
+        if m > upper or lower > m:
             return False
     return True
 
@@ -42,7 +48,10 @@ def interlaces_h(mu: Sequence[int], lam: Sequence[int]) -> bool:
 def interlaces_v(mu: Sequence[int], lam: Sequence[int]) -> bool:
     """True iff lam/mu is a vertical strip (0 <= lam_i - mu_i <= 1 for all i)."""
     n = max(len(mu), len(lam))
-    return all(0 <= part(lam, i) - part(mu, i) <= 1 for i in range(1, n + 1))
+    for m, l in zip(padded(mu, n), padded(lam, n)):
+        if not 0 <= l - m <= 1:
+            return False
+    return True
 
 
 def transpose(lam: Sequence[int]) -> Signature:

@@ -405,7 +405,8 @@ def polymer_log_ratios(mode, n, t, thetas, theta_hats, replicas, rng, targets):
 
     The weights of all replicas are drawn at once from a numpy generator
     seeded from `rng` (one 64-bit draw), and the partition functions are
-    computed over the replica axis.
+    computed over the replica axis, each Z^j_k once however many targets
+    share it.
     """
     gen = np.random.default_rng(rng.getrandbits(64))
     shape = np.add.outer(theta_hats[:t], thetas[:n])[:, :, None]
@@ -413,12 +414,16 @@ def polymer_log_ratios(mode, n, t, thetas, theta_hats, replicas, rng, targets):
     if mode == "LogGamma":
         weights = 1.0 / weights
     env = PolymerEnv(mode, weights)
-    out = {}
-    for (j, k) in targets:
-        zk = lgv_partition(env, j, k, t, method="determinant")
-        zk1 = lgv_partition(env, j, k - 1, t, method="determinant") if k > 1 else 1.0
-        out[(j, k)] = np.log(zk / zk1).tolist()
-    return out
+    z = {}
+
+    def partition(j, k):
+        if k == 0:
+            return 1.0
+        if (j, k) not in z:
+            z[j, k] = lgv_partition(env, j, k, t, method="determinant")
+        return z[j, k]
+
+    return {(j, k): np.log(partition(j, k) / partition(j, k - 1)).tolist() for j, k in targets}
 
 
 def ks_statistic(xs: Sequence[float], ys: Sequence[float]) -> float:

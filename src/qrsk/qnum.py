@@ -12,6 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -29,6 +30,16 @@ _POCHHAMMER_TAIL = 2.0 ** -60
 _LOG_TAIL = math.log(_POCHHAMMER_TAIL)
 # Sums and tables longer than this many terms are computed with numpy.
 _VECTOR_TERMS = 64
+# Entries kept by each memo on a pure weight (`memoised`).  The memos pay off
+# within one sweep of the exact verifier, which reuses a few hundred distinct
+# arguments per function; the bound keeps float sampling, whose arguments
+# do not repeat, from growing them without limit.
+MEMO_SIZE = 1024
+
+# Memoise a pure weight on its (hashable) arguments.  The key includes each
+# argument's type: Fraction(1, 2) and 0.5 are equal and hash equal, and an
+# exact call must not get a float value back, nor a float call a Fraction.
+memoised = lru_cache(maxsize=MEMO_SIZE, typed=True)
 
 
 class ExactModeError(TypeError):
@@ -57,6 +68,7 @@ def qpow(q: Scalar, e) -> Scalar:
     return q ** e
 
 
+@memoised
 def q_pochhammer(a: Scalar, q: Scalar, m: int) -> Scalar:
     """(a;q)_m with the three-branch definition (m > 0, m = 0, m < 0)."""
     if m == INF:
@@ -120,6 +132,7 @@ def log_q_pochhammer_inf(a: float, q: float) -> float:
     return s
 
 
+@memoised
 def q_binomial(n, k: int, q: Scalar) -> Scalar:
     """Gaussian binomial coefficient; n = inf is allowed in floating mode only."""
     if k < 0 or (n != INF and k > n):
@@ -235,6 +248,7 @@ def _phi_direct_weight(q, xi, eta, y, s):
     )
 
 
+@memoised
 def _phi_inverse_weight(q, a, b, c, s):
     """phi_{q^{-1}, q^a, q^b}(s | c).
 

@@ -16,10 +16,24 @@ from .gt import (
     enumerate_interlacing_below,
     interlaces_h,
     interlaces_v,
+    padded,
     part,
     weight,
 )
-from .qnum import Scalar, q_binomial, q_pochhammer, q_pochhammer_inf
+from .qnum import Scalar, memoised, q_binomial, q_pochhammer, q_pochhammer_inf
+
+
+def _branching(weight, lam, mu, q):
+    """The memoised `weight` at (tuple(lam), tuple(mu), q); float q skips the memo.
+
+    An exact weight is a product of Fraction q-binomials, dear to rebuild and
+    asked for hundreds of times in one main-equation sweep.  A float weight
+    is cheap to rebuild, and running its body keeps the float `q_binomial`
+    calls under it visible to the per-layer probes of `perfbench/`, which
+    find no calls to record once a warm memo answers for them.
+    """
+    args = (tuple(lam), tuple(mu), q)
+    return weight.__wrapped__(*args) if isinstance(q, float) else weight(*args)
 
 
 def psi(lam: Sequence[int], mu: Sequence[int], q: Scalar) -> Scalar:
@@ -28,12 +42,19 @@ def psi(lam: Sequence[int], mu: Sequence[int], q: Scalar) -> Scalar:
     prod_i binom(lam_i - lam_{i+1}, lam_i - mu_i)_q; zero unless mu
     interlaces below lam.  Works for len(mu) in {len(lam)-1, len(lam)}.
     """
+    return _branching(_psi, lam, mu, q)
+
+
+@memoised
+def _psi(lam: Signature, mu: Signature, q: Scalar) -> Scalar:
     one = q * 0 + 1
     if not interlaces_h(mu, lam):
         return one * 0
+    n = len(lam)
+    lam = padded(lam, n + 1)
     w = one
-    for i in range(1, len(lam) + 1):
-        w *= q_binomial(part(lam, i) - part(lam, i + 1), part(lam, i) - part(mu, i), q)
+    for upper, lower, m in zip(lam, lam[1:], padded(mu, n)):
+        w *= q_binomial(upper - lower, upper - m, q)
     return w
 
 
@@ -42,25 +63,39 @@ def phi_coef(lam: Sequence[int], mu: Sequence[int], q: Scalar) -> Scalar:
 
     1/(q;q)_{lam_1 - mu_1} prod_i binom(mu_i - mu_{i+1}, mu_i - lam_{i+1})_q.
     """
+    return _branching(_phi_coef, lam, mu, q)
+
+
+@memoised
+def _phi_coef(lam: Signature, mu: Signature, q: Scalar) -> Scalar:
     one = q * 0 + 1
     if not interlaces_h(mu, lam):
         return one * 0
-    w = one / q_pochhammer(q, q, part(lam, 1) - part(mu, 1))
-    for i in range(1, len(lam) + 1):
-        w *= q_binomial(part(mu, i) - part(mu, i + 1), part(mu, i) - part(lam, i + 1), q)
+    n = len(lam)
+    lam, mu = padded(lam, n + 1), padded(mu, n + 1)
+    w = one / q_pochhammer(q, q, lam[0] - mu[0])
+    for upper, lower, l in zip(mu, mu[1:], lam[1:]):
+        w *= q_binomial(upper - lower, upper - l, q)
     return w
 
 
 def psi_prime(lam: Sequence[int], mu: Sequence[int], q: Scalar) -> Scalar:
     """Vertical-strip weight: prod over i with lam_i = mu_i, lam_{i+1} = mu_{i+1}+1
     of (1 - q^{mu_i - mu_{i+1}}); zero unless lam/mu is a vertical strip."""
+    return _branching(_psi_prime, lam, mu, q)
+
+
+@memoised
+def _psi_prime(lam: Signature, mu: Signature, q: Scalar) -> Scalar:
     one = q * 0 + 1
     if not interlaces_v(mu, lam):
         return one * 0
+    n = max(len(lam), len(mu))
+    lam, mu = padded(lam, n + 1), padded(mu, n + 1)
     w = one
-    for i in range(1, max(len(lam), len(mu)) + 1):
-        if part(lam, i) == part(mu, i) and part(lam, i + 1) == part(mu, i + 1) + 1:
-            w *= 1 - q ** (part(mu, i) - part(mu, i + 1))
+    for i in range(n):
+        if lam[i] == mu[i] and lam[i + 1] == mu[i + 1] + 1:
+            w *= 1 - q ** (mu[i] - mu[i + 1])
     return w
 
 

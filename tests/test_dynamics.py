@@ -522,6 +522,29 @@ def test_push_block_beta_long_run_keeps_moving():
     assert moved == {(j, i) for j in (1, 2) for i in range(j + 1)}
 
 
+def test_push_block_beta_level_marginals_match_row_beta():
+    # from the zero array every beta kind samples the same q-Whittaker process,
+    # so after 40 steps the parts of level 3 have the same law under both
+    def level3(kind, seed):
+        spec = DynamicsSpec(kind, 0.5, 0.4, (1.0, 0.9, 0.8))
+        rng = random.Random(seed)
+        out = []
+        for _ in range(400):
+            arr = zero_array(3)
+            for _ in range(40):
+                arr = sample_step(spec, arr, rng)
+            out.append(arr[2])
+        return out
+
+    push, row = level3(PUSH_BLOCK_BETA, 31), level3(ROW_BETA, 32)
+    for i in range(3):
+        a, b = [nu[i] for nu in push], [nu[i] for nu in row]
+        ma, mb = sum(a) / len(a), sum(b) / len(b)
+        va = sum((v - ma) ** 2 for v in a) / (len(a) - 1)
+        vb = sum((v - mb) ** 2 for v in b) / (len(b) - 1)
+        assert abs(ma - mb) <= 6 * math.sqrt(va / len(a) + vb / len(b)), (i, ma, mb)
+
+
 @st.composite
 def _push_block_squares(draw):
     """(lam, nu_bar, x, q): level j with parts up to 40, nu_bar a Bernoulli move below it."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qrsk import polymers
 from qrsk.polymers import (
     PolymerEnv,
     empty_array,
@@ -142,6 +143,28 @@ def test_polymer_log_ratios_are_seeded_by_rng():
     r2 = polymer_log_ratios(*args, random.Random(1), [(2, 1), (2, 2)])
     assert r1 == r2 and len(r1[(2, 1)]) == 50
     assert all(isinstance(v, float) for v in r1[(2, 2)])
+
+
+def test_polymer_log_ratios_compute_each_partition_function_once(monkeypatch):
+    calls = []
+
+    def recording(env, j, k, t, method="enumerate"):
+        calls.append((env, j, k))
+        return lgv_partition(env, j, k, t, method=method)
+
+    monkeypatch.setattr(polymers, "lgv_partition", recording)
+    targets = [(1, 1), (2, 1), (2, 2)]
+    for mode in ("LogGamma", "StrictWeak"):
+        calls.clear()
+        out = polymers.polymer_log_ratios(
+            mode, 2, 2, [1.2, 0.8], [0.9, 1.1], 30, random.Random(7), targets)
+        # Z^2_1 is shared by the targets (2, 1) and (2, 2)
+        assert sorted((j, k) for _, j, k in calls) == targets
+        env = calls[0][0]
+        for j, k in targets:
+            zk = lgv_partition(env, j, k, 2, method="determinant")
+            zk1 = lgv_partition(env, j, k - 1, 2, method="determinant") if k > 1 else 1.0
+            assert out[j, k] == np.log(zk / zk1).tolist(), (mode, j, k)
 
 
 def test_lgv_positivity_and_size_guard():

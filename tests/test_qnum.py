@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrsk import qnum
 from qrsk.qnum import (
@@ -327,3 +329,59 @@ def test_q_geometric_table_is_per_sampler_and_agrees_with_the_walk():
         assert cdf[n] - lower == pytest.approx(q_geometric_pmf(alpha, q, n), rel=1e-12)
     with pytest.raises(ValueError):
         sample_q_geometric(alpha, 0.25, random.Random(0), s1)
+
+
+MEMOISED = (qnum.q_binomial, qnum.q_pochhammer, qnum._phi_inverse_weight)
+
+
+def test_memoised_weights_are_bounded_and_typed():
+    for fn in MEMOISED:
+        assert fn.cache_parameters() == {"maxsize": qnum.MEMO_SIZE, "typed": True}
+
+
+@pytest.mark.parametrize("first, second", [
+    (F(1, 2), 0.5), (0.5, F(1, 2)), (0, F(0)), (F(0), 0),
+])
+def test_memoised_weights_keep_the_type_of_q(first, second):
+    # Fraction(1, 2) == 0.5 and 0 == Fraction(0), with equal hashes: only the
+    # argument types tell the cache entries apart
+    calls = (
+        (qnum.q_binomial, lambda q: (5, 2, q)),
+        (qnum.q_pochhammer, lambda q: (q, q, 3)),
+        (qnum._phi_inverse_weight, lambda q: (q, 2, 4, 3, 1)),
+    )
+    for fn, args_of in calls:
+        fn.cache_clear()
+        for q in (first, second):
+            value = fn(*args_of(q))
+            expected = fn.__wrapped__(*args_of(q))
+            assert value == expected and type(value) is type(expected), (fn.__name__, q)
+            if not isinstance(q, int):
+                assert type(value) is type(q), (fn.__name__, q)
+
+
+_RATIONAL_Q = st.fractions(0, F(9, 10), max_denominator=12)
+
+
+@st.composite
+def _phi_inverse_args(draw):
+    a = draw(st.integers(0, 6))
+    b = draw(st.one_of(st.just(INF), st.integers(a, 10)))
+    c = draw(st.integers(0, 8 if b == INF else b))
+    return a, b, c, draw(st.integers(0, c))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 9), _RATIONAL_Q,
+       st.fractions(F(-2), F(2), max_denominator=7), st.integers(0, 6), _phi_inverse_args())
+def test_memoised_weights_equal_their_originals(n, k, q, x, m, phi_args):
+    k = min(k, n)
+    cases = (
+        (qnum.q_binomial, (n, k, q)),
+        (qnum.q_pochhammer, (x, q, m)),
+        (qnum._phi_inverse_weight, (q, *phi_args)),
+    )
+    for fn, args in cases:
+        expected = fn.__wrapped__(*args)
+        for _ in range(2):  # a miss, then a hit
+            assert fn(*args) == expected, (fn.__name__, args)

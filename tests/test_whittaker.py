@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qrsk import qnum, whittaker
 from qrsk.gt import enumerate_arrays_with_top, enumerate_signatures, weight
 from qrsk.qnum import ExactModeError, q_pochhammer, q_pochhammer_inf
 from qrsk.whittaker import (
@@ -341,3 +344,68 @@ def test_process_weight_usual_spec_float():
         for arr in enumerate_arrays_with_top(top):
             total += process_weight(arr, a, spec, q)
     assert abs(total - 1) < 1e-9  # tail beyond the cap is ~0.3^23
+
+
+MEMOISED = {psi: whittaker._psi, psi_prime: whittaker._psi_prime, phi_coef: whittaker._phi_coef}
+
+
+def test_memoised_weights_are_bounded_and_typed():
+    for cached in MEMOISED.values():
+        assert cached.cache_parameters() == {"maxsize": qnum.MEMO_SIZE, "typed": True}
+
+
+@pytest.mark.parametrize("first, second", [
+    (F(1, 2), 0.5), (0.5, F(1, 2)), (0, F(0)), (F(0), 0),
+])
+def test_memoised_weights_keep_the_type_of_q(first, second):
+    lam, mu = (3, 1), (2, 1)
+    for fn, cached in MEMOISED.items():
+        cached.cache_clear()
+        for q in (first, second):
+            value = fn(lam, mu, q)
+            expected = cached.__wrapped__(lam, mu, q)
+            assert value == expected and type(value) is type(expected), (fn.__name__, q)
+            if not isinstance(q, int):
+                assert type(value) is type(q), (fn.__name__, q)
+
+
+def test_float_weights_skip_the_memo():
+    for fn, cached in MEMOISED.items():
+        cached.cache_clear()
+        assert fn((3, 1), (2, 1), 0.5) == float(fn((3, 1), (2, 1), F(1, 2)))
+        assert cached.cache_info().currsize == 1, fn.__name__
+
+
+def test_memoised_weights_take_list_arguments():
+    q = F(1, 3)
+    cases = (
+        (psi, [3, 1], [2], lambda lam, mu: lam.__setitem__(1, 2)),
+        (phi_coef, [3, 1], [2], lambda lam, mu: lam.__setitem__(1, 2)),
+        (psi_prime, [2, 2], [2, 1], lambda lam, mu: mu.__setitem__(1, 2)),
+    )
+    for fn, lam, mu, mutate in cases:
+        before = fn(lam, mu, q)
+        mutate(lam, mu)
+        after = fn(lam, mu, q)
+        assert after == MEMOISED[fn].__wrapped__(tuple(lam), tuple(mu), q) != before, fn.__name__
+
+
+@st.composite
+def _strip_pairs(draw):
+    """(lam, mu, q): signatures with parts up to 5, len(mu) in {len(lam) - 1, len(lam)}."""
+    j = draw(st.integers(1, 4))
+    lam = sorted(draw(st.lists(st.integers(0, 5), min_size=j, max_size=j)), reverse=True)
+    k = draw(st.integers(j - 1, j))
+    mu = sorted(draw(st.lists(st.integers(0, 5), min_size=k, max_size=k)), reverse=True)
+    return lam, mu, draw(st.fractions(0, F(9, 10), max_denominator=12))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_strip_pairs())
+def test_memoised_weights_equal_their_originals(case):
+    lam, mu, q = case
+    for fn, cached in MEMOISED.items():
+        for a, b in ((lam, mu), (mu, lam)):
+            expected = cached.__wrapped__(tuple(a), tuple(b), q)
+            for _ in range(2):  # a miss, then a hit
+                assert fn(a, b, q) == expected, (fn.__name__, a, b, q)
