@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
 All randomness is drawn from one ``random.Random`` stream seeded by ``--seed``;
-the polymer side of ``polymer-limit`` draws from a ``numpy.random.Generator``
-seeded with one 64-bit draw from that stream.  So every subcommand is
-reproducible from its flags.  Rationals are accepted as
+each side of ``polymer-limit`` (the dynamics at each epsilon, and the
+polymer) draws from a ``numpy.random.Generator`` seeded with one 64-bit draw
+from that stream.  So every subcommand is reproducible from its flags.  Rationals are accepted as
 "p/q" strings so the exact suites are driveable without code changes.
 """
 
@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import dynamics, gt, moments, particles, polymers, qnum, whittaker
+from . import __version__, dynamics, gt, moments, particles, polymers, qnum, whittaker
 
 
 def rational(text: str) -> Fraction:
@@ -474,6 +474,7 @@ def cmd_polymer_limit(args) -> int:
         raw_samples=raw,
     )
     report["seed"] = args.seed
+    report["version"] = __version__
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as f:

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .gt import (
     InterlacingArray,
     Signature,
@@ -397,22 +399,34 @@ def row_alpha_prob(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
     return row_alpha_v(ctx, nu, q) * (alpha * a_j) ** v * q_pochhammer_inf(alpha * a_j, q)
 
 
+def _draws(count) -> bool:
+    """Whether a split of `count` boxes needs a phi draw: not for a scalar 0.
+
+    Over a replica axis every replica draws; where its count is 0 the
+    weight has a one-point support, which the draw returns.
+    """
+    return isinstance(count, np.ndarray) or count != 0
+
+
 def _sample_row_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None):
     """One level update: the input vj at the left, then each lower move c_i split by W_i.
 
-    `sampler` is an optional `QSampler` for q, passed on to `phi_sample`.
+    The parts and vj are ints, or int64 arrays over replicas with `rng` a
+    numpy Generator.  `sampler` is an optional `QSampler` for q, passed on
+    to `phi_sample`.
     """
     j = len(lam)
     c = tuple(nu_bar[i] - lam_bar[i] for i in range(j - 1))
+    # parts are rebound, never updated in place: an array part of lam is shared
     nu = list(lam)
-    nu[0] += vj
+    nu[0] = nu[0] + vj
     for i in range(1, j):
         wi = (
             phi_sample(_row_alpha_phi_params(lam_bar, lam, c, i, q), rng, sampler)
-            if c[i - 1] else 0
+            if _draws(c[i - 1]) else 0
         )
-        nu[i - 1] += wi
-        nu[i] += c[i - 1] - wi
+        nu[i - 1] = nu[i - 1] + wi
+        nu[i] = nu[i] + c[i - 1] - wi
     return tuple(nu)
 
 
@@ -522,24 +536,27 @@ def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None):
     on the running remainder: given that positions i..j still have r boxes of
     input to absorb, X_i = r - W with W drawn from the inverse-regime weight
     with exponent gap_i.  This conditional is parameter-free and reduces to
-    move donation at q = 0.  `sampler` is an optional `QSampler` for q,
-    passed on to `phi_sample`.
+    move donation at q = 0.  The parts and vj are ints, or int64 arrays over
+    replicas with `rng` a numpy Generator.  `sampler` is an optional
+    `QSampler` for q, passed on to `phi_sample`.
     """
     j = len(lam)
     c = tuple(nu_bar[i] - lam_bar[i] for i in range(j - 1))
+    # parts are rebound, never updated in place: an array part of lam is shared
     nu = list(lam)
     remaining = vj
     r_exp = 0
     for i in range(1, j + 1):
         pos = j - i + 1
-        gap = _pt(lam_bar, j - i) - part(lam, pos)
         if i == j:
             x = remaining
-        elif remaining == 0:
-            x = 0
         else:
-            x = remaining - phi_sample(PhiParams.inverse(q, gap, INF, remaining), rng, sampler)
-        remaining -= x
+            gap = _pt(lam_bar, j - i) - part(lam, pos)
+            x = (
+                remaining - phi_sample(PhiParams.inverse(q, gap, INF, remaining), rng, sampler)
+                if _draws(remaining) else 0
+            )
+        remaining = remaining - x
         if i == j:
             y = c[0] if j >= 2 else 0
             z = r_exp
@@ -550,12 +567,12 @@ def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None):
             b_exp = _pt(lam_bar, j - i) - part(lam_bar, j - i + 1)
             h = gap - x
             y = h - phi_sample(PhiParams.inverse(q, ell, b_exp, h), rng, sampler)
-            if i >= 3 and r_exp > 0:
+            if i >= 3 and _draws(r_exp):
                 z = (h - y) - phi_sample(PhiParams.inverse(q, r_exp, INF, h - y), rng, sampler)
             else:
                 z = 0
-            r_exp += ell - y - z
-        nu[pos - 1] += x + y + z
+            r_exp = r_exp + ell - y - z
+        nu[pos - 1] = nu[pos - 1] + x + y + z
     return tuple(nu)
 
 

@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .dynamics import _sample_col_alpha_level, _sample_row_alpha_level
-from .gt import zero_array
 from .qnum import QSampler, sample_q_geometric
 
 RealWord = List[float]
@@ -342,62 +341,63 @@ def sample_inverse_gamma(theta: float, rng) -> float:
 
 
 def _scaled_replicas(level, n, t, thetas, theta_hats, eps, replicas, rng):
-    """Final arrays of `replicas` runs of t steps of a q-geometric insertion dynamics.
+    """Final array of `replicas` runs of t steps of a q-geometric insertion dynamics.
 
     q = e^-eps, alpha_s = e^(-theta_hat_s eps), a_j = e^(-theta_j eps); `level`
-    is the shared level update of the kind.  One `QSampler` serves the whole
-    call, so each q-geometric table is built once per (alpha_s, a_j).
+    is the shared level update of the kind.  All replicas step together:
+    each part of the array is an int64 array over replicas, and every draw
+    comes from a numpy generator seeded from `rng` (one 64-bit draw).  One
+    `QSampler` serves the whole call, so each q-geometric table is built
+    once per (alpha_s, a_j).
     """
     q = math.exp(-eps)
     a = [math.exp(-thetas[j] * eps) for j in range(n)]
     alphas = [math.exp(-theta_hats[s] * eps) for s in range(t)]
     sampler = QSampler(q)
-    for _ in range(replicas):
-        arr = zero_array(n)
-        for alpha in alphas:
-            out = [(arr[0][0] + sample_q_geometric(alpha * a[0], q, rng, sampler),)]
-            for j in range(2, n + 1):
-                vj = sample_q_geometric(alpha * a[j - 1], q, rng, sampler)
-                out.append(level(arr[j - 2], out[j - 2], arr[j - 1], vj, q, rng, sampler))
-            arr = out
-        yield arr
+    gen = np.random.default_rng(rng.getrandbits(64))
+    arr = [tuple(np.zeros(replicas, dtype=np.int64) for _ in range(j)) for j in range(1, n + 1)]
+    for alpha in alphas:
+        v = [sample_q_geometric(alpha * aj, q, gen, sampler, size=replicas) for aj in a]
+        out = [(arr[0][0] + v[0],)]
+        for j in range(2, n + 1):
+            out.append(level(arr[j - 2], out[j - 2], arr[j - 1], v[j - 1], q, gen, sampler))
+        arr = out
+    return arr
 
 
 def scaled_row_arrays(n, t, thetas, theta_hats, eps, replicas, rng):
     """Replicas of log R-hat ratios from the scaled row insertion dynamics.
 
     Returns a dict (j, k) -> list of log(R-hat^j_k(t, eps)) over replicas,
-    for 1 <= k <= min(t, j) <= n.
+    for 1 <= k <= min(t, j) <= n.  The replicas' draws come from a numpy
+    generator seeded from one `rng.getrandbits(64)`: the same `rng` state
+    gives the same lists.
     """
-    out = {(j, k): [] for j in range(1, n + 1) for k in range(1, min(t, j) + 1)}
+    arr = _scaled_replicas(_sample_row_alpha_level, n, t, thetas, theta_hats, eps, replicas, rng)
     log_inv_eps = math.log(1.0 / eps)
-    for arr in _scaled_replicas(
-        _sample_row_alpha_level, n, t, thetas, theta_hats, eps, replicas, rng
-    ):
-        for (j, k), acc in out.items():
-            acc.append(eps * arr[j - 1][k - 1] - (t + j - 2 * k + 1) * log_inv_eps)
-    return out
+    return {
+        (j, k): (eps * arr[j - 1][k - 1] - (t + j - 2 * k + 1) * log_inv_eps).tolist()
+        for j in range(1, n + 1)
+        for k in range(1, min(t, j) + 1)
+    }
 
 
 def scaled_col_arrays(n, t, thetas, theta_hats, eps, replicas, rng):
     """Replicas of log L-hat ratios from the scaled column insertion dynamics.
 
     Returns (j, k) -> list of log(L-hat^j_k(t, eps)), 1 <= k <= j <= min(n, k+t-1).
+    The replicas' draws come from a numpy generator seeded from one
+    `rng.getrandbits(64)`: the same `rng` state gives the same lists.
     """
-    out = {
-        (j, k): []
+    arr = _scaled_replicas(_sample_col_alpha_level, n, t, thetas, theta_hats, eps, replicas, rng)
+    log_inv_eps = math.log(1.0 / eps)
+    # arr[j - 1][j - k] is the k-th particle from the left
+    return {
+        (j, k): ((t - j + 2 * k - 1) * log_inv_eps - eps * arr[j - 1][j - k]).tolist()
         for j in range(1, n + 1)
         for k in range(1, j + 1)
         if j <= min(n, k + t - 1)
     }
-    log_inv_eps = math.log(1.0 / eps)
-    for arr in _scaled_replicas(
-        _sample_col_alpha_level, n, t, thetas, theta_hats, eps, replicas, rng
-    ):
-        for (j, k), acc in out.items():
-            ell = arr[j - 1][j - k]          # k-th particle from the left
-            acc.append((t - j + 2 * k - 1) * log_inv_eps - eps * ell)
-    return out
 
 
 def polymer_log_ratios(mode, n, t, thetas, theta_hats, replicas, rng, targets):
@@ -427,10 +427,13 @@ def polymer_log_ratios(mode, n, t, thetas, theta_hats, replicas, rng, targets):
 
 
 def ks_statistic(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic."""
-    from scipy import stats
-
-    return float(stats.ks_2samp(xs, ys).statistic)
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    two empirical CDFs, which is attained at a point of the merged sample."""
+    xs, ys = np.sort(xs), np.sort(ys)
+    merged = np.concatenate((xs, ys))
+    cdf_x = np.searchsorted(xs, merged, side="right") / xs.size
+    cdf_y = np.searchsorted(ys, merged, side="right") / ys.size
+    return float(np.abs(cdf_x - cdf_y).max())
 
 
 def scaling_limit_experiment(

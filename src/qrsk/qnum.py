@@ -30,6 +30,10 @@ _POCHHAMMER_TAIL = 2.0 ** -60
 _LOG_TAIL = math.log(_POCHHAMMER_TAIL)
 # Sums and tables longer than this many terms are computed with numpy.
 _VECTOR_TERMS = 64
+# A batch of inverse-regime phi draws evaluates its weights in blocks of at
+# most this many (replica, support point) cells: its memory stays flat, and
+# each 128 KiB float block stays in cache (blocks of 2^18 cells ran slower).
+_BLOCK_CELLS = 1 << 14
 # Entries kept by each memo on a pure weight (`memoised`).  The memos pay off
 # within one sweep of the exact verifier, which reuses a few hundred distinct
 # arguments per function; the bound keeps float sampling, whose arguments
@@ -55,6 +59,18 @@ class ZeroMassError(ValueError):
 
 def is_exact(x: Scalar) -> bool:
     return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
+
+
+def exact_div(num: Scalar, den: Scalar) -> Scalar:
+    """num / den, exact for ints: an int when den divides num, else a Fraction."""
+    if isinstance(num, int) and isinstance(den, int):
+        return num // den if num % den == 0 else Fraction(num, den)
+    return num / den
+
+
+def _finite(b) -> bool:
+    """Whether an exponent b (an int, INF, or an int array over replicas) is finite."""
+    return isinstance(b, np.ndarray) or b != INF
 
 
 def qpow(q: Scalar, e) -> Scalar:
@@ -124,7 +140,7 @@ def log_q_pochhammer_inf(a: float, q: float) -> float:
     if x * q ** _VECTOR_TERMS >= _POCHHAMMER_TAIL:
         # a long product (q near 1): every factor with a q^i >= 2^-60 in one vector
         terms = math.floor(math.log(_POCHHAMMER_TAIL / x) / math.log(q)) + 1
-        return float(np.log1p(-x * np.power(float(q), np.arange(terms))).sum())
+        return float(np.log1p(-x * np.exp(np.arange(terms) * math.log(q))).sum())
     s = 0.0
     while x >= _POCHHAMMER_TAIL:
         s += math.log1p(-x)
@@ -142,14 +158,14 @@ def q_binomial(n, k: int, q: Scalar) -> Scalar:
             raise ExactModeError("q_binomial with n = inf needs floating scalars")
         return 1.0 / q_pochhammer(q, q, k)
     # prod_{i=1}^{k} (1 - q^{n-k+i}) / (1 - q^i), over the smaller of k and n - k;
-    # exact-friendly
+    # exact-friendly, and an int for int q (the quotient is a polynomial in q)
     k = min(k, n - k)
     num = q * 0 + 1
     den = num
     for i in range(1, k + 1):
         num *= 1 - qpow(q, n - k + i)
         den *= 1 - qpow(q, i)
-    return num / den
+    return exact_div(num, den)
 
 
 def q_multinomial(n: int, m: int, k: int, q: Scalar) -> Scalar:
@@ -176,6 +192,8 @@ class PhiParams:
     * inverse: base q^{-1} with xi = q^a, eta = q^b for integer exponents
       0 <= a <= b and y <= b.  Pass b = INF for eta = 0.  Exponents are kept
       as integers (never pre-exponentiated) so that b = INF stays exact.
+      Floating q also takes int64 arrays a, b and y, one entry per replica,
+      for a batch of `phi_sample` draws.
     """
 
     q: Scalar
@@ -197,7 +215,11 @@ class PhiParams:
             b = INF
         if not (0 <= q < 1):
             raise ValueError("inverse regime needs 0 <= q < 1")
-        if a < 0 or a > b or y > b:
+        if isinstance(y, np.ndarray) or isinstance(a, np.ndarray):
+            bad = np.any((a < 0) | (a > b) | (y > b))
+        else:
+            bad = a < 0 or a > b or y > b
+        if bad:
             raise ValueError("inverse regime needs 0 <= a <= b and y <= b")
         return PhiParams(q=q, y=y, a=a, b=b)
 
@@ -306,7 +328,7 @@ def _phi_inverse_ratio(q, a, b, c, r):
     return qpow(q, a + 2 * r + 1 - c) * num / den
 
 
-def phi_sample(p: PhiParams, rng, sampler: Optional[QSampler] = None) -> int:
+def phi_sample(p: PhiParams, rng, sampler: Optional[QSampler] = None):
     """Draw from the weight; floating realization, one `rng.random()` a draw.
 
     Inverse regime: a chop-down walk from the mode over the closed-form
@@ -315,7 +337,14 @@ def phi_sample(p: PhiParams, rng, sampler: Optional[QSampler] = None) -> int:
     a `QSampler` for q to reuse its log (q;q)_n table across draws.  Direct
     regime: an inverse-CDF walk from s = 0.  A weight with no mass left in
     floating point raises `ZeroMassError`.
+
+    Inverse-regime parameters with int64 arrays (one entry per replica) take
+    one `rng.random(size)` from a numpy Generator and return an int64 array:
+    each draw is the inverse CDF of its weight over a window around the mode
+    (`QSampler.draw_phi_inverse_batch`).
     """
+    if isinstance(p.y, np.ndarray) or isinstance(p.a, np.ndarray):
+        return _phi_sample_batch(p, rng, sampler)
     u = rng.random()
     if p.is_inverse:
         sup = phi_support(p)
@@ -361,6 +390,20 @@ def phi_sample(p: PhiParams, rng, sampler: Optional[QSampler] = None) -> int:
     return s
 
 
+def _phi_sample_batch(p: PhiParams, rng, sampler: Optional[QSampler]) -> np.ndarray:
+    if not p.is_inverse:
+        raise TypeError("phi_sample takes replica arrays in the inverse regime only")
+    a, c = np.broadcast_arrays(p.a, p.y)
+    lo = np.maximum(0, c - a)
+    hi = np.minimum(c, p.b - a) if _finite(p.b) else c
+    if np.any(hi < lo):
+        raise ValueError("empty support")
+    u = rng.random(c.shape)
+    if p.q == 0:
+        return lo
+    return _qsampler(p.q, sampler).draw_phi_inverse_batch(a, p.b, c, lo, hi, u)
+
+
 def _check_mass(w: float, what) -> None:
     if not w > 0.0:
         raise ZeroMassError(f"the starting weight of {what} is {w} in floating point")
@@ -374,10 +417,13 @@ class QSampler:
     """Floating-mode sampling tables for one q, each built on first use.
 
     * The prefix table log (q;q)_n, n = 0, 1, ...; with it every
-      inverse-regime phi weight costs O(1) (`log_phi_inverse`).
-    * Per q-geometric parameter alpha, a CDF table over the support points
-      whose weight is at least 2^-60 times the modal weight, built once from
-      the normaliser log (alpha;q)_inf, so a draw is one bisect.
+      inverse-regime phi weight costs O(1) (`log_phi_inverse`).  Scalar
+      draws read it as a list, draws over a replica axis as a numpy array;
+      each is grown on demand.
+    * Per q-geometric parameter alpha, a CDF table (a numpy array) over the
+      support points whose weight is at least 2^-60 times the modal weight,
+      built once from the normaliser log (alpha;q)_inf, so a draw is one
+      bisect.
 
     The tables live as long as the object.  Create one per run of draws at a
     fixed q and pass it to `phi_sample` and `sample_q_geometric`.
@@ -392,7 +438,9 @@ class QSampler:
         # from this n on, log(1 - q^n) > -2^-60 and log (q;q)_n stops changing
         self._cap = math.ceil(_LOG_TAIL / self.log_q) if q > 0 else 0
         self._log_qpoch: List[float] = [0.0]
-        self._cdfs: Dict[float, Tuple[int, List[float]]] = {}
+        self._log_qpoch_array = np.zeros(1)
+        self._cdfs: Dict[float, Tuple[int, np.ndarray]] = {}
+        self._cdf_lists: Dict[float, Tuple[int, List[float]]] = {}
 
     def log_qpoch(self, n) -> float:
         """log (q;q)_n for an integer n >= 0 or n = INF."""
@@ -403,14 +451,30 @@ class QSampler:
         # grow to at least twice the length, so growth costs O(1) a point
         stop = min(max(n, 2 * len(table)), self._cap) + 1
         if stop - len(table) > _VECTOR_TERMS:
-            k = np.arange(len(table), stop)
-            table.extend((table[-1] + np.cumsum(np.log(-np.expm1(k * self.log_q)))).tolist())
+            table.extend(self._log_qpoch_run(table[-1], len(table), stop).tolist())
         else:
             for k in range(len(table), stop):
                 table.append(table[-1] + math.log(-math.expm1(k * self.log_q)))
         return table[n]
 
-    def log_phi_inverse(self, a: int, b, c: int, s: int) -> float:
+    def _log_qpoch_run(self, last: float, start: int, stop: int) -> np.ndarray:
+        """log (q;q)_n for n = start..stop-1, given last = log (q;q)_{start-1}."""
+        k = np.arange(start, stop)
+        return last + np.cumsum(np.log(-np.expm1(k * self.log_q)))
+
+    def log_qpoch_at(self, n):
+        """log (q;q)_n for an int or int array n >= 0, from a numpy table grown on demand."""
+        table = self._log_qpoch_array
+        top = int(n.max(initial=0)) if isinstance(n, np.ndarray) else n
+        if top >= table.size <= self._cap:
+            stop = min(max(top, 2 * table.size), self._cap) + 1
+            table = self._log_qpoch_array = np.concatenate(
+                (table, self._log_qpoch_run(table[-1], table.size, stop))
+            )
+        # a table that reaches the cap ends there: past it log (q;q)_n stays put
+        return table.take(n, mode="clip")
+
+    def log_phi_inverse(self, a, b, c, s):
         """log phi_{q^{-1}, q^a, q^b}(s | c) at a support point s, q > 0.
 
         The closed form is
@@ -418,12 +482,17 @@ class QSampler:
             q^{s(a-c+s)} (q;q)_a (q;q)_c (q;q)_{b-a} (q;q)_{b-c}
             / [(q;q)_b (q;q)_s (q;q)_{c-s} (q;q)_{a-c+s} (q;q)_{b-a-s}],
 
-        whose four b factors cancel at b = inf.
+        whose four b factors cancel at b = inf.  Integers give a float; int
+        arrays, broadcast against each other, give an array (b = INF or an
+        array).
         """
-        lp = self.log_qpoch
-        v = s * (a - c + s) * self.log_q + lp(a) + lp(c) - lp(s) - lp(c - s) - lp(a - c + s)
-        if b != INF:
-            v += lp(b - a) + lp(b - c) - lp(b) - lp(b - a - s)
+        lp = self.log_qpoch_at if isinstance(s, np.ndarray) else self.log_qpoch
+        d = a - c + s
+        # the terms free of s are summed apart: over a replica axis they are
+        # one value per replica
+        v = s * d * self.log_q - lp(s) - lp(c - s) - lp(d) + (lp(a) + lp(c))
+        if isinstance(b, np.ndarray) or b != INF:
+            v = v + (lp(b - a) + lp(b - c) - lp(b)) - lp(b - a - s)
         return v
 
     def draw_phi_inverse(self, a: int, b, c: int, lo: int, hi: int, u: float) -> int:
@@ -435,7 +504,56 @@ class QSampler:
             lambda r: _phi_inverse_ratio(q, a, b, c, r),
         )
 
-    def q_geometric_cdf(self, alpha: float) -> Tuple[int, List[float]]:
+    def draw_phi_inverse_batch(self, a, b, c, lo, hi, u: np.ndarray) -> np.ndarray:
+        """Inverse-regime draws over a replica axis: uniform u[r] on [lo[r], hi[r]], q > 0.
+
+        Each draw is the inverse CDF of its weight over a window around the
+        mode, in blocks of at most `_BLOCK_CELLS` window points.  The log
+        weight is concave with second differences at most 2 log q, so it
+        falls below 2^-60 of the modal weight within `reach` points of the
+        mode; the window ends are checked against that cut and widened where
+        they are not below it, so nothing above the cut is left out.
+        """
+        mode = _phi_inverse_modes(self.q, a, b, c, lo, hi)
+        log_w_mode = self.log_phi_inverse(a, b, c, mode)
+        _check_mass(np.exp(log_w_mode).min(initial=1.0), "the weight at its mode")
+        reach = math.isqrt(math.ceil(_LOG_TAIL / self.log_q)) + 2
+        left = self._window_edge(a, b, c, mode, lo, log_w_mode, -reach)
+        right = self._window_edge(a, b, c, mode, hi, log_w_mode, reach)
+        width = int((right - left).max(initial=0)) + 1
+        rows = max(1, _BLOCK_CELLS // width)
+        out = np.empty_like(mode)
+        for start in range(0, mode.size, rows):
+            blk = slice(start, start + rows)
+
+            def rows_of(x):
+                return x[blk, None] if isinstance(x, np.ndarray) else x
+
+            last = rows_of(right - left)
+            # points past a row's right end repeat it; their CDF runs on above
+            # the row's total, so no uniform lands on them
+            s = rows_of(left) + np.minimum(np.arange(width), last)
+            cdf = self.log_phi_inverse(rows_of(a), rows_of(b), rows_of(c), s)
+            cdf -= rows_of(log_w_mode)
+            np.exp(cdf, out=cdf)
+            np.cumsum(cdf, axis=1, out=cdf)
+            total = np.take_along_axis(cdf, last, axis=1)
+            out[blk] = left[blk] + (cdf < rows_of(u) * total).sum(axis=1)
+        return out
+
+    def _window_edge(self, a, b, c, mode, edge, log_w_mode, reach: int) -> np.ndarray:
+        """mode + reach, moved back to the support edge where it passes it and
+        widened until its weight is below 2^-60 of the modal weight."""
+        clamp = np.minimum if reach > 0 else np.maximum
+        reach = np.full(mode.shape, reach)
+        while True:
+            end = clamp(mode + reach, edge)
+            short = (end != edge) & (self.log_phi_inverse(a, b, c, end) - log_w_mode >= _LOG_TAIL)
+            if not short.any():
+                return end
+            reach[short] *= 2
+
+    def q_geometric_cdf(self, alpha: float) -> Tuple[int, np.ndarray]:
         """(lo, cdf): cdf[i] is the law's mass on lo..lo+i, over the table's points.
 
         The mass of the points the 2^-60 cut keeps must agree with the
@@ -446,42 +564,40 @@ class QSampler:
             return table
         mode = _q_geometric_mode(alpha, self.q)
         log_alpha = math.log(alpha)
-        log_w_mode = log_q_pochhammer_inf(alpha, self.q) + mode * log_alpha - self.log_qpoch(mode)
+        lp_mode = self.log_qpoch_at(mode)
+        log_w_mode = log_q_pochhammer_inf(alpha, self.q) + mode * log_alpha - lp_mode
 
-        def log_ratio(k):
-            # log pmf(k) - log pmf(k-1) = log alpha - log(1 - q^k)
-            return log_alpha - np.log(-np.expm1(k * self.log_q))
+        def rel(n):
+            # log pmf(n) - log pmf(mode)
+            return (n - mode) * log_alpha - self.log_qpoch_at(n) + lp_mode
 
-        right = _log_run(log_ratio, mode + 1, 1)
-        left = _log_run(lambda k: -log_ratio(k), mode, -1)
-        rel = np.concatenate((left[::-1], [0.0], right))
-        cdf = np.cumsum(np.exp(log_w_mode + rel))
+        n = np.arange(2 * mode + _VECTOR_TERMS)
+        rel_w = rel(n)
+        while rel_w[-1] >= _LOG_TAIL:
+            # past the mode the log ratios log alpha - log(1 - q^k) fall with k,
+            # so the next one bounds all later ones: this many more points reach the cut
+            end = rel_w.size
+            step = log_alpha - math.log(-math.expm1(end * self.log_q))
+            n = np.arange(end, end + math.ceil((rel_w[-1] - _LOG_TAIL) / -step) + 1)
+            rel_w = np.concatenate((rel_w, rel(n)))
+        kept = np.flatnonzero(rel_w >= _LOG_TAIL)
+        lo, hi = int(kept[0]), int(kept[-1])
+        cdf = np.cumsum(np.exp(log_w_mode + rel_w[lo:hi + 1]))
         total = cdf[-1]
         if not abs(total - 1.0) <= 1e-9:
             raise ArithmeticError(
                 f"q-geometric table for alpha={alpha}, q={self.q} has mass {total}, not 1"
             )
-        table = self._cdfs[alpha] = (mode - len(left), (cdf / total).tolist())
+        table = self._cdfs[alpha] = (lo, cdf / total)
         return table
 
-
-def _log_run(step: Callable[[np.ndarray], np.ndarray], start: int, direction: int):
-    """Partial sums of step(k) over k = start, start + direction, ... (k >= 1),
-    cut where they fall below log 2^-60.
-
-    The steps of a log-concave weight walked away from its mode decrease, so
-    the kept sums are a prefix; they are computed in chunks of doubling size.
-    """
-    sums = np.empty(0)
-    size = _VECTOR_TERMS
-    while sums.size == 0 or sums[-1] >= _LOG_TAIL:
-        first = start + direction * sums.size
-        k = np.arange(first, max(first + direction * size, 0), direction)
-        if k.size == 0:
-            break
-        sums = np.concatenate((sums, (sums[-1] if sums.size else 0.0) + np.cumsum(step(k))))
-        size *= 2
-    return sums[sums >= _LOG_TAIL]
+    def _q_geometric_cdf_list(self, alpha: float) -> Tuple[int, List[float]]:
+        """`q_geometric_cdf` as a list, for scalar bisects."""
+        table = self._cdf_lists.get(alpha)
+        if table is None:
+            lo, cdf = self.q_geometric_cdf(alpha)
+            table = self._cdf_lists[alpha] = (lo, cdf.tolist())
+        return table
 
 
 def _qsampler(q, sampler: Optional[QSampler]) -> QSampler:
@@ -524,6 +640,22 @@ def _phi_inverse_mode(q: float, a: int, b, c: int, lo: int, hi: int) -> int:
     return min(hi, lo + math.floor(math.log(y) / math.log(q)) + 1)
 
 
+def _phi_inverse_modes(q: float, a, b, c, lo, hi) -> np.ndarray:
+    """`_phi_inverse_mode` over int arrays a, c, lo, hi and b (an array or INF)."""
+    qe = q ** (a - c + 2 * lo + 1)
+    cc = q ** (c - lo)
+    dd = q ** (b - a - lo) if _finite(b) else 0.0
+    a2 = qe * (1.0 - q)
+    b1 = q ** (a - c + lo + 1) + q ** (lo + 1) - qe * (cc + dd)
+    c0 = qe * cc * dd - 1.0
+    disc = np.sqrt(b1 * b1 - 4.0 * a2 * c0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = b1 + disc
+        y = np.where(b1 >= 0, np.where(den > 0, -2.0 * c0 / den, 1.0), (disc - b1) / (2.0 * a2))
+    rise = np.floor(np.log(np.clip(y, np.finfo(float).tiny, 1.0)) / math.log(q)).astype(np.int64)
+    return np.where(y >= 1.0, lo, np.where(y <= 0.0, hi, np.minimum(hi, lo + rise + 1)))
+
+
 def _chop_down(u: float, mode: int, lo, hi, w_mode: float, ratio: Callable[[int], float]) -> int:
     """The point of [lo, hi] whose CDF interval holds u, for a unimodal weight.
 
@@ -555,21 +687,32 @@ def _chop_down(u: float, mode: int, lo, hi, w_mode: float, ratio: Callable[[int]
     return s
 
 
-def sample_q_geometric(alpha: float, q: float, rng, sampler: Optional[QSampler] = None) -> int:
+def sample_q_geometric(
+    alpha: float, q: float, rng, sampler: Optional[QSampler] = None, size: Optional[int] = None
+):
     """Draw from pmf (alpha;q)_inf alpha^n/(q;q)_n; one `rng.random()` a draw.
 
     With a `QSampler` for q the draw is one bisect into the sampler's CDF
     table for alpha, built on first use.  Without one it is a chop-down walk
     from the mode over weights computed in log space, which costs O(mode)
     for the log (q;q)_n values plus O(sd) steps and cannot underflow.
+
+    With `size`, `rng` is a numpy Generator and the result is an int64 array
+    of `size` draws, the same table bisect for each of `rng.random(size)`.
     """
     if not (0 <= alpha < 1 and 0 <= q < 1):
         raise ValueError("q-geometric needs 0 <= alpha < 1, 0 <= q < 1")
+    if size is not None:
+        u = rng.random(size)
+        if alpha == 0:
+            return np.zeros(size, dtype=np.int64)
+        lo, cdf = _qsampler(q, sampler).q_geometric_cdf(alpha)
+        return lo + np.searchsorted(cdf, u, side="right")
     u = rng.random()
     if alpha == 0:
         return 0
     if sampler is not None:
-        lo, cdf = _qsampler(q, sampler).q_geometric_cdf(alpha)
+        lo, cdf = _qsampler(q, sampler)._q_geometric_cdf_list(alpha)
         return lo + bisect_right(cdf, u)
     mode = _q_geometric_mode(alpha, q)
     log_w_mode = log_q_pochhammer_inf(alpha, q)

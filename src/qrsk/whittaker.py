@@ -20,7 +20,7 @@ from .gt import (
     part,
     weight,
 )
-from .qnum import Scalar, memoised, q_binomial, q_pochhammer, q_pochhammer_inf
+from .qnum import Scalar, exact_div, memoised, q_binomial, q_pochhammer, q_pochhammer_inf
 
 
 def _branching(weight, lam, mu, q):
@@ -73,7 +73,7 @@ def _phi_coef(lam: Signature, mu: Signature, q: Scalar) -> Scalar:
         return one * 0
     n = len(lam)
     lam, mu = padded(lam, n + 1), padded(mu, n + 1)
-    w = one / q_pochhammer(q, q, lam[0] - mu[0])
+    w = exact_div(one, q_pochhammer(q, q, lam[0] - mu[0]))
     for upper, lower, l in zip(mu, mu[1:], lam[1:]):
         w *= q_binomial(upper - lower, upper - l, q)
     return w

@@ -196,3 +196,14 @@ def test_verify_reports_elapsed_seconds(capsys):
     assert code == 0
     report = json.loads(out)
     assert isinstance(report["elapsed_s"], float) and report["elapsed_s"] >= 0
+
+
+def test_polymer_limit_report_records_the_version(tmp_path, capsys):
+    import qrsk
+
+    args = ["polymer-limit", "--kind", "col", "-N", "2", "-T", "2", "--eps", "0.02",
+            "--replicas", "40", "--seed", "5", "--out", str(tmp_path / "r.json")]
+    code, _ = run(args, capsys)
+    assert code == 0
+    rep = json.loads((tmp_path / "r.json").read_text())
+    assert rep["version"] == qrsk.__version__ and rep["seed"] == 5

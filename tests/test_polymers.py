@@ -3,9 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qrsk import polymers
+from qrsk.dynamics import _sample_col_alpha_level, _sample_row_alpha_level
+from qrsk.gt import zero_array
 from qrsk.polymers import (
     PolymerEnv,
     empty_array,
@@ -23,6 +27,7 @@ from qrsk.polymers import (
     transfer_matrix_check,
     transfer_product_check,
 )
+from qrsk.qnum import QSampler, sample_q_geometric
 
 
 def rand_words(rng, n, t):
@@ -240,3 +245,90 @@ def test_experiment_report_shape_and_warning():
     assert "warnings" in rep
     for key in ("dynamics_mean", "polymer_mean", "ks_stat"):
         assert key in rep["results"][0]
+
+
+_KS_VALUES = st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10, allow_nan=False))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(_KS_VALUES, min_size=1, max_size=40), st.lists(_KS_VALUES, min_size=1, max_size=70))
+@example([0.5], [0.5])
+@example([0.5], [1.5, -2.0, 1.5])
+@example([1.0, 1.0, 2.0], [1.0])
+def test_ks_statistic_matches_scipy(xs, ys):
+    # small integer values make ties within and across the samples
+    with np.errstate(divide="ignore"):  # scipy's p-value at n = 1; only the statistic is used
+        expected = stats.ks_2samp(xs, ys, method="asymp").statistic
+    assert ks_statistic(xs, ys) == pytest.approx(expected, abs=1e-12)
+
+
+def test_scaled_arrays_are_reproducible_from_the_rng_state():
+    th, thh = [1.2, 0.8], [0.9, 1.1]
+    for fn in (scaled_row_arrays, scaled_col_arrays):
+        first = fn(2, 2, th, thh, 0.01, 50, random.Random(4))
+        again = fn(2, 2, th, thh, 0.01, 50, random.Random(4))
+        other = fn(2, 2, th, thh, 0.01, 50, random.Random(5))
+        assert first == again and first != other
+        assert all(len(v) == 50 and all(type(x) is float for x in v) for v in first.values())
+
+
+def _scalar_replicas(level, n, t, thetas, theta_hats, eps, replicas, rng):
+    """Final arrays of replicas stepped one at a time through the scalar level update."""
+    q = math.exp(-eps)
+    a = [math.exp(-thetas[j] * eps) for j in range(n)]
+    alphas = [math.exp(-theta_hats[s] * eps) for s in range(t)]
+    sampler = QSampler(q)
+    finals = []
+    for _ in range(replicas):
+        arr = zero_array(n)
+        for alpha in alphas:
+            out = [(arr[0][0] + sample_q_geometric(alpha * a[0], q, rng, sampler),)]
+            for j in range(2, n + 1):
+                vj = sample_q_geometric(alpha * a[j - 1], q, rng, sampler)
+                out.append(level(arr[j - 2], out[j - 2], arr[j - 1], vj, q, rng, sampler))
+            arr = out
+        finals.append(arr)
+    return finals
+
+
+@pytest.mark.parametrize("level", [_sample_row_alpha_level, _sample_col_alpha_level])
+def test_replica_axis_level_updates_match_the_scalar_ones(level):
+    # N = T = 3 at eps = 1e-2: every part of the final array has the same law
+    # whether the replicas step together or one at a time
+    n = t = 3
+    th, thh, eps, reps = [1.2, 0.8, 1.0], [0.9, 1.1, 1.0], 1e-2, 3000
+    rng = random.Random(12)
+    batch = polymers._scaled_replicas(level, n, t, th, thh, eps, reps, rng)
+    scalar = _scalar_replicas(level, n, t, th, thh, eps, reps, rng)
+    for j in range(1, n + 1):
+        for i in range(j):
+            xs = batch[j - 1][i]
+            ys = [arr[j - 1][i] for arr in scalar]
+            assert stats.ks_2samp(xs, ys).pvalue > 1e-4, (level.__name__, j, i + 1)
+
+
+def _ks_noise_floor(xs, ys, gen, b=10):
+    """The KS that sampling alone gives: the mean KS of two resamples, of the
+    sizes of xs and ys, drawn from the pooled sample."""
+    pooled = np.concatenate((xs, ys))
+    return float(np.mean([
+        ks_statistic(gen.choice(pooled, len(xs)), gen.choice(pooled, len(ys))) for _ in range(b)
+    ]))
+
+
+def test_strict_weak_convergence_is_resolved_between_eps_1e2_and_1e3():
+    # StrictWeak at (j, k, t) = (2, 1, 2): the scaled column dynamics are
+    # measurably off the polymer at eps = 1e-2 and within sampling noise at
+    # eps = 1e-3.  The noise floor falls as 1/sqrt(replicas); 120k replicas
+    # put both claims several standard deviations clear of the bar
+    th, thh, reps = [1.2, 0.8], [0.9, 1.1], 120_000
+    rng = random.Random(2015)
+    gen = np.random.default_rng(2015)
+    poly = np.array(polymer_log_ratios("StrictWeak", 2, 2, th, thh, reps, rng, [(2, 1)])[(2, 1)])
+    ks = {}
+    for eps in (1e-2, 1e-3):
+        xs = np.array(scaled_col_arrays(2, 2, th, thh, eps, reps, rng)[(2, 1)])
+        ks[eps] = ks_statistic(xs, poly)
+    noise = _ks_noise_floor(xs, poly, gen)
+    assert ks[1e-2] > 3 * noise, (ks, noise)
+    assert ks[1e-3] <= 3 * noise, (ks, noise)

@@ -1,7 +1,10 @@
 import math
+import operator
 import random
 from fractions import Fraction as F
+from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -385,3 +388,165 @@ def test_memoised_weights_equal_their_originals(n, k, q, x, m, phi_args):
         expected = fn.__wrapped__(*args)
         for _ in range(2):  # a miss, then a hit
             assert fn(*args) == expected, (fn.__name__, args)
+
+
+class _GivenUniforms:
+    """Hands out the given uniforms in order, as `random()` of a `random.Random`
+    (one a call) or of a numpy Generator (`size` at a time) would."""
+
+    def __init__(self, u):
+        self.u = list(u)
+
+    def random(self, size=None):
+        if size is None:
+            return self.u.pop(0)
+        n = int(np.prod(size))
+        out, self.u = np.array(self.u[:n]).reshape(size), self.u[n:]
+        return out
+
+
+@pytest.mark.parametrize("alpha, q", [
+    (0.4, 0.5), (0.0, 0.5), (math.exp(-2e-2), math.exp(-1e-2)), (math.exp(-2.1e-3), math.exp(-1e-3)),
+])
+def test_batch_q_geometric_draws_equal_the_scalar_table_draws(alpha, q):
+    sampler = QSampler(q)
+    u = np.random.default_rng(5).random(3000)
+    batch = sample_q_geometric(alpha, q, np.random.default_rng(5), sampler, size=u.size)
+    if alpha:
+        # uniforms on the table's own points test the side of each bisect
+        lo, cdf = sampler.q_geometric_cdf(alpha)
+        u = np.concatenate((u, cdf[:-1:max(1, cdf.size // 50)]))
+        batch = np.concatenate((batch, sample_q_geometric(
+            alpha, q, _GivenUniforms(u[3000:]), sampler, size=u.size - 3000)))
+    scalar = [sample_q_geometric(alpha, q, _GivenUniforms([x]), sampler) for x in u]
+    assert batch.dtype == np.int64 and batch.tolist() == scalar
+
+
+def _phi_inverse_ratio_terms(qe, a, b, c, r):
+    """(numerator, denominator): exact integers whose quotient is phi(r+1)/phi(r)
+    of the inverse-regime weight at rational q = p/m (an oracle apart from qnum):
+
+        q^(a+2r+1-c) (1-q^(b-a-r)) (1-q^(c-r)) / ((1-q^(a-c+r+1)) (1-q^(r+1))),
+
+    every exponent at least 1 on the support.
+    """
+    p, m = qe.numerator, qe.denominator
+    e_top, e_b, e_c, e_d, e_r = a + 2 * r + 1 - c, b - a - r, c - r, a - c + r + 1, r + 1
+    num = p ** e_top * (m ** e_c - p ** e_c) * m ** (e_d + e_r)
+    den = m ** (e_top + e_c) * (m ** e_d - p ** e_d) * (m ** e_r - p ** e_r)
+    if b != INF:
+        num *= m ** e_b - p ** e_b
+        den *= m ** e_b
+    return num, den
+
+
+def _oracle_cdf(qe, a, b, c):
+    """(first point, CDF) of the inverse-regime weight, as floats.
+
+    On a support of at most 64 points this is the exact Fraction CDF,
+    rounded once.  A wider support near q = 1 makes those Fractions far too
+    long, so there the weights are chained from the exact ratios, each
+    rounded to float once, over the points within `reach` of the mode.  The
+    log weight has second differences at most 2 log q, so a point d steps
+    from the mode weighs at most q^(d(d-1)) of the mode, below 1e-20 past
+    `reach` steps.
+    """
+    sup = phi_support(PhiParams.inverse(qe, a, b, c))
+    if len(sup) <= 64:
+        ratios = (F(*_phi_inverse_ratio_terms(qe, a, b, c, r)) for r in sup[:-1])
+        ws = list(accumulate(ratios, operator.mul, initial=F(1)))
+        total = sum(ws)
+        return sup[0], [float(v / total) for v in accumulate(ws)]
+    mode = qnum._phi_inverse_mode(float(qe), a, b, c, sup[0], sup[-1])
+    reach = math.isqrt(math.ceil(46.1 / -math.log(qe))) + 2
+    lo, hi = max(sup[0], mode - reach), min(sup[-1], mode + reach)
+    ratios = (operator.truediv(*_phi_inverse_ratio_terms(qe, a, b, c, r)) for r in range(lo, hi))
+    logs = list(accumulate(map(math.log, ratios), initial=0.0))
+    top = max(logs)
+    ws = [math.exp(v - top) for v in logs]
+    total = math.fsum(ws)
+    return lo, list(accumulate(w / total for w in ws))
+
+
+def _batch_phi_cases(rnd, count):
+    """(q, a, b, c) triples; every fifth has a support at least 1000 points wide,
+    and q near 1 spreads its mass over many points."""
+    for i in range(count):
+        if i % 5 == 0:
+            qe = rnd.choice((F(19, 20), F(99, 100)))
+            a = rnd.randint(1000, 1400)
+            c = rnd.choice((a + rnd.randint(-30, 30), rnd.randint(1000, 1800)))
+            b = rnd.choice([INF, a + c + rnd.randint(0, 200)])
+            assert len(phi_support(PhiParams.inverse(qe, a, b, c))) >= 1000
+        else:
+            qe = rnd.choice((F(1, 2), F(3, 4), F(9, 10), F(19, 20)))
+            a = rnd.randint(0, 30)
+            b = rnd.choice([INF, rnd.randint(a, 60)])
+            c = rnd.randint(0, 30 if b == INF else min(30, b))
+        yield qe, a, b, c
+
+
+def test_batch_phi_inverse_draw_is_the_inverse_cdf():
+    """Each batch draw is the support point whose CDF interval holds its
+    uniform, on a grid of uniforms kept 1e-9 away from the CDF jumps, where
+    the rounding of the oracle's CDF cannot change the point."""
+    grid = [(k + 0.5) / 64 for k in range(64)]
+    groups = {}
+    for qe, a, b, c in _batch_phi_cases(random.Random(41), 200):
+        lo, cdf = _oracle_cdf(qe, a, b, c)
+        rows = groups.setdefault((qe, b == INF), [])
+        for u in grid:
+            if all(abs(u - v) > 1e-9 for v in cdf):
+                rows.append((a, b, c, u, lo + sum(v < u for v in cdf)))
+    for (qe, b_inf), rows in groups.items():
+        a, b, c, u, expected = (np.array(col) for col in zip(*rows))
+        p = PhiParams.inverse(float(qe), a, INF if b_inf else b, c)
+        draws = phi_sample(p, _GivenUniforms(u), QSampler(float(qe)))
+        assert draws.dtype == np.int64
+        wrong = np.flatnonzero(draws != expected)
+        assert wrong.size == 0, [rows[i] + (int(draws[i]),) for i in wrong[:5]]
+
+
+def test_batch_phi_sample_checks_its_parameters():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        PhiParams.inverse(0.5, np.array([3, 4]), 3, np.array([1, 1]))
+    with pytest.raises(TypeError):
+        phi_sample(PhiParams.direct(0.5, 0.4, 0.2, np.array([3, 4])), rng)
+    # q = 0 is the point mass at max(c - a, 0)
+    p = PhiParams.inverse(0.0, np.array([1, 5]), INF, np.array([4, 2]))
+    assert phi_sample(p, rng).tolist() == [3, 0]
+
+
+def test_int_q_keeps_q_binomials_exact():
+    assert q_binomial(4, 2, 2) == 35 and type(q_binomial(4, 2, 2)) is int
+    assert q_binomial(5, 2, 0) == 1 and type(q_binomial(5, 2, 0)) is int
+    assert type(q_binomial(6, 3, -3)) is int
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 12), st.one_of(_RATIONAL_Q, st.floats(0, 0.95)))
+def test_q_binomial_of_fraction_and_float_q_is_the_plain_quotient(n, k, q):
+    k = min(k, n)
+    num = den = q * 0 + 1
+    for i in range(1, min(k, n - k) + 1):
+        num *= 1 - qpow(q, n - min(k, n - k) + i)
+        den *= 1 - qpow(q, i)
+    value = qnum.q_binomial.__wrapped__(n, k, q)
+    assert type(value) is type(q) and value == num / den
+
+
+def test_vectorised_phi_inverse_modes_equal_the_scalar_modes():
+    rnd = random.Random(43)
+    for q in (0.5, 0.9, math.exp(-1e-2), math.exp(-1e-3)):
+        for b_inf in (True, False):
+            rows = []
+            for _ in range(300):
+                a, c = rnd.randint(0, 3000), rnd.randint(0, 3000)
+                b = INF if b_inf else max(a, c) + rnd.randint(0, 3000)
+                sup = phi_support(PhiParams.inverse(q, a, b, c))
+                rows.append((a, b, c, sup[0], sup[-1]))
+            expected = [qnum._phi_inverse_mode(q, *row) for row in rows]
+            a, b, c, lo, hi = (np.array(col) for col in zip(*rows))
+            modes = qnum._phi_inverse_modes(q, a, INF if b_inf else b, c, lo, hi)
+            assert modes.tolist() == expected, (q, b_inf)
