@@ -14,11 +14,14 @@ import argparse
 import csv
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
 
-from . import __version__, dynamics, gt, moments, particles, polymers, qnum, whittaker
+from . import __version__, dynamics, gt, moments, particles, polymers, whittaker
+from .qnum import qbinom_switch_identity as _qbinom_switch_identity
+from .qnum import qbinom_triple_sum as _qbinom_triple_sum
 
 
 def rational(text: str) -> Fraction:
@@ -44,13 +47,7 @@ def _suite_main_eq(args):
         (Fraction(2, 3), Fraction(1, 5), Fraction(1, 2)),
         (Fraction(1, 7), Fraction(1, 2), Fraction(1)),
     ]
-    kinds = [
-        dynamics.ROW_BETA,
-        dynamics.COL_BETA,
-        dynamics.ROW_ALPHA,
-        dynamics.COL_ALPHA,
-        dynamics.PUSH_BLOCK_BETA,
-    ]
+    kinds = [kind for kind, rule in dynamics.KINDS.items() if rule.exact]
     as_float = getattr(args, "mode", "exact") == "float"
     for q, par, aj in tuples[: args.tuples]:
         if as_float:
@@ -230,54 +227,6 @@ def _suite_qbinom(args):
     return cases, failures
 
 
-def _qbinom_switch_identity(q, s, ell, R, b, h) -> bool:
-    """The q-binomial identity behind switching the two pushing steps."""
-    qi = 1 / q
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for y in range(s + 1):
-        common = qnum.q_binomial(s, y, qi) * qnum.q_pochhammer(q ** ell, qi, y) * qnum.q_pochhammer(
-            q ** R, qi, s - y
-        )
-        lhs += common * q ** (ell * (s - y)) * qnum.q_pochhammer(q ** (b - ell - h + s), qi, s - y)
-        rhs += common * q ** (R * y) * qnum.q_pochhammer(q ** (b - h + 1), q, s - y)
-    return lhs == rhs
-
-
-def _qbinom_triple_sum(q, A, B, C, ell, r) -> Fraction:
-    """The triple q-multinomial sum that evaluates to 1.
-
-    The ratio (q^{C+t}; q^-1)_ell / (q^{C+t}; q^-1)_{ell-x} is expanded as a
-    product of its surviving factors, since both sides can vanish separately.
-    """
-    qi = 1 / q
-    total = Fraction(0)
-    for t in range(B + 1):
-        for x in range(ell + 1):
-            ratio = Fraction(1)
-            for i in range(ell - x, ell):
-                ratio *= 1 - q ** (C + t - i)
-            for y in range(ell - x + 1):
-                term = (
-                    qnum.q_multinomial(ell, x, y, qi)
-                    * qnum.q_binomial(B, t, qi)
-                    * qnum.q_pochhammer(q ** t, qi, y)
-                    * qnum.q_pochhammer(q ** (r + ell - x), qi, t)
-                    * qnum.q_pochhammer(q ** (r + ell - t - x), qi, ell - x - y)
-                    * qnum.q_pochhammer(q, q, r)
-                    / qnum.q_pochhammer(q, q, r + ell - x)
-                    * qnum.q_pochhammer(q, q, A)
-                    / qnum.q_pochhammer(q, q, A + B)
-                    * qnum.q_pochhammer(q ** (A + B - r), qi, B - t + ell - x)
-                    * ratio
-                    * qnum.q_pochhammer(q ** C, qi, ell - x - y)
-                    / qnum.q_pochhammer(q ** (B + C), qi, ell)
-                    * q ** (t * (ell - x - y) + (r + ell - x) * (B - t) + (A + B - r) * x)
-                )
-                total += term
-    return total
-
-
 def _suite_grsk_lgv(args):
     import random as _random
 
@@ -358,14 +307,8 @@ def cmd_verify(args) -> int:
 # simulation
 # ---------------------------------------------------------------------------
 
-ARRAY_SYSTEMS = {
-    "row-alpha": dynamics.ROW_ALPHA,
-    "col-alpha": dynamics.COL_ALPHA,
-    "row-beta": dynamics.ROW_BETA,
-    "col-beta": dynamics.COL_BETA,
-    "push-block-alpha": dynamics.PUSH_BLOCK_ALPHA,
-    "push-block-beta": dynamics.PUSH_BLOCK_BETA,
-}
+# "RowAlpha" -> "row-alpha", ..., "PushBlockBeta" -> "push-block-beta"
+ARRAY_SYSTEMS = {re.sub(r"(?<!^)(?=[A-Z])", "-", kind).lower(): kind for kind in dynamics.KINDS}
 
 PARTICLE_SYSTEMS = {
     "bernoulli-qpush": particles.bernoulli_qpush_step,
@@ -379,8 +322,8 @@ def cmd_simulate(args) -> int:
     if args.levels < 1 or args.steps < 0:
         print("need --levels >= 1 and --steps >= 0", file=sys.stderr)
         return 2
-    is_alpha = args.system in ("row-alpha", "col-alpha", "push-block-alpha",
-                               "geometric-qpush", "geometric-qtasep")
+    is_alpha = args.system.startswith("geometric-") or (
+        ARRAY_SYSTEMS.get(args.system) in dynamics.ALPHA_KINDS)
     if args.mode == "exact" and is_alpha:
         print("exact mode cannot sample q-geometric input (needs the infinite "
               "product); use --mode float", file=sys.stderr)
@@ -460,7 +403,7 @@ def cmd_polymer_limit(args) -> int:
     if len(thetas) != n or len(theta_hats) != args.steps:
         print("need one --theta per level and one --theta-hat per step", file=sys.stderr)
         return 2
-    kind = "RowAlpha" if args.kind == "row" else "ColAlpha"
+    kind = dynamics.ROW_ALPHA if args.kind == "row" else dynamics.COL_ALPHA
     raw = [] if args.csv else None
     report = polymers.scaling_limit_experiment(
         kind,

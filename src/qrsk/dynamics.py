@@ -1,22 +1,17 @@
 """The multivariate dynamics on interlacing arrays.
 
-Five families are implemented, each both as an exact conditional-probability
-evaluator and as a sampler sharing the same rule tables:
+Six kinds: row/column insertion driven by Bernoulli input (dual-parameter
+kinds) or by q-geometric input (usual-parameter kinds), and push-block
+dynamics (dual exact; usual in floating mode).  `KINDS` holds one record per
+kind: its input, its level sampler and exact level weight U_j, and the
+classical (q = 0) insertion to which it degenerates.
 
-* row/column insertion driven by Bernoulli input (dual-parameter kinds),
-* row/column insertion driven by q-geometric input (usual-parameter kinds),
-* push-block dynamics (dual exact; usual in floating mode).
-
-The insertion evaluators enumerate whatever hidden randomness (independent
-input, island stay choices, split variables, voluntary/push/fund
-decompositions) is consistent with the requested transition and sum its
-probabilities, so samplers and evaluators can be tested against each other.
-The push-block sampler and evaluator share one chain recursion over the
-parts of the new level.
-
-The classical insertion steps (deterministic propagation with pull/push
-operations) are also provided; the randomized kinds degenerate to them at
-q = 0.
+Sampler and evaluator share one definition of each level update.  The
+Bernoulli kinds build one first-success list per island, moved pair or
+donation: the sampler picks from it, the evaluator indexes into it.  The
+q-geometric kinds draw splits from inverse-regime phi weights, and the
+evaluator sums the same weights over the splits hidden from view.  The
+push-block kinds share one chain recursion over the parts of the new level.
 """
 
 from __future__ import annotations
@@ -31,11 +26,13 @@ import numpy as np
 from .gt import (
     InterlacingArray,
     Signature,
+    enumerate_signatures,
     interlaces_h,
     interlaces_v,
     part,
     signatures_between,
     weight,
+    zero_array,
 )
 from .qnum import (
     INF,
@@ -44,7 +41,6 @@ from .qnum import (
     ZeroMassError,
     phi_sample,
     phi_weight,
-    q_binomial,
     q_pochhammer,
     q_pochhammer_inf,
     qpow,
@@ -59,9 +55,81 @@ COL_BETA = "ColBeta"
 PUSH_BLOCK_ALPHA = "PushBlockAlpha"
 PUSH_BLOCK_BETA = "PushBlockBeta"
 
-RSK_KINDS = (ROW_ALPHA, COL_ALPHA, ROW_BETA, COL_BETA)
-ALPHA_KINDS = (ROW_ALPHA, COL_ALPHA, PUSH_BLOCK_ALPHA)
-BETA_KINDS = (ROW_BETA, COL_BETA, PUSH_BLOCK_BETA)
+
+# ---------------------------------------------------------------------------
+# the kind table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class KindRule:
+    """One dynamics kind.  Its level sampler and level weight U_j are named,
+    and looked up in this module at call time, so that a replaced module
+    attribute (a test double, a call recorder) reaches every caller.  The last
+    three fields are the classical (q = 0) insertion, None for push-block."""
+
+    name: str
+    beta: bool                          # Bernoulli input, else q-geometric
+    sampler: str
+    weight: str
+    push: Optional[bool] = None         # long-range pushing (column kinds), else pulling
+    descending: Optional[bool] = None   # lower moves at positions j-1, ..., 1, else 1, ..., j-1
+    input_first: Optional[bool] = None  # the input vj enters before the lower moves, else after
+
+    @property
+    def push_block(self) -> bool:
+        return self.push is None
+
+    @property
+    def exact(self) -> bool:
+        """U_j is exact on rational input: every kind but PushBlockAlpha."""
+        return self.beta or not self.push_block
+
+    @property
+    def normalised(self) -> bool:
+        """U_j has the input law's factor x^V (x; q)_inf stripped: RowAlpha, ColAlpha."""
+        return not self.beta and not self.push_block
+
+    @property
+    def strip(self):
+        """How a level and its update interlace: vertical (beta) or horizontal strips."""
+        return interlaces_v if self.beta else interlaces_h
+
+    def sample_level(self, spec, j, lam_bar, nu_bar, lam, vj, rng) -> Signature:
+        fn = globals()[self.sampler]
+        if self.push is None:
+            return fn(self.name, lam, nu_bar, spec.step_param, spec.a[j - 1], spec.q, rng)
+        if self.beta:
+            return fn(lam_bar, nu_bar, lam, vj, spec.q, rng)
+        return fn(lam_bar, nu_bar, lam, vj, spec.q, rng, spec.sampler)  # the spec's tables
+
+    def level_weight(self, lam_bar, nu_bar, lam, nu, par, a_j, q):
+        fn = globals()[self.weight]
+        if self.push_block:
+            return fn(self.name, lam, nu_bar, nu, par, a_j, q)
+        return fn(LevelUpdateContext(lam_bar, nu_bar, lam), nu, par, a_j, q)
+
+
+KINDS = {rule.name: rule for rule in [
+    KindRule(ROW_ALPHA, False, "_sample_row_alpha_level", "_row_alpha_u",
+             push=False, descending=True, input_first=False),
+    KindRule(COL_ALPHA, False, "_sample_col_alpha_level", "col_alpha_v",
+             push=True, descending=True, input_first=True),
+    KindRule(ROW_BETA, True, "_sample_row_beta_level", "row_beta_prob",
+             push=False, descending=False, input_first=True),
+    KindRule(COL_BETA, True, "_sample_col_beta_level", "col_beta_prob",
+             push=True, descending=False, input_first=False),
+    KindRule(PUSH_BLOCK_ALPHA, False, "_sample_push_block_level", "push_block_prob"),
+    KindRule(PUSH_BLOCK_BETA, True, "_sample_push_block_level", "push_block_prob"),
+]}
+RSK_KINDS = tuple(k for k, rule in KINDS.items() if not rule.push_block)
+ALPHA_KINDS = tuple(k for k, rule in KINDS.items() if not rule.beta)
+BETA_KINDS = tuple(k for k, rule in KINDS.items() if rule.beta)
+
+
+def _rule(kind: str) -> KindRule:
+    if kind not in KINDS:
+        raise ValueError(f"unknown dynamics kind {kind!r}")
+    return KINDS[kind]
 
 
 @dataclass(frozen=True)
@@ -72,12 +140,11 @@ class DynamicsSpec:
     a: Tuple[object, ...]       # level parameters a_1..a_N
 
     def __post_init__(self):
-        if self.kind not in ALPHA_KINDS + BETA_KINDS:
-            raise ValueError(f"unknown dynamics kind {self.kind!r}")
+        beta = _rule(self.kind).beta
         if not 0 <= self.q < 1:
             raise ValueError(f"need 0 <= q < 1, got q = {self.q}")
         pars = self.step_param if isinstance(self.step_param, (list, tuple)) else [self.step_param]
-        if self.kind in ALPHA_KINDS and any(par * aj >= 1 for par in pars for aj in self.a):
+        if not beta and any(par * aj >= 1 for par in pars for aj in self.a):
             raise ValueError(f"need alpha a_j < 1, got alpha = {self.step_param}, a = {self.a}")
 
     @cached_property
@@ -111,108 +178,108 @@ def _pt(sig: Sequence[int], i: int):
     return INF if i == 0 else part(sig, i)
 
 
+def _moves(before: Sequence[int], after: Sequence[int]) -> Tuple[int, ...]:
+    """after - before, part by part."""
+    return tuple(b - a for a, b in zip(before, after))
+
+
+def _upper_moves(ctx: LevelUpdateContext, nu: Signature, strip) -> Optional[Tuple[int, ...]]:
+    """The moves nu - lam of an insertion whose levels move by `strip`s, or None where
+    nu is out of reach.  Raises ValueError if the lower move is not such a strip."""
+    if not strip(ctx.lam_bar, ctx.nu_bar):
+        raise ValueError(f"lower transition {ctx.lam_bar} -> {ctx.nu_bar}: not {strip.__name__}")
+    if len(nu) != ctx.j or not strip(ctx.lam, nu) or not interlaces_h(ctx.nu_bar, nu):
+        return None
+    return _moves(ctx.lam, nu)
+
+
 # ---------------------------------------------------------------------------
-# (beta) row insertion: islands of moved particles
+# (beta) row insertion: first-success laws, islands of moved particles
 # ---------------------------------------------------------------------------
 
-def _f_factor(i, nu_bar, lam, q):
-    num = 1 - qpow(q, part(lam, i) - part(nu_bar, i) + 1)
-    den = 1 - qpow(q, _pt(nu_bar, i - 1) - part(nu_bar, i) + 1)
-    return num / den
+def _first_success(ps) -> list:
+    """The law of the first success in trials of success probabilities ps, then a sure one:
+    (1 - ps[0])...(1 - ps[s-1]) ps[s], multiplied left to right, and the remainder."""
+    weights, rest = [], 1
+    for s, p in enumerate(ps):
+        weights.append(rest * p if s else p)
+        rest = rest * (1 - p) if s else 1 - p
+    weights.append(rest)
+    return weights
+
+
+def _pick(weights, u) -> int:
+    """The first index whose cumulative float weight reaches u (the last if none does)."""
+    acc = 0.0
+    for s, w in enumerate(weights):
+        acc += float(w)
+        if u <= acc:
+            return s
+    return len(weights) - 1
 
 
 def _g_factor(i, nu_bar, lam, q):
     return 1 - qpow(q, part(lam, i) - part(nu_bar, i) + 1)
 
 
+def _f_factor(i, nu_bar, lam, q):
+    return _g_factor(i, nu_bar, lam, q) / (1 - qpow(q, _pt(nu_bar, i - 1) - part(nu_bar, i) + 1))
+
+
 def _islands(c: Sequence[int]) -> List[Tuple[int, int]]:
     """Maximal runs [k, m] of indices with c_i = 1 (1-based)."""
     runs = []
-    i = 1
-    n = len(c)
-    while i <= n:
-        if c[i - 1] == 1:
-            k = i
-            while i <= n and c[i - 1] == 1:
-                i += 1
-            runs.append((k, i - 1))
-        else:
-            i += 1
+    for i, ci in enumerate(c, start=1):
+        if ci == 1 and runs and runs[-1][1] == i - 1:
+            runs[-1] = (runs[-1][0], i)
+        elif ci == 1:
+            runs.append((i, i))
     return runs
 
 
-def _island_stay_factor(k, m, s, nu_bar, lam, q):
-    """Probability that lam_s is the particle of island(k, m) chosen not to move."""
-    if s == k:
-        return _f_factor(k, nu_bar, lam, q)
-    w = 1 - _f_factor(k, nu_bar, lam, q)
-    for i in range(k + 1, s):
-        w *= 1 - _g_factor(i, nu_bar, lam, q)
-    if s <= m:
-        w *= _g_factor(s, nu_bar, lam, q)
-    return w
+def _island_law(k, m, nu_bar, lam, q) -> list:
+    """Law of the one particle of island [k, m] that stays: lam_k, lam_{k+1}, ..., lam_{m+1}."""
+    gs = [_g_factor(i, nu_bar, lam, q) for i in range(k + 1, m + 1)]
+    return _first_success([_f_factor(k, nu_bar, lam, q)] + gs)
 
 
 def row_beta_prob(ctx: LevelUpdateContext, nu: Signature, beta, a_j, q):
     """Conditional probability of lam -> nu under the Bernoulli row insertion."""
-    lam_bar, nu_bar, lam = ctx.lam_bar, ctx.nu_bar, ctx.lam
-    j = ctx.j
     zero = q * 0
-    c = tuple(nu_bar[i] - lam_bar[i] for i in range(j - 1))
-    if any(x not in (0, 1) for x in c) or not interlaces_v(lam_bar, nu_bar):
-        raise ValueError("lower transition is not a Bernoulli move")
-    if len(nu) != j or not interlaces_v(lam, nu) or not interlaces_h(nu_bar, nu):
+    mv = _upper_moves(ctx, nu, interlaces_v)
+    if mv is None:
         return zero
-    mv = tuple(nu[i] - lam[i] for i in range(j))
-    islands = _islands(c)
-    covered = set()
-    for (k, m) in islands:
-        covered.update(range(k, m + 2))
+    islands = _islands(_moves(ctx.lam_bar, ctx.nu_bar))
+    covered = {i for (k, m) in islands for i in range(k, m + 2)}
     p_move = beta * a_j / (1 + beta * a_j)
     total = zero
     for vj in (0, 1):
-        ok = True
-        for i in range(1, j + 1):
-            if i not in covered and mv[i - 1] != (vj if i == 1 else 0):
-                ok = False
-                break
-        if not ok:
+        # off the islands, only lam_1 moves: by the input vj
+        if any(mv[i - 1] != (vj if i == 1 else 0) for i in range(1, ctx.j + 1) if i not in covered):
             continue
         w = p_move if vj == 1 else 1 - p_move
         for (k, m) in islands:
-            idx = list(range(k, m + 2))
-            if vj == 1 and k == 1:
-                if any(mv[i - 1] != 1 for i in idx):
-                    w = zero
-                    break
+            stay = [i for i in range(k, m + 2) if mv[i - 1] == 0]
+            if vj == 1 and k == 1:  # the input moves the whole first island
+                if not stay:
+                    continue
+            elif len(stay) == 1:
+                w *= _island_law(k, m, ctx.nu_bar, ctx.lam, q)[stay[0] - k]
                 continue
-            stay = [i for i in idx if mv[i - 1] == 0]
-            if len(stay) != 1:
-                w = zero
-                break
-            w *= _island_stay_factor(k, m, stay[0], nu_bar, lam, q)
+            w = zero
+            break
         total += w
     return total
 
 
 def _sample_row_beta_level(lam_bar, nu_bar, lam, vj, q, rng):
-    j = len(lam)
-    c = tuple(nu_bar[i] - lam_bar[i] for i in range(j - 1))
     nu = list(lam)
     nu[0] += vj
-    for (k, m) in _islands(c):
+    for (k, m) in _islands(_moves(lam_bar, nu_bar)):
         if vj == 1 and k == 1:
-            for i in range(2, m + 2):
-                nu[i - 1] += 1
-            continue
-        u = rng.random()
-        acc = 0.0
-        stay = m + 1
-        for s in range(k, m + 2):
-            acc += float(_island_stay_factor(k, m, s, nu_bar, lam, q))
-            if u <= acc:
-                stay = s
-                break
+            stay = 1  # lam_1 took the input, and the rest of the island moves with it
+        else:
+            stay = k + _pick(_island_law(k, m, nu_bar, lam, q), rng.random())
         for i in range(k, m + 2):
             if i != stay:
                 nu[i - 1] += 1
@@ -223,108 +290,71 @@ def _sample_row_beta_level(lam_bar, nu_bar, lam, vj, q, rng):
 # (beta) column insertion: pairs of moved particles and move donation
 # ---------------------------------------------------------------------------
 
-def _fp_factor(k, nu_bar, lam, q):
-    num = 1 - qpow(q, _pt(nu_bar, k - 1) - part(lam, k))
-    den = 1 - qpow(q, _pt(nu_bar, k - 1) - part(nu_bar, k) + 1)
-    return num / den
-
-
 def _gp_factor(s, nu_bar, lam, q):
     return 1 - qpow(q, _pt(nu_bar, s - 1) - part(lam, s))
 
 
-def _pair_move_factor(r, k, s, nu_bar, lam, q):
-    """Probability that the pair (r, k) of moved lower particles moves lam_s."""
-    if r + 1 == k:
-        return (q * 0 + 1) if s == k else q * 0
-    if s == k:
-        return _fp_factor(k, nu_bar, lam, q)
-    w = 1 - _fp_factor(k, nu_bar, lam, q)
-    for i in range(s + 1, k):
-        w *= 1 - _gp_factor(i, nu_bar, lam, q)
-    if s > r + 1:
-        w *= _gp_factor(s, nu_bar, lam, q)
-    return w
+def _fp_factor(k, nu_bar, lam, q):
+    return _gp_factor(k, nu_bar, lam, q) / (1 - qpow(q, _pt(nu_bar, k - 1) - part(nu_bar, k) + 1))
 
 
-def _donation_factor(m, j, s, nu_bar, lam, q):
-    """Probability that the independent impulse moves lam_s, s in [m+1, j]."""
-    if m == j - 1:
-        return (q * 0 + 1) if s == j else q * 0
-    if s == j:
-        return _gp_factor(j, nu_bar, lam, q)
-    w = q * 0 + 1
-    for i in range(s + 1, j + 1):
-        w *= 1 - _gp_factor(i, nu_bar, lam, q)
-    if s > m + 1:
-        w *= _gp_factor(s, nu_bar, lam, q)
-    return w
+def _pair_law(r, k, nu_bar, lam, q) -> list:
+    """Law of the particle moved by the pair (r, k) of moved lower particles:
+    lam_k, lam_{k-1}, ..., lam_{r+1}."""
+    gps = [_gp_factor(i, nu_bar, lam, q) for i in range(k - 1, r + 1, -1)]
+    return _first_success([_fp_factor(k, nu_bar, lam, q)] + gps if r + 1 < k else [])
+
+
+def _donation_law(m, j, nu_bar, lam, q) -> list:
+    """Law of the particle the independent impulse moves: lam_j, lam_{j-1}, ..., lam_{m+1}."""
+    return _first_success([_gp_factor(i, nu_bar, lam, q) for i in range(j, m + 1, -1)])
 
 
 def _moved_pairs(c: Sequence[int]) -> List[Tuple[int, int]]:
-    moved = [i for i in range(1, len(c) + 1) if c[i - 1] == 1]
+    """Consecutive moved lower indices (r, k), from r = 0 (1-based)."""
     pairs = []
     prev = 0
-    for k in moved:
-        pairs.append((prev, k))
-        prev = k
+    for k in range(1, len(c) + 1):
+        if c[k - 1] == 1:
+            pairs.append((prev, k))
+            prev = k
     return pairs
 
 
 def col_beta_prob(ctx: LevelUpdateContext, nu: Signature, beta, a_j, q):
     """Conditional probability of lam -> nu under the Bernoulli column insertion."""
-    lam_bar, nu_bar, lam = ctx.lam_bar, ctx.nu_bar, ctx.lam
-    j = ctx.j
     zero = q * 0
-    c = tuple(nu_bar[i] - lam_bar[i] for i in range(j - 1))
-    if any(x not in (0, 1) for x in c) or not interlaces_v(lam_bar, nu_bar):
-        raise ValueError("lower transition is not a Bernoulli move")
-    if len(nu) != j or not interlaces_v(lam, nu) or not interlaces_h(nu_bar, nu):
+    mv = _upper_moves(ctx, nu, interlaces_v)
+    if mv is None:
         return zero
-    mv = tuple(nu[i] - lam[i] for i in range(j))
-    pairs = _moved_pairs(c)
+    j, nu_bar, lam = ctx.j, ctx.nu_bar, ctx.lam
+    pairs = _moved_pairs(_moves(ctx.lam_bar, nu_bar))
     m = max((k for (_, k) in pairs), default=0)
     w = q * 0 + 1
     for (r, k) in pairs:
         movers = [s for s in range(r + 1, k + 1) if mv[s - 1] == 1]
         if len(movers) != 1:
             return zero
-        w *= _pair_move_factor(r, k, movers[0], nu_bar, lam, q)
+        w *= _pair_law(r, k, nu_bar, lam, q)[k - movers[0]]
     extra = [s for s in range(m + 1, j + 1) if mv[s - 1] == 1]
     if len(extra) > 1:
         return zero
-    vj = len(extra)
-    w *= beta * a_j / (1 + beta * a_j) if vj == 1 else 1 / (1 + beta * a_j)
-    if vj == 1:
-        w *= _donation_factor(m, j, extra[0], nu_bar, lam, q)
-    return w
+    if not extra:
+        return w * (1 / (1 + beta * a_j))
+    # the input moved one of lam_{m+1}, ..., lam_j
+    return w * (beta * a_j / (1 + beta * a_j)) * _donation_law(m, j, nu_bar, lam, q)[j - extra[0]]
 
 
 def _sample_col_beta_level(lam_bar, nu_bar, lam, vj, q, rng):
     j = len(lam)
-    c = tuple(nu_bar[i] - lam_bar[i] for i in range(j - 1))
     nu = list(lam)
-    pairs = _moved_pairs(c)
+    pairs = _moved_pairs(_moves(lam_bar, nu_bar))
     for (r, k) in pairs:
-        u = rng.random()
-        acc = 0.0
-        mover = r + 1
-        for s in range(k, r, -1):  # walk k, k-1, ..., r+1 (telescoping order)
-            acc += float(_pair_move_factor(r, k, s, nu_bar, lam, q))
-            if u <= acc:
-                mover = s
-                break
+        mover = k - _pick(_pair_law(r, k, nu_bar, lam, q), rng.random())
         nu[mover - 1] += 1
     if vj == 1:
         m = max((k for (_, k) in pairs), default=0)
-        u = rng.random()
-        acc = 0.0
-        mover = m + 1
-        for s in range(j, m, -1):
-            acc += float(_donation_factor(m, j, s, nu_bar, lam, q))
-            if u <= acc:
-                mover = s
-                break
+        mover = j - _pick(_donation_law(m, j, nu_bar, lam, q), rng.random())
         nu[mover - 1] += 1
     return tuple(nu)
 
@@ -334,25 +364,20 @@ def _sample_col_beta_level(lam_bar, nu_bar, lam, vj, q, rng):
 # ---------------------------------------------------------------------------
 
 def _row_alpha_splits(lam_bar, nu_bar, lam, nu) -> Optional[Tuple[Tuple[int, ...], int]]:
-    """Recover the split variables W_i and the independent jump V from nu.
+    """The split variables W_i and the independent jump V that give nu, or None.
 
-    Returns None when nu is not reachable.  W_i is the part of the i-th lower
-    move given to the upper-right neighbor; nu_i = lam_i + W_i + (c_{i-1} - W_{i-1}),
-    with the independent jump added at i = 1.
+    W_i is the part of the i-th lower move given to the upper-right neighbor:
+    nu_i = lam_i + W_i + (c_{i-1} - W_{i-1}), plus V at i = 1.
     """
     j = len(lam)
-    c = tuple(nu_bar[i] - lam_bar[i] for i in range(j - 1))
-    w = [0] * (j - 1)
-    carry = nu[j - 1] - lam[j - 1]          # c_{j-1} - W_{j-1}
-    if j >= 2:
-        w[j - 2] = c[j - 2] - carry
-        for i in range(j - 1, 1, -1):       # positions i = j-1 .. 2 (1-based)
-            carry = nu[i - 1] - lam[i - 1] - w[i - 1]
-            w[i - 2] = c[i - 2] - carry
-    v = nu[0] - lam[0] - (w[0] if j >= 2 else 0)
-    if v < 0 or any(not 0 <= w[i] <= c[i] for i in range(j - 1)):
+    c = (0,) + _moves(lam_bar, nu_bar)          # c[i] = c_i, 1-based
+    w = [0] * (j + 1)                           # w[i] = W_i, and W_j = 0
+    for i in range(j, 1, -1):
+        w[i - 1] = c[i - 1] - (nu[i - 1] - lam[i - 1] - w[i])
+    v = nu[0] - lam[0] - w[1]
+    if v < 0 or any(not 0 <= w[i] <= c[i] for i in range(1, j)):
         return None
-    return tuple(w), v
+    return tuple(w[1:j]), v
 
 
 def _row_alpha_phi_params(lam_bar, lam, c, i, q) -> PhiParams:
@@ -370,53 +395,52 @@ def row_alpha_v(ctx: LevelUpdateContext, nu: Signature, q):
     function of q alone and is what the main-equation kernel consumes.
     """
     lam_bar, nu_bar, lam = ctx.lam_bar, ctx.nu_bar, ctx.lam
-    j = ctx.j
     zero = q * 0
-    if not interlaces_h(lam_bar, nu_bar):
-        raise ValueError("lower transition must be a horizontal strip")
-    if len(nu) != j or not interlaces_h(lam, nu) or not interlaces_h(nu_bar, nu):
-        return zero
-    c = tuple(nu_bar[i] - lam_bar[i] for i in range(j - 1))
-    rec = _row_alpha_splits(lam_bar, nu_bar, lam, nu)
+    reachable = _upper_moves(ctx, nu, interlaces_h) is not None
+    rec = _row_alpha_splits(lam_bar, nu_bar, lam, nu) if reachable else None
     if rec is None:
         return zero
-    w_vars, v = rec
-    total = q * 0 + 1
-    for i in range(1, j):
-        p = _row_alpha_phi_params(lam_bar, lam, c, i, q)
-        total *= phi_weight(p, w_vars[i - 1])
+    c = _moves(lam_bar, nu_bar)
+    total = zero + 1
+    for i, wi in enumerate(rec[0], start=1):
+        total *= phi_weight(_row_alpha_phi_params(lam_bar, lam, c, i, q), wi)
         if total == 0:
             return zero
-    return total / q_pochhammer(q, q, v)
+    return total / q_pochhammer(q, q, rec[1])
+
+
+def _row_alpha_u(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
+    """`row_alpha_v` with the arguments of the other insertion weights (it is free of alpha a_j)."""
+    return row_alpha_v(ctx, nu, q)
+
+
+def _with_input_law(ctx: LevelUpdateContext, nu: Signature, w, alpha, a_j, q):
+    """A normalized weight w times (alpha a_j)^V (alpha a_j; q)_inf for the input V."""
+    if w == 0:
+        return w
+    v = (weight(nu) - weight(ctx.lam)) - (weight(ctx.nu_bar) - weight(ctx.lam_bar))
+    return w * (alpha * a_j) ** v * q_pochhammer_inf(alpha * a_j, q)
 
 
 def row_alpha_prob(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
     """Conditional probability (floating mode: includes the q-geometric jump)."""
-    rec = _row_alpha_splits(ctx.lam_bar, ctx.nu_bar, ctx.lam, nu) if len(nu) == ctx.j else None
-    if rec is None:
-        return q * 0
-    v = rec[1]
-    return row_alpha_v(ctx, nu, q) * (alpha * a_j) ** v * q_pochhammer_inf(alpha * a_j, q)
+    return _with_input_law(ctx, nu, row_alpha_v(ctx, nu, q), alpha, a_j, q)
 
 
 def _draws(count) -> bool:
-    """Whether a split of `count` boxes needs a phi draw: not for a scalar 0.
-
-    Over a replica axis every replica draws; where its count is 0 the
-    weight has a one-point support, which the draw returns.
-    """
+    """Whether a split of `count` boxes needs a phi draw: not for a scalar 0.  Over a
+    replica axis every replica draws; a count of 0 draws the one point of its support."""
     return isinstance(count, np.ndarray) or count != 0
 
 
 def _sample_row_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None):
     """One level update: the input vj at the left, then each lower move c_i split by W_i.
 
-    The parts and vj are ints, or int64 arrays over replicas with `rng` a
-    numpy Generator.  `sampler` is an optional `QSampler` for q, passed on
-    to `phi_sample`.
+    The parts and vj are ints, or int64 arrays over replicas with `rng` a numpy
+    Generator.  `sampler` is an optional `QSampler` for q, passed on to `phi_sample`.
     """
     j = len(lam)
-    c = tuple(nu_bar[i] - lam_bar[i] for i in range(j - 1))
+    c = _moves(lam_bar, nu_bar)
     # parts are rebound, never updated in place: an array part of lam is shared
     nu = list(lam)
     nu[0] = nu[0] + vj
@@ -433,146 +457,110 @@ def _sample_row_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None):
 # ---------------------------------------------------------------------------
 # (alpha) column insertion: voluntary jumps, pushes, stabilization fund
 # ---------------------------------------------------------------------------
+#
+# Particle i (1-based from the left) is part j - i + 1 of the level.  With n
+# boxes of the input still unplaced, particle i < j jumps X_i = n - phi(gap_i,
+# inf; n); particle 1 < i < j is then pushed Y_i = h - phi(ell_i, b_i; h) by
+# the move ell_i of its lower-left neighbour, h = gap_i - X_i, and paid
+# Z_i = (h - Y_i) - phi(R, inf; h - Y_i) from the fund R, which keeps
+# ell_i - Y_i - Z_i.  Particle j takes the rest of the input, c_1 and the fund.
+# phi(a, b; n) is the weight of `PhiParams.inverse(q, a, b, n)`.  Given the
+# remaining input, the X_i are free of alpha a_j; at q = 0 they donate the input.
 
-def _col_alpha_terms(lam_bar, nu_bar, lam, nu, alpha, a_j, q):
-    """Sum the normalized weights over all (X, Y, Z) decompositions giving nu.
+def _col_alpha_gap(lam_bar, lam, i) -> int:
+    return part(lam_bar, len(lam) - i) - part(lam, len(lam) - i + 1)
 
-    Particles are scanned from the left (i = 1 is the leftmost, position
-    j - i + 1).  The running exponents: T tracks the voluntary-jump handicap,
-    R the stabilization fund.  The returned weight has the overall factor
-    (alpha a_j)^(sum X) (alpha a_j; q)_inf stripped; finite products over
-    alpha remain, so the value is exact for rational inputs.
-    """
+
+def _col_alpha_phi_params(lam_bar, lam, c, i, q, split, n, fund=0) -> PhiParams:
+    """The phi law of split "X", "Y" or "Z" of particle i < j over n boxes."""
     j = len(lam)
-    c = tuple(nu_bar[i] - lam_bar[i] for i in range(j - 1))
-    mv = tuple(nu[i] - lam[i] for i in range(j))
-    one = q * 0 + 1
-
-    def x_factor(i, x, gap, t_exp):
-        # normalized phi_{q, alpha a_j q^T, 0}(x | gap): alpha power stripped
-        if gap != INF and x > gap:
-            return one * 0
-        w = qpow(q, t_exp * x) if x else one
-        if gap == INF:
-            return w / q_pochhammer(q, q, x) / q_pochhammer(alpha * a_j, q, t_exp)
-        return w * q_pochhammer(alpha * a_j * qpow(q, t_exp), q, gap - x) * q_binomial(gap, x, q)
-
-    results = []
-
-    def rec(i, t_exp, r_exp, acc):
-        pos = j - i + 1                       # 1-based position from the right
-        gap = _pt(lam_bar, j - i) - part(lam, pos) if i < j else INF
-        move = mv[pos - 1]
-        if i == j:
-            y = c[0] if j >= 2 else 0
-            z = r_exp
-            x = move - y - z
-            if x < 0:
-                return
-            results.append(acc * x_factor(i, x, INF, t_exp))
-            return
-        if i == 1:
-            fx = x_factor(1, move, gap, 0)
-            if fx != 0:
-                rec(2, gap - move, 0, acc * fx)
-            return
-        ell = c[j - i]                        # move of the lower-left neighbor
-        b_exp = _pt(lam_bar, j - i) - part(lam_bar, j - i + 1)
-        for x in range(0, move + 1):
-            fx = x_factor(i, x, gap, t_exp)
-            if fx == 0:
-                continue
-            h = gap - x
-            for y in range(0, min(move - x, ell, h) + 1):
-                z = move - x - y
-                if i == 2 and z != 0:
-                    continue
-                if z > r_exp or z > h - y:
-                    continue
-                fy = phi_weight(PhiParams.inverse(q, ell, b_exp, h), h - y)
-                if fy == 0:
-                    continue
-                if i >= 3:
-                    fz = phi_weight(PhiParams.inverse(q, r_exp, INF, h - y), h - y - z)
-                    if fz == 0:
-                        continue
-                else:
-                    fz = one
-                rec(i + 1, t_exp + h, r_exp + ell - y - z, acc * fx * fy * fz)
-
-    rec(1, 0, 0, one)
-    total = one * 0
-    for r in results:
-        total += r
-    return total
+    if split == "X":
+        return PhiParams.inverse(q, _col_alpha_gap(lam_bar, lam, i), INF, n)
+    if split == "Y":
+        return PhiParams.inverse(q, c[j - i], part(lam_bar, j - i) - part(lam_bar, j - i + 1), n)
+    return PhiParams.inverse(q, fund, INF, n)
 
 
 def col_alpha_v(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
-    """Normalized conditional weight of the q-geometric column insertion."""
-    lam_bar, nu_bar, lam = ctx.lam_bar, ctx.nu_bar, ctx.lam
+    """Normalized conditional weight of the q-geometric column insertion.
+
+    The phi weights of the sampler's choices of X_i and Y_i that give nu
+    (Z_i is then fixed by the particle's move), summed and divided by
+    (q;q)_V for the input V.  This strips the factor
+    (alpha a_j)^V (alpha a_j; q)_inf, so the value is free of alpha and a_j.
+    """
     zero = q * 0
-    if not interlaces_h(lam_bar, nu_bar):
-        raise ValueError("lower transition must be a horizontal strip")
-    if len(nu) != ctx.j or not interlaces_h(lam, nu) or not interlaces_h(nu_bar, nu):
+    mv = _upper_moves(ctx, nu, interlaces_h)
+    v = (weight(nu) - weight(ctx.lam)) - (weight(ctx.nu_bar) - weight(ctx.lam_bar))
+    if mv is None or v < 0:
         return zero
-    if weight(nu) - weight(lam) < weight(nu_bar) - weight(lam_bar):
-        return zero
-    return _col_alpha_terms(lam_bar, nu_bar, lam, nu, alpha, a_j, q)
+    lam_bar, lam, j = ctx.lam_bar, ctx.lam, ctx.j
+    c = _moves(lam_bar, ctx.nu_bar)
+
+    def rest(i, remaining, fund):
+        """The weight of the choices of particles i..j, given the input and fund left."""
+        move = mv[j - i]
+        if i == j:
+            return zero + 1 if move == remaining + (c[0] if j >= 2 else 0) + fund else zero
+        px = _col_alpha_phi_params(lam_bar, lam, c, i, q, "X", remaining)
+        if i == 1:  # no lower-left neighbour: the move is the voluntary jump
+            wx = phi_weight(px, remaining - move) if move <= remaining else zero
+            return wx * rest(2, remaining - move, fund) if wx else zero
+        total = zero
+        gap, ell = _col_alpha_gap(lam_bar, lam, i), c[j - i]
+        for x in range(min(move, remaining) + 1):
+            wx = phi_weight(px, remaining - x)
+            if wx == 0:
+                continue
+            h = gap - x
+            py = _col_alpha_phi_params(lam_bar, lam, c, i, q, "Y", h)
+            for y in range(min(move - x, ell, h) + 1):
+                z = move - x - y
+                if z <= min(h - y, fund):
+                    pz = _col_alpha_phi_params(lam_bar, lam, c, i, q, "Z", h - y, fund)
+                    w = wx * phi_weight(py, h - y) * phi_weight(pz, h - y - z)
+                    if w:
+                        total += w * rest(i + 1, remaining - x, fund + ell - y - z)
+        return total
+
+    return rest(1, v, 0) / q_pochhammer(q, q, v)
 
 
 def col_alpha_prob(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
     """Conditional probability (floating mode)."""
-    w = col_alpha_v(ctx, nu, alpha, a_j, q)
-    if w == 0:
-        return w
-    v = (weight(nu) - weight(ctx.lam)) - (weight(ctx.nu_bar) - weight(ctx.lam_bar))
-    return w * (alpha * a_j) ** v * q_pochhammer_inf(alpha * a_j, q)
+    return _with_input_law(ctx, nu, col_alpha_v(ctx, nu, alpha, a_j, q), alpha, a_j, q)
 
 
 def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None):
-    """One level update: voluntary jumps split off the input vj, then pushes.
+    """One level update: the splits of the section comment, particle by particle.
 
-    The voluntary jumps X_i are drawn by conditioning the independent input
-    on the running remainder: given that positions i..j still have r boxes of
-    input to absorb, X_i = r - W with W drawn from the inverse-regime weight
-    with exponent gap_i.  This conditional is parameter-free and reduces to
-    move donation at q = 0.  The parts and vj are ints, or int64 arrays over
-    replicas with `rng` a numpy Generator.  `sampler` is an optional
-    `QSampler` for q, passed on to `phi_sample`.
+    The parts and vj are ints, or int64 arrays over replicas with `rng` a numpy
+    Generator.  `sampler` is an optional `QSampler` for q, passed on to `phi_sample`.
     """
     j = len(lam)
-    c = tuple(nu_bar[i] - lam_bar[i] for i in range(j - 1))
+    c = _moves(lam_bar, nu_bar)
     # parts are rebound, never updated in place: an array part of lam is shared
     nu = list(lam)
     remaining = vj
-    r_exp = 0
+    fund = 0
     for i in range(1, j + 1):
-        pos = j - i + 1
         if i == j:
-            x = remaining
+            x, y, z = remaining, (c[0] if j >= 2 else 0), fund
         else:
-            gap = _pt(lam_bar, j - i) - part(lam, pos)
-            x = (
-                remaining - phi_sample(PhiParams.inverse(q, gap, INF, remaining), rng, sampler)
-                if _draws(remaining) else 0
-            )
+            x = y = z = 0
+            if _draws(remaining):
+                px = _col_alpha_phi_params(lam_bar, lam, c, i, q, "X", remaining)
+                x = remaining - phi_sample(px, rng, sampler)
+            if i > 1:
+                h = _col_alpha_gap(lam_bar, lam, i) - x
+                py = _col_alpha_phi_params(lam_bar, lam, c, i, q, "Y", h)
+                y = h - phi_sample(py, rng, sampler)
+                if _draws(fund):
+                    pz = _col_alpha_phi_params(lam_bar, lam, c, i, q, "Z", h - y, fund)
+                    z = (h - y) - phi_sample(pz, rng, sampler)
+                fund = fund + c[j - i] - y - z
         remaining = remaining - x
-        if i == j:
-            y = c[0] if j >= 2 else 0
-            z = r_exp
-        elif i == 1:
-            y = z = 0
-        else:
-            ell = c[j - i]
-            b_exp = _pt(lam_bar, j - i) - part(lam_bar, j - i + 1)
-            h = gap - x
-            y = h - phi_sample(PhiParams.inverse(q, ell, b_exp, h), rng, sampler)
-            if i >= 3 and _draws(r_exp):
-                z = (h - y) - phi_sample(PhiParams.inverse(q, r_exp, INF, h - y), rng, sampler)
-            else:
-                z = 0
-            r_exp = r_exp + ell - y - z
-        nu[pos - 1] = nu[pos - 1] + x + y + z
+        nu[j - i] = nu[j - i] + x + y + z
     return tuple(nu)
 
 
@@ -581,13 +569,7 @@ def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None):
 # ---------------------------------------------------------------------------
 
 def _v_strips_above(lam):
-    from itertools import product
-
-    n = len(lam)
-    for add in product((0, 1), repeat=n):
-        nu = tuple(lam[i] + add[i] for i in range(n))
-        if all(nu[i] >= nu[i + 1] for i in range(n - 1)):
-            yield nu
+    return signatures_between(lam, [x + 1 for x in lam])
 
 
 def _push_block_chain(kind, lam, nu_bar, par, a_j, q):
@@ -604,12 +586,13 @@ def _push_block_chain(kind, lam, nu_bar, par, a_j, q):
     of nu_i..nu_j given nu_i = v.  The usual kind is floating-mode only; its
     unbounded nu_1 is cut once back[0][v] / (1 - x) is below 2^-50 of the sum.
     """
+    rule = _rule(kind)
+    if not rule.push_block:
+        raise ValueError(f"not a push-block kind: {kind!r}")
     j = len(lam)
-    beta = kind == PUSH_BLOCK_BETA
+    beta = rule.beta
     x = par * a_j
     if not beta:
-        if kind != PUSH_BLOCK_ALPHA:
-            raise ValueError(f"not a push-block kind: {kind!r}")
         x, q = float(x), float(q)
         if not 0 <= x < 1:
             raise ValueError(f"need 0 <= alpha a_j < 1, got {x}")
@@ -654,9 +637,9 @@ def push_block_prob(kind: str, lam, nu_bar, nu, par, a_j, q):
     cuts the sum over nu_1 (see `_push_block_chain`) and is floating-mode only.
     """
     _, node, edge, back = _push_block_chain(kind, lam, nu_bar, par, a_j, q)
-    strip = interlaces_v if kind == PUSH_BLOCK_BETA else interlaces_h
-    if len(nu) != len(lam) or not strip(lam, nu) or not interlaces_h(nu_bar, nu):
-        return 0.0 if kind == PUSH_BLOCK_ALPHA else q * 0
+    rule = _rule(kind)
+    if len(nu) != len(lam) or not rule.strip(lam, nu) or not interlaces_h(nu_bar, nu):
+        return q * 0 if rule.exact else 0.0
     w = math.prod(node(i, v) for i, v in enumerate(nu))
     w *= math.prod(edge(i, v, u) for i, (v, u) in enumerate(zip(nu, nu[1:])))
     return w / sum(back[0])
@@ -705,39 +688,34 @@ def _push(lam: List[int], lower: List[int], i: int) -> None:
 
 
 def classical_level_update(kind: str, lam_bar, nu_bar, lam, vj: int) -> Signature:
-    """Deterministic propagation of the lower move to level j, plus the input vj."""
+    """Deterministic propagation of the lower move to level j, plus the input vj.
+
+    Row kinds pull, and their input moves the rightmost particle; column
+    kinds push, and their input is pushed in at the left (position j).
+    """
+    rule = _rule(kind)
+    if rule.push_block:
+        raise ValueError(f"not an insertion kind: {kind!r}")
     j = len(lam)
-    c = [nu_bar[i] - lam_bar[i] for i in range(j - 1)]
     nu = list(lam)
     lower = list(lam_bar)
-    if kind == ROW_ALPHA:
-        for i in range(j - 1, 0, -1):
-            for _ in range(c[i - 1]):
-                _pull(nu, lower, i)
-                lower[i - 1] += 1
-        nu[0] += vj
-    elif kind == ROW_BETA:
-        nu[0] += vj
-        for i in range(1, j):
-            for _ in range(c[i - 1]):
-                _pull(nu, lower, i)
-                lower[i - 1] += 1
-    elif kind == COL_ALPHA:
-        for _ in range(vj):
-            _push(nu, lower, j)
-        for i in range(j - 1, 0, -1):
-            for _ in range(c[i - 1]):
-                _push(nu, lower, i)
-                lower[i - 1] += 1
-    elif kind == COL_BETA:
-        for i in range(1, j):
-            for _ in range(c[i - 1]):
-                _push(nu, lower, i)
-                lower[i - 1] += 1
-        for _ in range(vj):
-            _push(nu, lower, j)
-    else:
-        raise ValueError(f"not an insertion kind: {kind!r}")
+
+    def take_input():
+        if rule.push:
+            for _ in range(vj):
+                _push(nu, lower, j)
+        else:
+            nu[0] += vj
+
+    if rule.input_first:
+        take_input()
+    move = _push if rule.push else _pull
+    for i in range(j - 1, 0, -1) if rule.descending else range(1, j):
+        for _ in range(nu_bar[i - 1] - lam_bar[i - 1]):
+            move(nu, lower, i)
+            lower[i - 1] += 1
+    if not rule.input_first:
+        take_input()
     return tuple(nu)
 
 
@@ -746,19 +724,11 @@ def classical_rsk_step(kind: str, arr: InterlacingArray, inputs: Sequence[int]) 
     n = len(arr)
     if len(inputs) != n:
         raise ValueError("need one input per level")
-    if kind in BETA_KINDS and any(v not in (0, 1) for v in inputs):
+    if _rule(kind).beta and any(v not in (0, 1) for v in inputs):
         raise ValueError("Bernoulli kinds need inputs in {0, 1}")
-    out: List[Signature] = []
-    prev_old: Signature = ()
-    prev_new: Signature = ()
-    for j in range(1, n + 1):
-        if j == 1:
-            new = (arr[0][0] + inputs[0],)
-        else:
-            new = classical_level_update(kind, prev_old, prev_new, arr[j - 1], inputs[j - 1])
-        prev_old = arr[j - 1]
-        prev_new = new
-        out.append(new)
+    out: List[Signature] = [(arr[0][0] + inputs[0],)]
+    for j in range(2, n + 1):
+        out.append(classical_level_update(kind, arr[j - 2], out[j - 2], arr[j - 1], inputs[j - 1]))
     return tuple(out)
 
 
@@ -772,10 +742,11 @@ def sample_inputs(spec: DynamicsSpec, rng) -> Tuple[int, ...]:
     Alpha kinds draw from the q-geometric tables of `spec.sampler`, so the
     normaliser log (alpha a_j; q)_inf is computed once per spec and level.
     """
+    beta = KINDS[spec.kind].beta  # the spec checked its kind
     vs = []
     for aj in spec.a:
         x = float(spec.step_param * aj)
-        if spec.kind in BETA_KINDS:
+        if beta:
             vs.append(1 if rng.random() < x / (1 + x) else 0)
         else:
             vs.append(sample_q_geometric(x, float(spec.q), rng, spec.sampler))
@@ -792,7 +763,7 @@ def sample_step(
     does not interlace with the one below it.
     """
     n = len(arr)
-    q = spec.q
+    rule = KINDS[spec.kind]
     if len(spec.a) != n:
         raise ValueError(f"{spec.kind} step: {len(spec.a)} level parameters a_j for {n} levels")
     if inputs is None:
@@ -801,42 +772,21 @@ def sample_step(
         raise ValueError(f"{spec.kind} step: {len(inputs)} inputs for {n} levels")
     out: List[Signature] = [(arr[0][0] + inputs[0],)]
     for j in range(2, n + 1):
-        lam_bar, nu_bar, lam = arr[j - 2], out[j - 2], arr[j - 1]
-        a_j = spec.a[j - 1]
-        if spec.kind == ROW_BETA:
-            new = _sample_row_beta_level(lam_bar, nu_bar, lam, inputs[j - 1], q, rng)
-        elif spec.kind == COL_BETA:
-            new = _sample_col_beta_level(lam_bar, nu_bar, lam, inputs[j - 1], q, rng)
-        elif spec.kind == ROW_ALPHA:
-            new = _sample_row_alpha_level(
-                lam_bar, nu_bar, lam, inputs[j - 1], q, rng, spec.sampler
-            )
-        elif spec.kind == COL_ALPHA:
-            new = _sample_col_alpha_level(
-                lam_bar, nu_bar, lam, inputs[j - 1], q, rng, spec.sampler
-            )
-        elif spec.kind in (PUSH_BLOCK_BETA, PUSH_BLOCK_ALPHA):
-            new = _sample_push_block_level(spec.kind, lam, nu_bar, spec.step_param, a_j, q, rng)
-        else:
-            raise ValueError(spec.kind)
-        out.append(new)
-    result = tuple(out)
-    for j in range(1, n):
-        if not interlaces_h(result[j - 1], result[j]):
+        nu_bar = out[-1]
+        new = rule.sample_level(spec, j, arr[j - 2], nu_bar, arr[j - 1], inputs[j - 1], rng)
+        if not interlaces_h(nu_bar, new):
             raise ValueError(
-                f"{spec.kind} step: level {j + 1} {result[j]} does not interlace "
-                f"with level {j} {result[j - 1]}"
+                f"{spec.kind} step: level {j} {new} does not interlace with level {j - 1} {nu_bar}"
             )
-    return result
+        out.append(new)
+    return tuple(out)
 
 
 def level_candidates(kind: str, lam: Signature, nu_bar: Signature, v_cap: int):
     """All nu with nonzero conditional probability (alpha kinds: input capped at v_cap)."""
     j = len(lam)
-    if kind in (ROW_BETA, COL_BETA, PUSH_BLOCK_BETA):
-        for nu in _v_strips_above(lam):
-            if interlaces_h(nu_bar, nu):
-                yield nu
+    if _rule(kind).beta:
+        yield from (nu for nu in _v_strips_above(lam) if interlaces_h(nu_bar, nu))
         return
     lowers = tuple(max(part(lam, i), part(nu_bar, i)) for i in range(1, j + 1))
     uppers = [lowers[0] + v_cap + weight(nu_bar)]
@@ -846,26 +796,14 @@ def level_candidates(kind: str, lam: Signature, nu_bar: Signature, v_cap: int):
 
 def level_transition_prob(spec: DynamicsSpec, j, lam_bar, nu_bar, lam, nu):
     """Exact U_j for the configured dynamics (beta kinds; level 1 included)."""
-    q, par = spec.q, spec.step_param
-    a_j = spec.a[j - 1]
-    x = par * a_j
-    if j == 1:
-        v = nu[0] - lam[0]
-        if spec.kind in BETA_KINDS:
-            if v == 1:
-                return x / (1 + x)
-            if v == 0:
-                return 1 / (1 + x)
-            return q * 0
-        raise NotImplementedError("exact level-1 law of alpha kinds is not finite")
-    ctx = LevelUpdateContext(lam_bar, nu_bar, lam)
-    if spec.kind == ROW_BETA:
-        return row_beta_prob(ctx, nu, par, a_j, q)
-    if spec.kind == COL_BETA:
-        return col_beta_prob(ctx, nu, par, a_j, q)
-    if spec.kind == PUSH_BLOCK_BETA:
-        return push_block_prob(PUSH_BLOCK_BETA, lam, nu_bar, nu, par, a_j, q)
-    raise NotImplementedError("exact array distributions are for beta kinds")
+    rule = _rule(spec.kind)
+    if not rule.beta:
+        raise NotImplementedError("exact array distributions are for beta kinds")
+    q, par, a_j = spec.q, spec.step_param, spec.a[j - 1]
+    if j == 1:  # the Bernoulli input alone
+        x = par * a_j
+        return {0: 1 / (1 + x), 1: x / (1 + x)}.get(nu[0] - lam[0], q * 0)
+    return rule.level_weight(lam_bar, nu_bar, lam, nu, par, a_j, q)
 
 
 def exact_array_distribution(spec: DynamicsSpec, n: int, steps: int):
@@ -874,46 +812,32 @@ def exact_array_distribution(spec: DynamicsSpec, n: int, steps: int):
     Beta kinds only (finite branching).  `spec.step_param` may be a list of
     per-step parameters.
     """
-    from .gt import zero_array
-
-    pars = spec.step_param if isinstance(spec.step_param, (list, tuple)) else [
-        spec.step_param
-    ] * steps
+    pars = spec.step_param
+    pars = pars if isinstance(pars, (list, tuple)) else [pars] * steps
     dist = {zero_array(n): spec.q * 0 + 1}
     for t in range(steps):
         step_spec = DynamicsSpec(spec.kind, spec.q, pars[t], spec.a)
         new = {}
         for arr, p in dist.items():
             for (narr, tp) in _array_transitions(step_spec, arr):
-                key = narr
-                new[key] = new.get(key, spec.q * 0) + p * tp
+                new[narr] = new.get(narr, spec.q * 0) + p * tp
         dist = new
     return dist
 
 
 def _array_transitions(spec: DynamicsSpec, arr: InterlacingArray):
-    n = len(arr)
-
-    def rec(j, prefix, prob):
-        if j > n:
-            yield tuple(prefix), prob
-            return
-        lam = arr[j - 1]
-        if j == 1:
-            cands = [(lam[0],), (lam[0] + 1,)]
-            lam_bar = nu_bar = ()
-        else:
-            lam_bar, nu_bar = arr[j - 2], prefix[-1]
-            cands = level_candidates(spec.kind, lam, nu_bar, 1)
-        for nu in cands:
-            tp = level_transition_prob(spec, j, lam_bar, nu_bar, lam, nu)
-            if tp == 0:
-                continue
-            prefix.append(nu)
-            yield from rec(j + 1, prefix, prob * tp)
-            prefix.pop()
-
-    yield from rec(1, [], spec.q * 0 + 1)
+    """The (array, probability) pairs of one step from arr, built up level by level."""
+    paths = [((), spec.q * 0 + 1)]
+    for j, lam in enumerate(arr, start=1):
+        extended = []
+        for prefix, prob in paths:
+            lam_bar, nu_bar = (arr[j - 2], prefix[-1]) if j > 1 else ((), ())
+            for nu in level_candidates(spec.kind, lam, nu_bar, 1):
+                tp = level_transition_prob(spec, j, lam_bar, nu_bar, lam, nu)
+                if tp != 0:
+                    extended.append((prefix + (nu,), prob * tp))
+        paths = extended
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -934,57 +858,40 @@ def _lam_bar_candidates(kind_is_beta: bool, lam, nu_bar):
 def main_equation_residual(kind: str, lam, nu, nu_bar, par, a_j, q, alpha_float=False):
     """LHS minus RHS of the structural equation the dynamics must satisfy.
 
-    Exact (returns a rational zero iff the equation holds) for the four
-    insertion kinds and the dual push-block kind.  The usual push-block kind
-    is evaluated in floating mode because of its non-closed normalization.
+    Exact (a rational zero iff the equation holds) for every kind but the
+    usual push-block kind, which is evaluated in floating mode because of its
+    non-closed normalization.  The normalised weights of the q-geometric
+    insertions enter as they are, the weights of the other kinds with x^(-V).
     """
-    is_beta = kind in BETA_KINDS
-    push_block = kind in (PUSH_BLOCK_BETA, PUSH_BLOCK_ALPHA)
-    if push_block:
-        # the push-block law does not depend on the lower starting state lam_bar
-        u_push = push_block_prob(kind, lam, nu_bar, nu, par, a_j, q)
+    rule = _rule(kind)
     x = par * a_j
-    if is_beta:
-        rhs = psi(nu, nu_bar, q) * psi_prime(nu, lam, q) / (1 + x)
-    elif kind == PUSH_BLOCK_ALPHA:
-        rhs = q_pochhammer_inf(float(x), float(q)) * float(psi(nu, nu_bar, q)) * float(
-            phi_coef(nu, lam, q)
-        )
-    else:
-        rhs = psi(nu, nu_bar, q) * phi_coef(nu, lam, q)
+    if not rule.exact:
+        x, q = float(x), float(q)
+    # the lower-level branching weight: psi' (Bernoulli input) or phi (q-geometric)
+    branching = psi_prime if rule.beta else phi_coef
+    rhs = psi(nu, nu_bar, q) * branching(nu, lam, q)
+    if rule.beta:
+        rhs = rhs / (1 + x)
+    elif not rule.normalised:
+        rhs = rhs * q_pochhammer_inf(x, q)
+    # the push-block law does not depend on the lower starting state lam_bar
+    u_push = rule.level_weight(None, nu_bar, lam, nu, par, a_j, q) if rule.push_block else None
     lhs = q * 0
-    for lam_bar in _lam_bar_candidates(is_beta, lam, nu_bar):
+    for lam_bar in _lam_bar_candidates(rule.beta, lam, nu_bar):
         w1 = psi(lam, lam_bar, q)
         if w1 == 0:
             continue
-        if is_beta:
-            w2 = psi_prime(nu_bar, lam_bar, q)
-        else:
-            w2 = phi_coef(nu_bar, lam_bar, q)
+        w2 = branching(nu_bar, lam_bar, q)
         if w2 == 0:
             continue
-        if push_block:
-            u = u_push
-        elif kind == ROW_BETA:
-            u = row_beta_prob(LevelUpdateContext(lam_bar, nu_bar, lam), nu, par, a_j, q)
-        elif kind == COL_BETA:
-            u = col_beta_prob(LevelUpdateContext(lam_bar, nu_bar, lam), nu, par, a_j, q)
-        elif kind == ROW_ALPHA:
-            u = row_alpha_v(LevelUpdateContext(lam_bar, nu_bar, lam), nu, q)
-        elif kind == COL_ALPHA:
-            u = col_alpha_v(LevelUpdateContext(lam_bar, nu_bar, lam), nu, par, a_j, q)
-        else:
-            raise ValueError(kind)
+        u = rule.level_weight(lam_bar, nu_bar, lam, nu, par, a_j, q) if u_push is None else u_push
         if u == 0:
             continue
-        if is_beta:
+        if rule.normalised:
+            lhs += u * w1 * w2
+        else:
             expo = (weight(lam) - weight(nu)) - (weight(lam_bar) - weight(nu_bar))
             lhs += u * x ** expo * w1 * w2
-        elif kind == PUSH_BLOCK_ALPHA:
-            expo = (weight(lam) - weight(nu)) - (weight(lam_bar) - weight(nu_bar))
-            lhs += float(u) * float(x) ** expo * float(w1) * float(w2)
-        else:
-            lhs += u * w1 * w2
     return lhs - rhs
 
 
@@ -996,14 +903,13 @@ def main_equation_sweep(kind: str, j: int, max_part: int, par, a_j, q, report=No
     exact scalars the residual must be exactly zero; pass `tol` (or use the
     usual push-block kind) for floating-mode comparisons.
     """
-    from .gt import enumerate_signatures
-
-    is_beta = kind in BETA_KINDS
-    if kind == PUSH_BLOCK_ALPHA and tol is None:
+    rule = _rule(kind)
+    if not rule.exact and tol is None:
         tol = 1e-9
     checked = 0
     for lam in enumerate_signatures(max_part, j):
-        ups = _v_strips_above(lam) if is_beta else _h_strips_above_capped(lam, max_part)
+        caps = [max_part] + [min(x, max_part) for x in lam[:-1]]
+        ups = _v_strips_above(lam) if rule.beta else signatures_between(lam, caps)
         for nu in ups:
             if nu[0] > max_part:
                 continue
@@ -1019,9 +925,3 @@ def main_equation_sweep(kind: str, j: int, max_part: int, par, a_j, q, report=No
                         raise AssertionError(f"main equation violated: {item}")
                     report.append(item)
     return checked
-
-
-def _h_strips_above_capped(lam, max_part):
-    j = len(lam)
-    uppers = [max_part if i == 1 else min(part(lam, i - 1), max_part) for i in range(1, j + 1)]
-    yield from signatures_between(lam, uppers)

