@@ -41,24 +41,23 @@ def _parse_params(args, count=None):
 
 def _suite_main_eq(args):
     failures = []
-    cases = 0
     tuples = [
         (Fraction(1, 2), Fraction(1, 3), Fraction(1)),
         (Fraction(2, 3), Fraction(1, 5), Fraction(1, 2)),
         (Fraction(1, 7), Fraction(1, 2), Fraction(1)),
     ]
-    kinds = [kind for kind, rule in dynamics.KINDS.items() if rule.exact]
+    by_kind = {kind: 0 for kind, rule in dynamics.KINDS.items() if rule.exact}
     as_float = getattr(args, "mode", "exact") == "float"
     for q, par, aj in tuples[: args.tuples]:
         if as_float:
             q, par, aj = float(q), float(par), float(aj)
-        for kind in kinds:
+        for kind in by_kind:
             for j in range(2, args.levels + 1):
-                cases += dynamics.main_equation_sweep(
+                by_kind[kind] += dynamics.main_equation_sweep(
                     kind, j, args.max_part, par, aj, q, report=failures,
                     tol=1e-9 if as_float else None,
                 )
-    return cases, failures
+    return sum(by_kind.values()), failures, {"cases_by_kind": by_kind}
 
 
 def _suite_gibbs(args):

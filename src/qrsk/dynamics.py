@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +39,7 @@ from .qnum import (
     PhiParams,
     QSampler,
     ZeroMassError,
+    is_exact,
     phi_sample,
     phi_weight,
     q_pochhammer,
@@ -102,11 +103,11 @@ class KindRule:
             return fn(lam_bar, nu_bar, lam, vj, spec.q, rng)
         return fn(lam_bar, nu_bar, lam, vj, spec.q, rng, spec.sampler)  # the spec's tables
 
-    def level_weight(self, lam_bar, nu_bar, lam, nu, par, a_j, q):
+    def level_weight(self, ctx: LevelUpdateContext, nu, par, a_j, q):
         fn = globals()[self.weight]
-        if self.push_block:
-            return fn(self.name, lam, nu_bar, nu, par, a_j, q)
-        return fn(LevelUpdateContext(lam_bar, nu_bar, lam), nu, par, a_j, q)
+        if self.push_block:  # free of the lower starting state
+            return fn(self.name, ctx.lam, ctx.nu_bar, nu, par, a_j, q)
+        return fn(ctx, nu, par, a_j, q)
 
 
 KINDS = {rule.name: rule for rule in [
@@ -181,6 +182,16 @@ def _pt(sig: Sequence[int], i: int):
 def _moves(before: Sequence[int], after: Sequence[int]) -> Tuple[int, ...]:
     """after - before, part by part."""
     return tuple(b - a for a, b in zip(before, after))
+
+
+def _strip_bounds(beta: bool, lam, nu_bar) -> Tuple[list, list]:
+    """Bounds lo_i <= nu_i <= hi_i (0-based i) of the nu that move lam by a strip
+    (vertical if beta, else horizontal) and interlace above nu_bar.  Every
+    weakly decreasing nu within them is one; hi_0 is INF for a horizontal strip."""
+    j = len(lam)
+    lo = [max(lam[i], part(nu_bar, i + 1)) for i in range(j)]
+    hi = [min(lam[i] + 1 if beta else _pt(lam, i), _pt(nu_bar, i)) for i in range(j)]
+    return lo, hi
 
 
 def _upper_moves(ctx: LevelUpdateContext, nu: Signature, strip) -> Optional[Tuple[int, ...]]:
@@ -596,8 +607,7 @@ def _push_block_chain(kind, lam, nu_bar, par, a_j, q):
         x, q = float(x), float(q)
         if not 0 <= x < 1:
             raise ValueError(f"need 0 <= alpha a_j < 1, got {x}")
-    lo = [max(lam[i], part(nu_bar, i + 1)) for i in range(j)]
-    hi = [min(lam[i] + 1 if beta else _pt(lam, i), _pt(nu_bar, i)) for i in range(j)]
+    lo, hi = _strip_bounds(beta, lam, nu_bar)
 
     def node(i, v):
         val = x ** (v - lo[i])
@@ -630,13 +640,26 @@ def _push_block_chain(kind, lam, nu_bar, par, a_j, q):
     return ranges, node, edge, back
 
 
+# Entries kept by the memos of the main-equation sweep.  The sweep runs nu
+# innermost, so consecutive calls share their (lam, nu_bar) and a few entries
+# serve it; a larger memo only holds more Fractions.
+SQUARE_MEMO_SIZE = 4
+
+# The chain of one (lam, nu_bar), for exact push_block_prob calls, which ask
+# for it once per nu.  Float calls and the sampler rebuild it: their
+# arguments do not repeat.
+_exact_push_block_chain = lru_cache(maxsize=SQUARE_MEMO_SIZE, typed=True)(_push_block_chain)
+
+
 def push_block_prob(kind: str, lam, nu_bar, nu, par, a_j, q):
     """Conditional probability not depending on the lower starting state.
 
     The dual kind is exact (the normalizing sum is finite); the usual kind
     cuts the sum over nu_1 (see `_push_block_chain`) and is floating-mode only.
     """
-    _, node, edge, back = _push_block_chain(kind, lam, nu_bar, par, a_j, q)
+    exact = is_exact(par) and is_exact(a_j) and is_exact(q)
+    chain = _exact_push_block_chain if exact else _push_block_chain
+    _, node, edge, back = chain(kind, tuple(lam), tuple(nu_bar), par, a_j, q)
     rule = _rule(kind)
     if len(nu) != len(lam) or not rule.strip(lam, nu) or not interlaces_h(nu_bar, nu):
         return q * 0 if rule.exact else 0.0
@@ -784,14 +807,11 @@ def sample_step(
 
 def level_candidates(kind: str, lam: Signature, nu_bar: Signature, v_cap: int):
     """All nu with nonzero conditional probability (alpha kinds: input capped at v_cap)."""
-    j = len(lam)
-    if _rule(kind).beta:
-        yield from (nu for nu in _v_strips_above(lam) if interlaces_h(nu_bar, nu))
-        return
-    lowers = tuple(max(part(lam, i), part(nu_bar, i)) for i in range(1, j + 1))
-    uppers = [lowers[0] + v_cap + weight(nu_bar)]
-    uppers += [min(part(lam, i - 1), part(nu_bar, i - 1)) for i in range(2, j + 1)]
-    yield from signatures_between(lowers, uppers)
+    beta = _rule(kind).beta
+    lo, hi = _strip_bounds(beta, lam, nu_bar)
+    if not beta:
+        hi[0] = lo[0] + v_cap + weight(nu_bar)
+    yield from signatures_between(lo, hi)
 
 
 def level_transition_prob(spec: DynamicsSpec, j, lam_bar, nu_bar, lam, nu):
@@ -803,7 +823,7 @@ def level_transition_prob(spec: DynamicsSpec, j, lam_bar, nu_bar, lam, nu):
     if j == 1:  # the Bernoulli input alone
         x = par * a_j
         return {0: 1 / (1 + x), 1: x / (1 + x)}.get(nu[0] - lam[0], q * 0)
-    return rule.level_weight(lam_bar, nu_bar, lam, nu, par, a_j, q)
+    return rule.level_weight(LevelUpdateContext(lam_bar, nu_bar, lam), nu, par, a_j, q)
 
 
 def exact_array_distribution(spec: DynamicsSpec, n: int, steps: int):
@@ -855,6 +875,35 @@ def _lam_bar_candidates(kind_is_beta: bool, lam, nu_bar):
     yield from signatures_between(lowers, uppers)
 
 
+@lru_cache(maxsize=SQUARE_MEMO_SIZE, typed=True)
+def _square_terms(kind: str, lam, nu_bar, par, a_j, q) -> tuple:
+    """The nu-free side of the main equation on the squares over (lam, nu_bar).
+
+    One (context, coefficient) pair per lower starting state lam_bar whose
+    coefficient psi_{lam/lam_bar} b_{nu_bar/lam_bar} is nonzero, with b the
+    lower branching weight (psi' or phi), times x^(|nu_bar| - |lam_bar|) for
+    the kinds that are not normalised.
+    """
+    rule = KINDS[kind]
+    x = par * a_j
+    if not rule.exact:
+        x, q = float(x), float(q)
+    branching = psi_prime if rule.beta else phi_coef
+    terms = []
+    for lam_bar in _lam_bar_candidates(rule.beta, lam, nu_bar):
+        w1 = psi(lam, lam_bar, q)
+        if w1 == 0:
+            continue
+        w2 = branching(nu_bar, lam_bar, q)
+        if w2 == 0:
+            continue
+        coef = w1 * w2
+        if not rule.normalised:
+            coef *= x ** (weight(nu_bar) - weight(lam_bar))
+        terms.append((LevelUpdateContext(lam_bar, nu_bar, lam), coef))
+    return tuple(terms)
+
+
 def main_equation_residual(kind: str, lam, nu, nu_bar, par, a_j, q, alpha_float=False):
     """LHS minus RHS of the structural equation the dynamics must satisfy.
 
@@ -862,8 +911,11 @@ def main_equation_residual(kind: str, lam, nu, nu_bar, par, a_j, q, alpha_float=
     usual push-block kind, which is evaluated in floating mode because of its
     non-closed normalization.  The normalised weights of the q-geometric
     insertions enter as they are, the weights of the other kinds with x^(-V).
+    The terms free of nu come from `_square_terms`, a memo of a few entries:
+    call with nu innermost, as `main_equation_sweep` does.
     """
     rule = _rule(kind)
+    terms = _square_terms(kind, tuple(lam), tuple(nu_bar), par, a_j, q)
     x = par * a_j
     if not rule.exact:
         x, q = float(x), float(q)
@@ -874,24 +926,19 @@ def main_equation_residual(kind: str, lam, nu, nu_bar, par, a_j, q, alpha_float=
         rhs = rhs / (1 + x)
     elif not rule.normalised:
         rhs = rhs * q_pochhammer_inf(x, q)
-    # the push-block law does not depend on the lower starting state lam_bar
-    u_push = rule.level_weight(None, nu_bar, lam, nu, par, a_j, q) if rule.push_block else None
     lhs = q * 0
-    for lam_bar in _lam_bar_candidates(rule.beta, lam, nu_bar):
-        w1 = psi(lam, lam_bar, q)
-        if w1 == 0:
-            continue
-        w2 = branching(nu_bar, lam_bar, q)
-        if w2 == 0:
-            continue
-        u = rule.level_weight(lam_bar, nu_bar, lam, nu, par, a_j, q) if u_push is None else u_push
-        if u == 0:
-            continue
-        if rule.normalised:
-            lhs += u * w1 * w2
-        else:
-            expo = (weight(lam) - weight(nu)) - (weight(lam_bar) - weight(nu_bar))
-            lhs += u * x ** expo * w1 * w2
+    if rule.push_block:
+        # the push-block law does not depend on the lower starting state lam_bar
+        if terms:
+            lhs = rule.level_weight(terms[0][0], nu, par, a_j, q) * sum(coef for _, coef in terms)
+    else:
+        for ctx, coef in terms:
+            u = rule.level_weight(ctx, nu, par, a_j, q)
+            if u != 0:
+                lhs += u * coef
+    v = weight(nu) - weight(lam)
+    if v and not rule.normalised:
+        lhs = lhs / x ** v
     return lhs - rhs
 
 
@@ -901,21 +948,20 @@ def main_equation_sweep(kind: str, j: int, max_part: int, par, a_j, q, report=No
     Returns the number of (lam, nu, nu_bar) triples checked; nonzero residuals
     are appended to `report` (and raise if no report list is given).  With
     exact scalars the residual must be exactly zero; pass `tol` (or use the
-    usual push-block kind) for floating-mode comparisons.
+    usual push-block kind) for floating-mode comparisons.  The squares run
+    with nu innermost, so each (lam, nu_bar) builds its terms free of nu once.
     """
     rule = _rule(kind)
     if not rule.exact and tol is None:
         tol = 1e-9
     checked = 0
     for lam in enumerate_signatures(max_part, j):
-        caps = [max_part] + [min(x, max_part) for x in lam[:-1]]
-        ups = _v_strips_above(lam) if rule.beta else signatures_between(lam, caps)
-        for nu in ups:
-            if nu[0] > max_part:
-                continue
-            for nu_bar in enumerate_signatures(max_part, j - 1):
-                if not interlaces_h(nu_bar, nu):
-                    continue
+        # nu_bar_i lies between nu_{i+1} >= lam_{i+1} and nu_i, at most the strip's reach and max_part
+        reach = [min(lam[i] + 1 if rule.beta else _pt(lam, i), max_part) for i in range(j - 1)]
+        for nu_bar in signatures_between(lam[1:], reach):
+            lo, hi = _strip_bounds(rule.beta, lam, nu_bar)
+            hi[0] = min(hi[0], max_part)
+            for nu in signatures_between(lo, hi):
                 r = main_equation_residual(kind, lam, nu, nu_bar, par, a_j, q)
                 checked += 1
                 bad = (abs(r) > tol) if tol is not None else (r != 0)

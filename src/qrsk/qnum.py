@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -34,6 +34,10 @@ _VECTOR_TERMS = 64
 # most this many (replica, support point) cells: its memory stays flat, and
 # each 128 KiB float block stays in cache (blocks of 2^18 cells ran slower).
 _BLOCK_CELLS = 1 << 14
+# Float q-binomial products are rescaled by 2^512 whenever they fall below 2^-512.
+_RESCALE_BITS = 512
+_RESCALE = 2.0 ** _RESCALE_BITS
+_RESCALE_BELOW = 2.0 ** -_RESCALE_BITS
 # Entries kept by each memo on a pure weight (`memoised`).  The memos pay off
 # within one sweep of the exact verifier, which reuses a few hundred distinct
 # arguments per function; the bound keeps float sampling, whose arguments
@@ -148,6 +152,19 @@ def log_q_pochhammer_inf(a: float, q: float) -> float:
     return s
 
 
+def _log_q_pochhammer(a: float, q: float, n: int) -> float:
+    """log (a;q)_n for 0 <= a < 1, 0 <= q < 1 and an int n >= 0; safe when the product underflows."""
+    if a == 0:
+        return 0.0
+    if n > _VECTOR_TERMS:
+        return float(np.log1p(-a * q ** np.arange(n)).sum())
+    s = 0.0
+    for _ in range(n):
+        s += math.log1p(-a)
+        a *= q
+    return s
+
+
 @memoised
 def q_binomial(n, k: int, q: Scalar) -> Scalar:
     """Gaussian binomial coefficient; n = inf is allowed in floating mode only."""
@@ -162,10 +179,27 @@ def q_binomial(n, k: int, q: Scalar) -> Scalar:
     k = min(k, n - k)
     num = q * 0 + 1
     den = num
+    floating = isinstance(q, float)
+    shift = 0
     for i in range(1, k + 1):
         num *= 1 - qpow(q, n - k + i)
         den *= 1 - qpow(q, i)
-    return exact_div(num, den)
+        if floating:
+            # a float product that falls below 2^-512 is scaled up by 2^512, which
+            # is exact: neither product underflows, and where neither would have
+            # the quotient is the plain one, bit for bit
+            if abs(num) < _RESCALE_BELOW:
+                num *= _RESCALE
+                shift -= _RESCALE_BITS
+            if abs(den) < _RESCALE_BELOW:
+                den *= _RESCALE
+                shift += _RESCALE_BITS
+    if not floating:
+        return exact_div(num, den)
+    try:
+        return math.ldexp(num / den, shift)
+    except OverflowError:
+        raise OverflowError(f"q_binomial({n}, {k}) at q = {q} exceeds the float range") from None
 
 
 def q_multinomial(n: int, m: int, k: int, q: Scalar) -> Scalar:
@@ -370,8 +404,9 @@ def phi_sample(p: PhiParams, rng, sampler: Optional[QSampler] = None):
     weights, so a draw costs O(1) plus O(1) per visited support point, however
     large the count and the exponents (as in the scaling experiments).  Pass
     a `QSampler` for q to reuse its log (q;q)_n table across draws.  Direct
-    regime: an inverse-CDF walk from s = 0.  A weight with no mass left in
-    floating point raises `ZeroMassError`.
+    regime: the same walk from the mode, whose weight is taken in log space
+    (`_phi_direct_mode`).  A weight with no mass left in floating point
+    raises `ZeroMassError`.
 
     Inverse-regime parameters with int64 arrays (one entry per replica) take
     one `rng.random(size)` from a numpy Generator and return an int64 array:
@@ -388,41 +423,53 @@ def phi_sample(p: PhiParams, rng, sampler: Optional[QSampler] = None):
         if p.q == 0 or len(sup) == 1:
             return sup[0]
         return _qsampler(p.q, sampler).draw_phi_inverse(p.a, p.b, p.y, sup[0], sup[-1], u)
-    q = float(p.q)
-    xi = float(p.xi)
-    eta = float(p.eta)
+    q, xi, eta, y = float(p.q), float(p.xi), float(p.eta), p.y
     if xi == 0:
         return 0
-    if p.y == INF:
-        w = q_pochhammer_inf(xi, q) / (1.0 if eta == 0 else q_pochhammer_inf(eta, q))
-        _check_mass(w, p)
-        s = 0
-        acc = w
-        qs = q
-        while u > acc:
-            # ratio phi(s+1)/phi(s) = xi (1 - (eta/xi) q^s) / (1 - q^{s+1})
-            w *= (xi - eta * (qs / q)) / (1.0 - qs)
-            s += 1
-            qs *= q
-            acc += w
-            if w == 0.0:
-                break
-        return s
-    y = p.y
-    w = float(q_pochhammer(xi, q, y) / q_pochhammer(eta, q, y))
-    _check_mass(w, p)
-    s = 0
-    acc = w
-    while u > acc and s < y:
-        # phi(s+1)/phi(s) = xi (1-(eta/xi)q^s)(1-q^{y-s}) / ((1-xi q^{y-s-1})(1-q^{s+1}))
-        num = (xi - eta * q ** s) * (1.0 - q ** (y - s))
-        den = (1.0 - xi * q ** (y - s - 1)) * (1.0 - q ** (s + 1))
-        w *= num / den
-        s += 1
-        acc += w
-        if w == 0.0:
-            break
-    return s
+    mode, w_mode = _phi_direct_mode(q, xi, eta, y)
+    return _chop_down(u, mode, 0, y, w_mode, partial(_phi_direct_ratio, q, xi, eta, y))
+
+
+def _phi_direct_ratio(q: float, xi: float, eta: float, y, s):
+    """phi(s+1)/phi(s) of the direct-regime weight, for 0 <= s < y (an int or an int array):
+    xi (1 - (eta/xi) q^s) (1 - q^{y-s}) / ((1 - xi q^{y-s-1}) (1 - q^{s+1})); q^inf = 0."""
+    return (xi - eta * q ** s) * (1.0 - q ** (y - s)) / ((1.0 - xi * q ** (y - s - 1)) * (1.0 - q ** (s + 1)))
+
+
+@memoised
+def _phi_direct_mode(q: float, xi: float, eta: float, y) -> Tuple[int, float]:
+    """The mode of the direct-regime weight (xi > 0) and the weight there.
+
+    The mode is the first s with ratio(s) < 1, or y.  The ratio crosses 1 at
+    most once, from above, so the weight is unimodal and a bisection finds
+    the crossing; at y = inf the ratio tends to xi < 1, so doubling finds an
+    upper end.  The weight comes from log phi(0) = log (xi;q)_y - log (eta;q)_y
+    plus the log ratios below the mode, so it underflows only if the modal
+    weight itself does.
+    """
+    def ratio(s):
+        return _phi_direct_ratio(q, xi, eta, y, s)
+
+    lo = 0
+    if ratio(0) >= 1.0:
+        lo, hi = 1, y
+        if y == INF:
+            hi = 2
+            while ratio(hi - 1) >= 1.0:
+                lo, hi = hi, 2 * hi
+        while lo < hi:  # ratio(s) >= 1 for s < lo, and the crossing is at most hi
+            mid = (lo + hi) // 2
+            if ratio(mid) >= 1.0:
+                lo = mid + 1
+            else:
+                hi = mid
+    if y == INF:
+        log_w = log_q_pochhammer_inf(xi, q) - log_q_pochhammer_inf(eta, q)
+    else:
+        log_w = _log_q_pochhammer(xi, q, y) - _log_q_pochhammer(eta, q, y)
+    if lo:
+        log_w += float(np.log(ratio(np.arange(lo))).sum())
+    return lo, math.exp(log_w)
 
 
 def _phi_sample_batch(p: PhiParams, rng, sampler: Optional[QSampler]) -> np.ndarray:
@@ -434,7 +481,7 @@ def _phi_sample_batch(p: PhiParams, rng, sampler: Optional[QSampler]) -> np.ndar
     if np.any(hi < lo):
         raise ValueError("empty support")
     u = rng.random(c.shape)
-    if p.q == 0:
+    if p.q == 0 or np.array_equal(lo, hi):  # every support is the one point lo
         return lo
     return _qsampler(p.q, sampler).draw_phi_inverse_batch(a, p.b, c, lo, hi, u)
 
@@ -703,6 +750,8 @@ def _chop_down(u: float, mode: int, lo, hi, w_mode: float, ratio: Callable[[int]
     """
     _check_mass(w_mode, "the weight at its mode")
     acc = w_mode
+    if u <= acc:
+        return mode
     left = right = s = mode
     w_left = w_mode / ratio(left - 1) if left > lo else 0.0
     w_right = w_mode * ratio(right) if right < hi else 0.0

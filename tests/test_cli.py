@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import qrsk.dynamics as dyn
 from qrsk.cli import main
@@ -22,6 +23,19 @@ def test_verify_main_eq_ok(capsys, tmp_path):
     report = json.loads(out_file.read_text())
     assert report["suite"] == "main-eq"
     assert report["cases"] > 0 and report["failures"] == []
+
+
+def test_verify_main_eq_reports_cases_by_kind(capsys):
+    code, out = run(["verify", "main-eq", "--levels", "3", "--max-part", "2", "--tuples", "2"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    expected = {
+        kind: 2 * sum(dyn.main_equation_sweep(kind, j, 2, Fraction(1, 3), 1, Fraction(1, 2))
+                      for j in (2, 3))
+        for kind, rule in dyn.KINDS.items() if rule.exact
+    }
+    assert report["cases_by_kind"] == expected
+    assert report["cases"] == sum(expected.values())
 
 
 def test_verify_main_eq_corrupted_is_caught(capsys, monkeypatch):

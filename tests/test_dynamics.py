@@ -169,6 +169,90 @@ def test_main_equation_push_block_alpha_float():
     assert checked > 0
 
 
+def _strip_squares(kind, j, max_part):
+    """Every square (lam, nu, nu_bar) of a sweep, by brute force: nu moves lam by
+    the kind's strip, nu_bar interlaces below nu, and all parts are <= max_part."""
+    strip = dyn.KINDS[kind].strip
+    sigs = list(enumerate_signatures(max_part, j))
+    lowers = list(enumerate_signatures(max_part, j - 1))
+    return [(lam, nu, nu_bar) for lam in sigs for nu in sigs if strip(lam, nu)
+            for nu_bar in lowers if interlaces_h(nu_bar, nu)]
+
+
+def _recording_residual(monkeypatch):
+    """Replace the module's residual by a recorder of the squares it is called on."""
+    calls = []
+    original = dyn.main_equation_residual
+
+    def residual(kind, lam, nu, nu_bar, par, a_j, q, alpha_float=False):
+        calls.append((lam, nu, nu_bar))
+        return original(kind, lam, nu, nu_bar, par, a_j, q, alpha_float)
+
+    monkeypatch.setattr(dyn, "main_equation_residual", residual)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [ROW_BETA, COL_BETA, PUSH_BLOCK_BETA, ROW_ALPHA, COL_ALPHA])
+def test_sweep_calls_the_module_residual_once_on_every_strip_square(kind, monkeypatch):
+    # the per-(kind, j) square counts of the exact verifier at parts <= 3
+    counts = {2: 56, 3: 238, 4: 736} if kind in BETA_KINDS else {2: 77, 3: 264, 4: 635}
+    calls = _recording_residual(monkeypatch)
+    for j, count in counts.items():
+        calls.clear()
+        assert main_equation_sweep(kind, j, 3, F(1, 3), F(1), F(1, 2)) == count
+        assert len(calls) == count
+        assert sorted(calls) == sorted(_strip_squares(kind, j, 3))
+
+
+@pytest.mark.parametrize("kind, weight_name", [
+    (ROW_BETA, "row_beta_prob"), (COL_ALPHA, "col_alpha_v"), (PUSH_BLOCK_BETA, "push_block_prob"),
+])
+def test_a_planted_wrong_level_weight_is_reported_on_its_squares(kind, weight_name, monkeypatch):
+    # U_j is off by 1 at one lower starting state lam_bar (at one nu for
+    # push-block, whose U_j is free of lam_bar).  A square is then wrong
+    # exactly where that term enters its left side: lam_bar interlaces below
+    # lam, and nu_bar moves lam_bar by the kind's strip.
+    rule = dyn.KINDS[kind]
+    original = getattr(dyn, weight_name)
+    if rule.push_block:
+        star = (2, 1, 0)
+
+        def planted(kind_, lam, nu_bar, nu, *args):
+            return original(kind_, lam, nu_bar, nu, *args) + (nu == star)
+
+        def wrong(lam, nu, nu_bar):
+            return nu == star and any(
+                interlaces_h(lam_bar, lam) and rule.strip(lam_bar, nu_bar)
+                for lam_bar in enumerate_signatures(3, 2))
+    else:
+        star = (2, 1)
+
+        def planted(ctx, *args):
+            return original(ctx, *args) + (ctx.lam_bar == star)
+
+        def wrong(lam, nu, nu_bar):
+            return interlaces_h(star, lam) and rule.strip(star, nu_bar)
+
+    monkeypatch.setattr(dyn, weight_name, planted)
+    report = []
+    main_equation_sweep(kind, 3, 3, F(1, 3), F(1), F(1, 2), report=report)
+    reported = [(item["lam"], item["nu"], item["nu_bar"]) for item in report]
+    expected = [square for square in _strip_squares(kind, 3, 3) if wrong(*square)]
+    assert expected and sorted(reported) == sorted(expected)
+
+
+def test_float_push_block_prob_leaves_the_chain_memo_empty():
+    dyn._exact_push_block_chain.cache_clear()
+    for kind in (PUSH_BLOCK_BETA, PUSH_BLOCK_ALPHA):
+        for par, aj, q in ((0.4, 0.8, 0.5), (F(2, 5), F(4, 5), 0.5), (0.4, F(4, 5), F(1, 2))):
+            assert push_block_prob(kind, (2, 1), (2,), (3, 1), par, aj, q) > 0
+    assert dyn._exact_push_block_chain.cache_info().currsize == 0
+    exact = push_block_prob(PUSH_BLOCK_BETA, (2, 1), (2,), (3, 1), F(2, 5), F(4, 5), F(1, 2))
+    assert dyn._exact_push_block_chain.cache_info().currsize == 1
+    assert exact == push_block_prob(PUSH_BLOCK_BETA, [2, 1], [2], (3, 1), F(2, 5), F(4, 5), F(1, 2))
+    assert dyn._exact_push_block_chain.cache_info().hits == 1
+
+
 def test_rsk_type_property():
     # transition probability vanishes unless all lower movement propagates
     rnd = random.Random(3)

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from itertools import accumulate
 
@@ -194,6 +195,23 @@ def test_phi_sample_degenerate_and_frequencies():
         assert abs(counts[s] - pr * n) <= 4 * sd, (s, counts[s], pr * n)
 
 
+@pytest.mark.parametrize("q, xi, eta, y", [
+    (F(9, 10), F(4, 5), F(1, 5), 12), (F(9, 10), F(7, 8), F(0), 30),
+])
+def test_phi_sample_direct_from_an_interior_mode_matches_pmf(q, xi, eta, y):
+    # modes 8 and 19: the walk starts inside the support and visits both sides
+    probs = {s: float(w) for s, w in phi_pmf(PhiParams.direct(q, xi, eta, y))}
+    assert qnum._phi_direct_mode(float(q), float(xi), float(eta), y)[0] == max(probs, key=probs.get)
+    rng = random.Random(9)
+    pf = PhiParams.direct(float(q), float(xi), float(eta), y)
+    n = 40_000
+    counts = {s: 0 for s in probs}
+    for _ in range(n):
+        counts[phi_sample(pf, rng)] += 1
+    for s, pr in probs.items():
+        assert abs(counts[s] - pr * n) <= SIGMAS * math.sqrt(pr * (1 - pr) * n) + 1, (s, counts[s], pr * n)
+
+
 def test_phi_sample_inverse_matches_pmf():
     rng = random.Random(5)
     p = PhiParams.inverse(0.6, 3, 7, 5)
@@ -313,10 +331,31 @@ def test_phi_inverse_float_closed_form_and_mode_against_exact():
 def test_zero_mass_raises_instead_of_returning_a_constant():
     rng = random.Random(31)
     q = math.exp(-1e-3)
-    # (xi;q)_inf = e^-1645 and (xi;q)_5000 underflow to 0.0
-    for y in (INF, 5000):
-        with pytest.raises(ZeroMassError):
-            phi_sample(PhiParams.direct(q, q, 0.0, y), rng)
+    # (xi;q)_inf = e^-1645 and (xi;q)_5000 underflow to 0.0, but the direct
+    # walk starts at the mode, whose weight is taken in log space.  At y = inf
+    # and xi = q the law is q-geometric with parameter q.
+    mean = var = 0.0
+    x = q
+    while x > 1e-18:
+        mean += x / (1 - x)
+        var += x / (1 - x) ** 2
+        x *= q
+    n = 400
+    draws = [phi_sample(PhiParams.direct(q, q, 0.0, INF), rng) for _ in range(n)]
+    assert abs(sum(draws) / n - mean) <= SIGMAS * math.sqrt(var / n)
+    # y = 5000: pmf(s) = q^s (q;q)_y / (q;q)_s, in six bins of about equal mass
+    y = 5000
+    log_qpoch = list(accumulate((math.log1p(-q ** i) for i in range(1, y + 1)), initial=0.0))
+    pmf = [math.exp(s * math.log(q) + log_qpoch[y] - log_qpoch[s]) for s in range(y + 1)]
+    assert abs(math.fsum(pmf) - 1) < 1e-9
+    cdf = list(accumulate(pmf))
+    edges = [0] + [next(s for s, c in enumerate(cdf) if c >= k / 6) + 1 for k in range(1, 6)] + [y + 1]
+    n = 2000
+    draws = [phi_sample(PhiParams.direct(q, q, 0.0, y), rng) for _ in range(n)]
+    for lo, hi in zip(edges, edges[1:]):
+        p = math.fsum(pmf[lo:hi])
+        count = sum(lo <= d < hi for d in draws)
+        assert abs(count - n * p) <= SIGMAS * math.sqrt(n * p * (1 - p)), (lo, hi, count, n * p)
     # the walk itself refuses a mode weight with no mass
     with pytest.raises(ZeroMassError):
         qnum._chop_down(0.5, 3, 0, 10, 0.0, lambda s: 1.0)
@@ -516,6 +555,38 @@ def test_batch_phi_sample_checks_its_parameters():
     # q = 0 is the point mass at max(c - a, 0)
     p = PhiParams.inverse(0.0, np.array([1, 5]), INF, np.array([4, 2]))
     assert phi_sample(p, rng).tolist() == [3, 0]
+
+
+def test_float_q_binomial_past_the_underflow_of_its_products():
+    # at q = 0.999 the denominator product of binom(700, 350) is subnormal and
+    # that of binom(1000, 500) underflows to 0.0
+    with localcontext() as ctx:  # the value at q = 999/1000, to about 55 digits
+        ctx.prec = 60
+        qd = Decimal(999) / 1000
+        exact = Decimal(1)
+        for i in range(1, 351):
+            exact *= (1 - qd ** (350 + i)) / (1 - qd ** i)
+        assert abs(Decimal(q_binomial(700, 350, 0.999)) / exact - 1) < Decimal("1e-12")
+    q = 0.999
+    log_value = math.fsum(math.log1p(-q ** (500 + i)) - math.log1p(-q ** i) for i in range(1, 501))
+    assert math.log(q_binomial(1000, 500, q)) == pytest.approx(log_value, rel=1e-12)
+    # about 1e418
+    with pytest.raises(OverflowError):
+        q_binomial(2000, 1000, q)
+
+
+def test_one_point_batch_phi_returns_its_support_after_drawing_its_uniforms(monkeypatch):
+    def no_window(*args):
+        raise AssertionError("a one-point support needs no inverse-CDF window")
+
+    monkeypatch.setattr(QSampler, "draw_phi_inverse_batch", no_window)
+    c = np.array([0, 2, 5, 1, 9])
+    for a, b in ((np.zeros(5, dtype=np.int64), INF), (c + 3, c + 3)):
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        draws = phi_sample(PhiParams.inverse(0.9, a, b, c), rng, QSampler(0.9))
+        assert draws.tolist() == np.maximum(0, c - a).tolist()
+        twin.random(c.size)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_int_q_keeps_q_binomials_exact():
