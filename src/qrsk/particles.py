@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from .qnum import INF, PhiParams, QSampler, phi_sample, qpow, sample_q_geometric
+from .qnum import INF, Q_MEMO_SIZE, PhiParams, QSampler, phi_sample, qpow, sample_q_geometric
 
 ParticleConfig = Tuple[int, ...]
 
@@ -32,7 +32,7 @@ def _check_step(x: Sequence[int], q) -> None:
         raise ValueError("particles must be strictly decreasing")
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=Q_MEMO_SIZE)
 def _sampler(q: float) -> QSampler:
     """The sampling tables at q, shared by every geometric step at that q."""
     return QSampler(q)

@@ -40,9 +40,14 @@ _RESCALE = 2.0 ** _RESCALE_BITS
 _RESCALE_BELOW = 2.0 ** -_RESCALE_BITS
 # Entries kept by each memo on a pure weight (`memoised`).  The memos pay off
 # within one sweep of the exact verifier, which reuses a few hundred distinct
-# arguments per function; the bound keeps float sampling, whose arguments
-# do not repeat, from growing them without limit.
+# arguments per function, and in float sampling wherever a run repeats its
+# parameters (one log (alpha;q)_inf per q-geometric table, say); the bound
+# keeps a run whose float arguments never repeat from growing them without
+# limit.
 MEMO_SIZE = 1024
+# Values of q kept by each per-q memo: the log (q;q)_n prefixes here and the
+# samplers of `particles`.
+Q_MEMO_SIZE = 8
 
 # Memoise a pure weight on its (hashable) arguments.  The key includes each
 # argument's type: Fraction(1, 2) and 0.5 are equal and hash equal, and an
@@ -134,6 +139,7 @@ def q_pochhammer_inf(a: Scalar, q: Scalar) -> float:
     return p
 
 
+@memoised
 def log_q_pochhammer_inf(a: float, q: float) -> float:
     """log (a;q)_inf for 0 <= a < 1, 0 <= q < 1; safe when the product underflows."""
     if a == 0:
@@ -402,8 +408,9 @@ def phi_sample(p: PhiParams, rng, sampler: Optional[QSampler] = None):
 
     Inverse regime: a chop-down walk from the mode over the closed-form
     weights, so a draw costs O(1) plus O(1) per visited support point, however
-    large the count and the exponents (as in the scaling experiments).  Pass
-    a `QSampler` for q to reuse its log (q;q)_n table across draws.  Direct
+    large the count and the exponents (as in the scaling experiments); the
+    log (q;q)_n values come from the prefix that every `QSampler` for q
+    shares, so a one-shot draw does not rebuild them.  Direct
     regime: the same walk from the mode, whose weight is taken in log space
     (`_phi_direct_mode`).  A weight with no mass left in floating point
     raises `ZeroMassError`.
@@ -495,20 +502,82 @@ def _check_mass(w: float, what) -> None:
 # floating-mode sampling tables
 # ---------------------------------------------------------------------------
 
+class _LogQPochPrefix:
+    """log (q;q)_n for n = 0, 1, ..., cap, for one q, grown on demand.
+
+    Past cap, log(1 - q^n) > -2^-60 and log (q;q)_n stops changing.  The
+    array grows in blocks with fixed ends 64, 128, 256, ... and cap, each a
+    cumulative sum from the last value of the block before, so every value is
+    a function of q and n alone, whatever calls grew the prefix and in what
+    order.  `values` holds the same floats as a list, for scalar reads; it
+    is filled from the array when a scalar read passes its end.  The array
+    is read-only, since every sampler for q shares it.
+    """
+
+    def __init__(self, q: float):
+        self.log_q = math.log(q) if q > 0 else -INF
+        self.cap = math.ceil(_LOG_TAIL / self.log_q) if q > 0 else 0
+        self.array = np.zeros(1)
+        self.array.flags.writeable = False
+        self.values: List[float] = [0.0]
+
+    def grow(self, n) -> None:
+        """Grow the array to min(n, cap) and on to the end of that block."""
+        end = self.array.size - 1
+        n = min(n, self.cap)
+        if n <= end:
+            return
+        blocks = [self.array]
+        while end < n:
+            stop = min(max(2 * end, _VECTOR_TERMS), self.cap)
+            k = np.arange(end + 1, stop + 1)
+            blocks.append(blocks[-1][-1] + np.cumsum(np.log(-np.expm1(k * self.log_q))))
+            end = stop
+        self.array = np.concatenate(blocks)
+        self.array.flags.writeable = False
+
+    def at(self, n) -> float:
+        """log (q;q)_n for an integer n >= 0 or n = INF, from the list."""
+        n = min(n, self.cap)
+        values = self.values
+        if n >= len(values):
+            self.grow(n)
+            values.extend(self.array[len(values):].tolist())
+        return values[n]
+
+    def upto(self, stop: int) -> np.ndarray:
+        """log (q;q)_n for n = 0..stop-1: a slice of the array, padded with
+        its last value past cap."""
+        self.grow(stop - 1)
+        array = self.array
+        if stop <= array.size:
+            return array[:stop]
+        return np.concatenate((array, np.full(stop - array.size, array[-1])))
+
+
+@lru_cache(maxsize=Q_MEMO_SIZE)
+def _log_qpoch_prefix(q: float) -> _LogQPochPrefix:
+    """The log (q;q)_n prefix of a float q, shared by every `QSampler` for q."""
+    return _LogQPochPrefix(q)
+
+
 class QSampler:
     """Floating-mode sampling tables for one q, each built on first use.
 
-    * The prefix table log (q;q)_n, n = 0, 1, ...; with it every
-      inverse-regime phi weight costs O(1) (`log_phi_inverse`).  Scalar
-      draws read it as a list, draws over a replica axis as a numpy array;
-      each is grown on demand.
+    * The prefix log (q;q)_n, n = 0, 1, ...; with it every inverse-regime
+      phi weight costs O(1) (`log_phi_inverse`).  It is a property of q, not
+      of the sampler: every `QSampler(q)` reads the one prefix of q, kept in
+      a per-q memo of the last `Q_MEMO_SIZE` values of q and grown on demand
+      (`_LogQPochPrefix`), so a new sampler, or a one-shot draw, starts from
+      the entries earlier ones computed.  Scalar draws read it as a list,
+      draws over a replica axis as a numpy array.
     * Per q-geometric parameter alpha, a CDF table (a numpy array) over the
       support points whose weight is at least 2^-60 times the modal weight,
-      built once from the normaliser log (alpha;q)_inf, so a draw is one
-      bisect.
+      built once from the normaliser log (alpha;q)_inf (itself memoised), so
+      a draw is one bisect.  These tables belong to the sampler.
 
-    The tables live as long as the object.  Create one per run of draws at a
-    fixed q and pass it to `phi_sample` and `sample_q_geometric`.
+    The CDF tables live as long as the object.  Create one per run of draws
+    at a fixed q and pass it to `phi_sample` and `sample_q_geometric`.
     """
 
     def __init__(self, q):
@@ -516,11 +585,9 @@ class QSampler:
         if not 0 <= q < 1:
             raise ValueError("QSampler needs 0 <= q < 1")
         self.q = q
-        self.log_q = math.log(q) if q > 0 else -INF
-        # from this n on, log(1 - q^n) > -2^-60 and log (q;q)_n stops changing
-        self._cap = math.ceil(_LOG_TAIL / self.log_q) if q > 0 else 0
-        self._log_qpoch: List[float] = [0.0]
-        self._log_qpoch_array = np.zeros(1)
+        self._prefix = _log_qpoch_prefix(q)
+        self.log_q = self._prefix.log_q
+        self._log_qpoch = self._prefix.values
         self._cdfs: Dict[float, Tuple[int, np.ndarray]] = {}
         self._cdf_lists: Dict[float, Tuple[int, List[float]]] = {}
 
@@ -529,32 +596,16 @@ class QSampler:
         table = self._log_qpoch
         if n < len(table):
             return table[n]
-        n = min(n, self._cap)
-        # grow to at least twice the length, so growth costs O(1) a point
-        stop = min(max(n, 2 * len(table)), self._cap) + 1
-        if stop - len(table) > _VECTOR_TERMS:
-            table.extend(self._log_qpoch_run(table[-1], len(table), stop).tolist())
-        else:
-            for k in range(len(table), stop):
-                table.append(table[-1] + math.log(-math.expm1(k * self.log_q)))
-        return table[n]
-
-    def _log_qpoch_run(self, last: float, start: int, stop: int) -> np.ndarray:
-        """log (q;q)_n for n = start..stop-1, given last = log (q;q)_{start-1}."""
-        k = np.arange(start, stop)
-        return last + np.cumsum(np.log(-np.expm1(k * self.log_q)))
+        return self._prefix.at(n)
 
     def log_qpoch_at(self, n):
-        """log (q;q)_n for an int or int array n >= 0, from a numpy table grown on demand."""
-        table = self._log_qpoch_array
+        """log (q;q)_n for an int or int array n >= 0, from the prefix's array."""
+        prefix = self._prefix
         top = int(n.max(initial=0)) if isinstance(n, np.ndarray) else n
-        if top >= table.size <= self._cap:
-            stop = min(max(top, 2 * table.size), self._cap) + 1
-            table = self._log_qpoch_array = np.concatenate(
-                (table, self._log_qpoch_run(table[-1], table.size, stop))
-            )
-        # a table that reaches the cap ends there: past it log (q;q)_n stays put
-        return table.take(n, mode="clip")
+        if top >= prefix.array.size:
+            prefix.grow(top)
+        # an array that reaches the cap ends there: past it log (q;q)_n stays put
+        return prefix.array.take(n, mode="clip")
 
     def log_phi_inverse(self, a, b, c, s):
         """log phi_{q^{-1}, q^a, q^b}(s | c) at a support point s, q > 0.
@@ -644,24 +695,22 @@ class QSampler:
         table = self._cdfs.get(alpha)
         if table is not None:
             return table
+        prefix = self._prefix
         mode = _q_geometric_mode(alpha, self.q)
         log_alpha = math.log(alpha)
-        lp_mode = self.log_qpoch_at(mode)
-        log_w_mode = log_q_pochhammer_inf(alpha, self.q) + mode * log_alpha - lp_mode
-
-        def rel(n):
-            # log pmf(n) - log pmf(mode)
-            return (n - mode) * log_alpha - self.log_qpoch_at(n) + lp_mode
-
-        n = np.arange(2 * mode + _VECTOR_TERMS)
-        rel_w = rel(n)
-        while rel_w[-1] >= _LOG_TAIL:
+        last = 2 * mode + _VECTOR_TERMS - 1
+        lp = prefix.upto(last + 1)
+        lp_mode = lp[mode]
+        # log pmf(n) - log pmf(mode) at the last point
+        rel_last = (last - mode) * log_alpha - lp[last] + lp_mode
+        if rel_last >= _LOG_TAIL:
             # past the mode the log ratios log alpha - log(1 - q^k) fall with k,
             # so the next one bounds all later ones: this many more points reach the cut
-            end = rel_w.size
-            step = log_alpha - math.log(-math.expm1(end * self.log_q))
-            n = np.arange(end, end + math.ceil((rel_w[-1] - _LOG_TAIL) / -step) + 1)
-            rel_w = np.concatenate((rel_w, rel(n)))
+            step = log_alpha - math.log(-math.expm1((last + 1) * self.log_q))
+            last += math.ceil((rel_last - _LOG_TAIL) / -step) + 1
+            lp = prefix.upto(last + 1)
+        rel_w = (np.arange(last + 1) - mode) * log_alpha - lp + lp_mode
+        log_w_mode = log_q_pochhammer_inf(alpha, self.q) + mode * log_alpha - lp_mode
         kept = np.flatnonzero(rel_w >= _LOG_TAIL)
         lo, hi = int(kept[0]), int(kept[-1])
         cdf = np.cumsum(np.exp(log_w_mode + rel_w[lo:hi + 1]))
@@ -778,8 +827,10 @@ def sample_q_geometric(
 
     With a `QSampler` for q the draw is one bisect into the sampler's CDF
     table for alpha, built on first use.  Without one it is a chop-down walk
-    from the mode over weights computed in log space, which costs O(mode)
-    for the log (q;q)_n values plus O(sd) steps and cannot underflow.
+    from the mode over weights computed in log space, which costs O(sd)
+    steps and cannot underflow; its log (q;q)_mode and log (alpha;q)_inf
+    come from the per-q prefix and the memo, so only the first draw at a q
+    and alpha pays for them.
 
     With `size`, `rng` is a numpy Generator and the result is an int64 array
     of `size` draws, the same table bisect for each of `rng.random(size)`.

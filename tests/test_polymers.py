@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qrsk import polymers
+from qrsk import polymers, qnum
 from qrsk.dynamics import _sample_col_alpha_level, _sample_row_alpha_level
 from qrsk.gt import zero_array
 from qrsk.polymers import (
@@ -270,6 +270,16 @@ def test_scaled_arrays_are_reproducible_from_the_rng_state():
         other = fn(2, 2, th, thh, 0.01, 50, random.Random(5))
         assert first == again and first != other
         assert all(len(v) == 50 and all(type(x) is float for x in v) for v in first.values())
+
+
+def test_seeded_scaled_arrays_do_not_depend_on_the_state_of_the_prefix():
+    args = (2, 2, [1.2, 0.8], [0.9, 1.1], 5e-3, 200)
+    qnum._log_qpoch_prefix.cache_clear()
+    cold = scaled_col_arrays(*args, random.Random(7))
+    # other calls at the same q grow the shared log (q;q)_n prefix past what it held
+    scaled_row_arrays(*args, random.Random(8))
+    QSampler(math.exp(-5e-3)).log_qpoch(qnum.INF)
+    assert scaled_col_arrays(*args, random.Random(7)) == cold
 
 
 def _scalar_replicas(level, n, t, thetas, theta_hats, eps, replicas, rng):

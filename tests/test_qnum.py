@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrsk import qnum
+from qrsk import particles, qnum
 from qrsk.qnum import (
     INF,
     ExactModeError,
@@ -373,7 +373,7 @@ def test_q_geometric_table_is_per_sampler_and_agrees_with_the_walk():
         sample_q_geometric(alpha, 0.25, random.Random(0), s1)
 
 
-MEMOISED = (qnum.q_binomial, qnum.q_pochhammer, qnum._phi_inverse_weight)
+MEMOISED = (qnum.q_binomial, qnum.q_pochhammer, qnum._phi_inverse_weight, qnum.log_q_pochhammer_inf)
 
 
 def test_memoised_weights_are_bounded_and_typed():
@@ -427,6 +427,111 @@ def test_memoised_weights_equal_their_originals(n, k, q, x, m, phi_args):
         expected = fn.__wrapped__(*args)
         for _ in range(2):  # a miss, then a hit
             assert fn(*args) == expected, (fn.__name__, args)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.floats(0.0, 0.999), st.floats(0.0, 0.999))
+def test_memoised_log_q_pochhammer_inf_equals_its_original(a, q):
+    qnum.log_q_pochhammer_inf.cache_clear()
+    expected = qnum.log_q_pochhammer_inf.__wrapped__(a, q)
+    for _ in range(2):  # a miss, then a hit
+        assert qnum.log_q_pochhammer_inf(a, q) == expected, (a, q)
+
+
+@pytest.mark.parametrize("a, q", [(1.0, 0.5), (0.5, 1.0), (-0.1, 0.5)])
+def test_a_repeated_bad_log_q_pochhammer_inf_call_raises_each_time(a, q):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            qnum.log_q_pochhammer_inf(a, q)
+
+
+def test_the_per_q_prefix_memo_keeps_its_bound():
+    assert qnum._log_qpoch_prefix.cache_parameters()["maxsize"] == qnum.Q_MEMO_SIZE
+    assert particles._sampler.cache_parameters()["maxsize"] == qnum.Q_MEMO_SIZE
+    qnum._log_qpoch_prefix.cache_clear()
+    samplers = [QSampler(0.5 + i / 100) for i in range(qnum.Q_MEMO_SIZE + 3)]
+    assert qnum._log_qpoch_prefix.cache_info().currsize == qnum.Q_MEMO_SIZE
+    # samplers built at one q share its prefix while the memo keeps it
+    assert QSampler(samplers[-1].q)._prefix is samplers[-1]._prefix
+    # an evicted q gets a new prefix; its old samplers keep theirs
+    assert QSampler(samplers[0].q)._prefix is not samplers[0]._prefix
+
+
+def test_prefix_values_are_a_function_of_q_and_n_alone():
+    q = math.exp(-1e-3)
+    stepwise, at_once, scalar = (qnum._LogQPochPrefix(q) for _ in range(3))
+    stepwise.grow(100)
+    stepwise.grow(20_000)
+    at_once.grow(20_000)
+    for n in (7, 100, 101, 4_000, 20_000):  # scalar reads grow the list, in another order
+        scalar.at(n)
+    n = 20_001
+    assert stepwise.array[:n].tobytes() == at_once.array[:n].tobytes() == scalar.array[:n].tobytes()
+    assert scalar.values[:n] == stepwise.array[:n].tolist()
+    with pytest.raises(ValueError):  # shared by every sampler for q: read-only
+        at_once.upto(10)[3] = 0.0
+    # and they are log (q;q)_n
+    for n in (1, 64, 65, 1_000, 20_000):
+        oracle = math.fsum(math.log1p(-q ** k) for k in range(1, n + 1))
+        assert at_once.array[n] == pytest.approx(oracle, rel=1e-12, abs=1e-12), n
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, math.exp(-1e-2), math.exp(-1e-3)])
+def test_scalar_and_array_log_qpoch_agree_bit_for_bit(q):
+    qnum._log_qpoch_prefix.cache_clear()
+    sampler = QSampler(q)
+    cap = sampler._prefix.cap
+    ns = sorted({0, 1, 2, 63, 64, 65, 200, cap // 2, cap, cap + 1, 3 * cap + 5})
+    scalar = [sampler.log_qpoch(n) for n in ns]  # grows the prefix through the list
+    qnum._log_qpoch_prefix.cache_clear()
+    array = QSampler(q).log_qpoch_at(np.array(ns))  # a cold prefix grown through the array
+    assert array.tolist() == scalar
+    assert [QSampler(q).log_qpoch_at(n) for n in ns] == scalar
+    assert sampler.log_qpoch(INF) == scalar[ns.index(cap)]
+
+
+@pytest.mark.parametrize("q, alpha", [
+    (0.5, 0.99),  # a tail that runs far past the prefix's cap
+    (0.9, 0.3),
+    (math.exp(-1e-2), math.exp(-2.1e-2)),
+    (math.exp(-5e-3), math.exp(-1.05e-2)),
+    (math.exp(-1e-3), 0.999),
+])
+def test_q_geometric_table_covers_the_points_above_the_cut(q, alpha):
+    lo, cdf = QSampler(q).q_geometric_cdf(alpha)
+    hi = lo + cdf.size - 1
+    # log pmf(n) - log pmf(mode) from an fsum oracle of log (q;q)_n
+    mode = qnum._q_geometric_mode(alpha, q)
+    logs = [0.0] + [math.log1p(-q ** k) for k in range(1, hi + 2)]
+
+    def rel(n):
+        return (n - mode) * math.log(alpha) - math.fsum(logs[mode + 1:n + 1]) + math.fsum(logs[n + 1:mode + 1])
+
+    cut = -60 * math.log(2)
+    assert rel(lo) >= cut and rel(hi) >= cut and rel(hi + 1) < cut
+    assert lo == 0 or rel(lo - 1) < cut
+    mass = np.diff(cdf, prepend=0.0)
+    for n in (lo, mode, (mode + hi) // 2, hi):
+        assert mass[n - lo] / mass[mode - lo] == pytest.approx(math.exp(rel(n)), rel=1e-9), n
+    assert cdf[-1] == 1.0
+
+
+@pytest.mark.parametrize("draw", [
+    lambda q, rng: qnum._phi_inverse_weight.__wrapped__(q, 3000, INF, 2500, 2400),
+    lambda q, rng: sample_q_geometric(q * q, q, rng),
+    lambda q, rng: phi_sample(PhiParams.inverse(q, 3000, INF, 2500), rng),
+], ids=["phi_inverse_weight", "sample_q_geometric", "phi_sample"])
+def test_a_second_one_shot_call_at_the_same_q_grows_no_prefix(draw):
+    q = math.exp(-1e-3)
+    qnum._log_qpoch_prefix.cache_clear()
+    rng = random.Random(0)
+    draw(q, rng)
+    prefix = qnum._log_qpoch_prefix(q)
+    array, listed = prefix.array, len(prefix.values)
+    assert listed > 1
+    draw(q, rng)
+    assert qnum._log_qpoch_prefix(q) is prefix
+    assert prefix.array is array and len(prefix.values) == listed
 
 
 class _GivenUniforms:
