@@ -6,12 +6,14 @@ dynamics (dual exact; usual in floating mode).  `KINDS` holds one record per
 kind: its input, its level sampler and exact level weight U_j, and the
 classical (q = 0) insertion to which it degenerates.
 
-Sampler and evaluator share one definition of each level update.  The
-Bernoulli kinds build one first-success list per island, moved pair or
-donation: the sampler picks from it, the evaluator indexes into it.  The
-q-geometric kinds draw splits from inverse-regime phi weights, and the
-evaluator sums the same weights over the splits hidden from view.  The
-push-block kinds share one chain recursion over the parts of the new level.
+Each insertion kind's level update is one walk over its hidden choices, in
+the order they are drawn: `_sample_<kind>_level(lam_bar, nu_bar, lam, vj, q,
+rng, ..., target=None)`.  Given an rng, it draws the choices and returns the
+new level.  Given a target nu instead, it takes the choice that nu forces at
+each step (at ColAlpha, every free X_i and Y_i in turn) and returns the
+product of the choices' weights, summed over the paths that replay nu.  Its
+evaluator fixes vj to the input that nu implies and applies the input law.
+The push-block kinds share one chain recursion over the parts of the new level.
 """
 
 from __future__ import annotations
@@ -205,6 +207,60 @@ def _upper_moves(ctx: LevelUpdateContext, nu: Signature, strip) -> Optional[Tupl
 
 
 # ---------------------------------------------------------------------------
+# the insertion walks' choices, and their replay against a target level
+# ---------------------------------------------------------------------------
+
+def _choose(law, first, step, nu, delta, rng, target):
+    """One first-success choice among the particles first, first + step, ..., in the order
+    of `law`.  Drawn, it has weight 1; replayed, it is the first of them, p, with
+    target_p = nu_p + delta."""
+    if target is None:
+        return first + step * _pick(law, rng.random()), 1
+    for s, w in enumerate(law):
+        p = first + step * s
+        if target[p - 1] == nu[p - 1] + delta:
+            return p, w
+    return first, 0
+
+
+def _phi_choices(p: PhiParams, k, up_to, rng, sampler):
+    """Choices of n - s for a split s of law p over n = p.y boxes, with their weights: one
+    drawn, of weight 1, or, replaying (no rng), n - s = k (each of 0..k if up_to) where
+    its weight is nonzero."""
+    if rng is not None:
+        return ((p.y - phi_sample(p, rng, sampler), 1),)
+    out = []
+    for t in range(0 if up_to else max(k, 0), min(k, p.y) + 1):
+        w = phi_weight(p, p.y - t)
+        if w:
+            out.append((t, w))
+    return out
+
+
+def _replay(walk, ctx: LevelUpdateContext, nu, q, strip, v_max):
+    """The input V that nu implies, and the weight of the walk's choices that give nu
+    with it: 0 where nu is out of reach or V is not in 0..v_max."""
+    nu = tuple(nu)
+    mv = _upper_moves(ctx, nu, strip)
+    v = None if mv is None else sum(mv) - (weight(ctx.nu_bar) - weight(ctx.lam_bar))
+    if v is None or not 0 <= v <= v_max:
+        return v, 0
+    return v, walk(ctx.lam_bar, ctx.nu_bar, ctx.lam, v, q, None, target=nu)
+
+
+def _bernoulli_input(walk, ctx: LevelUpdateContext, nu, x, q):
+    """U_j of a Bernoulli kind: its replayed walk times the input law x^V / (1 + x)."""
+    v, w = _replay(walk, ctx, nu, q, interlaces_v, 1)
+    return w * (x if v else 1) / (1 + x) if w else q * 0
+
+
+def _q_geometric_input(walk, ctx: LevelUpdateContext, nu, q):
+    """Normalised U_j of a q-geometric kind: its replayed walk over (q;q)_V."""
+    v, w = _replay(walk, ctx, nu, q, interlaces_h, INF)
+    return w / q_pochhammer(q, q, v) if w else q * 0
+
+
+# ---------------------------------------------------------------------------
 # (beta) row insertion: first-success laws, islands of moved particles
 # ---------------------------------------------------------------------------
 
@@ -254,47 +310,26 @@ def _island_law(k, m, nu_bar, lam, q) -> list:
     return _first_success([_f_factor(k, nu_bar, lam, q)] + gs)
 
 
-def row_beta_prob(ctx: LevelUpdateContext, nu: Signature, beta, a_j, q):
-    """Conditional probability of lam -> nu under the Bernoulli row insertion."""
-    zero = q * 0
-    mv = _upper_moves(ctx, nu, interlaces_v)
-    if mv is None:
-        return zero
-    islands = _islands(_moves(ctx.lam_bar, ctx.nu_bar))
-    covered = {i for (k, m) in islands for i in range(k, m + 2)}
-    p_move = beta * a_j / (1 + beta * a_j)
-    total = zero
-    for vj in (0, 1):
-        # off the islands, only lam_1 moves: by the input vj
-        if any(mv[i - 1] != (vj if i == 1 else 0) for i in range(1, ctx.j + 1) if i not in covered):
-            continue
-        w = p_move if vj == 1 else 1 - p_move
-        for (k, m) in islands:
-            stay = [i for i in range(k, m + 2) if mv[i - 1] == 0]
-            if vj == 1 and k == 1:  # the input moves the whole first island
-                if not stay:
-                    continue
-            elif len(stay) == 1:
-                w *= _island_law(k, m, ctx.nu_bar, ctx.lam, q)[stay[0] - k]
-                continue
-            w = zero
-            break
-        total += w
-    return total
-
-
-def _sample_row_beta_level(lam_bar, nu_bar, lam, vj, q, rng):
+def _sample_row_beta_level(lam_bar, nu_bar, lam, vj, q, rng, target=None):
+    """The walk: the input vj moves lam_1; then every particle lam_k..lam_{m+1} of each
+    island [k, m] of moved lower particles moves but one, the island law's stayer."""
     nu = list(lam)
     nu[0] += vj
+    w = 1
     for (k, m) in _islands(_moves(lam_bar, nu_bar)):
-        if vj == 1 and k == 1:
-            stay = 1  # lam_1 took the input, and the rest of the island moves with it
-        else:
-            stay = k + _pick(_island_law(k, m, nu_bar, lam, q), rng.random())
+        stay = 1  # with vj = 1, lam_1 took the input, and the rest of its island moves with it
+        if vj != 1 or k != 1:
+            stay, ws = _choose(_island_law(k, m, nu_bar, lam, q), k, 1, nu, 0, rng, target)
+            w *= ws
         for i in range(k, m + 2):
             if i != stay:
                 nu[i - 1] += 1
-    return tuple(nu)
+    return tuple(nu) if target is None else (w if tuple(nu) == target else 0)
+
+
+def row_beta_prob(ctx: LevelUpdateContext, nu: Signature, beta, a_j, q):
+    """Conditional probability of lam -> nu under the Bernoulli row insertion."""
+    return _bernoulli_input(_sample_row_beta_level, ctx, nu, beta * a_j, q)
 
 
 # ---------------------------------------------------------------------------
@@ -332,70 +367,65 @@ def _moved_pairs(c: Sequence[int]) -> List[Tuple[int, int]]:
     return pairs
 
 
-def col_beta_prob(ctx: LevelUpdateContext, nu: Signature, beta, a_j, q):
-    """Conditional probability of lam -> nu under the Bernoulli column insertion."""
-    zero = q * 0
-    mv = _upper_moves(ctx, nu, interlaces_v)
-    if mv is None:
-        return zero
-    j, nu_bar, lam = ctx.j, ctx.nu_bar, ctx.lam
-    pairs = _moved_pairs(_moves(ctx.lam_bar, nu_bar))
-    m = max((k for (_, k) in pairs), default=0)
-    w = q * 0 + 1
-    for (r, k) in pairs:
-        movers = [s for s in range(r + 1, k + 1) if mv[s - 1] == 1]
-        if len(movers) != 1:
-            return zero
-        w *= _pair_law(r, k, nu_bar, lam, q)[k - movers[0]]
-    extra = [s for s in range(m + 1, j + 1) if mv[s - 1] == 1]
-    if len(extra) > 1:
-        return zero
-    if not extra:
-        return w * (1 / (1 + beta * a_j))
-    # the input moved one of lam_{m+1}, ..., lam_j
-    return w * (beta * a_j / (1 + beta * a_j)) * _donation_law(m, j, nu_bar, lam, q)[j - extra[0]]
-
-
-def _sample_col_beta_level(lam_bar, nu_bar, lam, vj, q, rng):
+def _sample_col_beta_level(lam_bar, nu_bar, lam, vj, q, rng, target=None):
+    """The walk: each moved pair (r, k) of lower particles moves one of lam_k..lam_{r+1};
+    then the input vj = 1 moves one of lam_j..lam_{m+1}, m the last moved lower particle."""
     j = len(lam)
     nu = list(lam)
-    pairs = _moved_pairs(_moves(lam_bar, nu_bar))
-    for (r, k) in pairs:
-        mover = k - _pick(_pair_law(r, k, nu_bar, lam, q), rng.random())
+    w = 1
+    m = 0
+    for (r, k) in _moved_pairs(_moves(lam_bar, nu_bar)):
+        mover, wm = _choose(_pair_law(r, k, nu_bar, lam, q), k, -1, nu, 1, rng, target)
         nu[mover - 1] += 1
+        w *= wm
+        m = k
     if vj == 1:
-        m = max((k for (_, k) in pairs), default=0)
-        mover = j - _pick(_donation_law(m, j, nu_bar, lam, q), rng.random())
+        mover, wm = _choose(_donation_law(m, j, nu_bar, lam, q), j, -1, nu, 1, rng, target)
         nu[mover - 1] += 1
-    return tuple(nu)
+        w *= wm
+    return tuple(nu) if target is None else (w if tuple(nu) == target else 0)
+
+
+def col_beta_prob(ctx: LevelUpdateContext, nu: Signature, beta, a_j, q):
+    """Conditional probability of lam -> nu under the Bernoulli column insertion."""
+    return _bernoulli_input(_sample_col_beta_level, ctx, nu, beta * a_j, q)
 
 
 # ---------------------------------------------------------------------------
 # (alpha) row insertion: independent splitting of lower moves
 # ---------------------------------------------------------------------------
 
-def _row_alpha_splits(lam_bar, nu_bar, lam, nu) -> Optional[Tuple[Tuple[int, ...], int]]:
-    """The split variables W_i and the independent jump V that give nu, or None.
+def _draws(count) -> bool:
+    """Whether a split of `count` boxes needs a phi draw: not for a scalar 0.  Over a
+    replica axis every replica draws; a count of 0 draws the one point of its support."""
+    return isinstance(count, np.ndarray) or count != 0
 
-    W_i is the part of the i-th lower move given to the upper-right neighbor:
-    nu_i = lam_i + W_i + (c_{i-1} - W_{i-1}), plus V at i = 1.
+
+def _sample_row_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None, target=None):
+    """The walk: the input vj at the left, then each lower move c_i split, W_i boxes to
+    lam_i and the rest to lam_{i+1}, with W_i of law phi(lam_i - lam_bar_i, b_i; c_i).
+
+    Drawn, the parts and vj are ints, or int64 arrays over replicas with `rng` a numpy
+    Generator.  `sampler` is an optional `QSampler` for q, passed on to `phi_sample`.
     """
     j = len(lam)
-    c = (0,) + _moves(lam_bar, nu_bar)          # c[i] = c_i, 1-based
-    w = [0] * (j + 1)                           # w[i] = W_i, and W_j = 0
-    for i in range(j, 1, -1):
-        w[i - 1] = c[i - 1] - (nu[i - 1] - lam[i - 1] - w[i])
-    v = nu[0] - lam[0] - w[1]
-    if v < 0 or any(not 0 <= w[i] <= c[i] for i in range(1, j)):
-        return None
-    return tuple(w[1:j]), v
-
-
-def _row_alpha_phi_params(lam_bar, lam, c, i, q) -> PhiParams:
-    """Splitting distribution of W_i (1-based lower index i)."""
-    a_exp = part(lam, i) - part(lam_bar, i)
-    b_exp = INF if i == 1 else part(lam_bar, i - 1) - part(lam_bar, i)
-    return PhiParams.inverse(q, a_exp, b_exp, c[i - 1])
+    c = _moves(lam_bar, nu_bar)
+    # parts are rebound, never updated in place: an array part of lam is shared
+    nu = list(lam)
+    nu[0] = nu[0] + vj
+    w = 1
+    for i in range(1, j):
+        passed = 0  # c_i - W_i, to lam_{i+1}
+        if _draws(c[i - 1]):
+            b = INF if i == 1 else lam_bar[i - 2] - lam_bar[i - 1]
+            p = PhiParams.inverse(q, lam[i - 1] - lam_bar[i - 1], b, c[i - 1])
+            forced = None if target is None else c[i - 1] - (target[i - 1] - nu[i - 1])
+            choice = _phi_choices(p, forced, False, rng, sampler)
+            passed, ws = choice[0] if choice else (0, 0)
+            w *= ws
+        nu[i - 1] = nu[i - 1] + c[i - 1] - passed
+        nu[i] = nu[i] + passed
+    return tuple(nu) if target is None else (w if tuple(nu) == target else 0)
 
 
 def row_alpha_v(ctx: LevelUpdateContext, nu: Signature, q):
@@ -405,19 +435,7 @@ def row_alpha_v(ctx: LevelUpdateContext, nu: Signature, q):
     (alpha a_j)^V (alpha a_j; q)_inf stripped, so it is an exact rational
     function of q alone and is what the main-equation kernel consumes.
     """
-    lam_bar, nu_bar, lam = ctx.lam_bar, ctx.nu_bar, ctx.lam
-    zero = q * 0
-    reachable = _upper_moves(ctx, nu, interlaces_h) is not None
-    rec = _row_alpha_splits(lam_bar, nu_bar, lam, nu) if reachable else None
-    if rec is None:
-        return zero
-    c = _moves(lam_bar, nu_bar)
-    total = zero + 1
-    for i, wi in enumerate(rec[0], start=1):
-        total *= phi_weight(_row_alpha_phi_params(lam_bar, lam, c, i, q), wi)
-        if total == 0:
-            return zero
-    return total / q_pochhammer(q, q, rec[1])
+    return _q_geometric_input(_sample_row_alpha_level, ctx, nu, q)
 
 
 def _row_alpha_u(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
@@ -438,33 +456,6 @@ def row_alpha_prob(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
     return _with_input_law(ctx, nu, row_alpha_v(ctx, nu, q), alpha, a_j, q)
 
 
-def _draws(count) -> bool:
-    """Whether a split of `count` boxes needs a phi draw: not for a scalar 0.  Over a
-    replica axis every replica draws; a count of 0 draws the one point of its support."""
-    return isinstance(count, np.ndarray) or count != 0
-
-
-def _sample_row_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None):
-    """One level update: the input vj at the left, then each lower move c_i split by W_i.
-
-    The parts and vj are ints, or int64 arrays over replicas with `rng` a numpy
-    Generator.  `sampler` is an optional `QSampler` for q, passed on to `phi_sample`.
-    """
-    j = len(lam)
-    c = _moves(lam_bar, nu_bar)
-    # parts are rebound, never updated in place: an array part of lam is shared
-    nu = list(lam)
-    nu[0] = nu[0] + vj
-    for i in range(1, j):
-        wi = (
-            phi_sample(_row_alpha_phi_params(lam_bar, lam, c, i, q), rng, sampler)
-            if _draws(c[i - 1]) else 0
-        )
-        nu[i - 1] = nu[i - 1] + wi
-        nu[i] = nu[i] + c[i - 1] - wi
-    return tuple(nu)
-
-
 # ---------------------------------------------------------------------------
 # (alpha) column insertion: voluntary jumps, pushes, stabilization fund
 # ---------------------------------------------------------------------------
@@ -477,102 +468,72 @@ def _sample_row_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None):
 # ell_i - Y_i - Z_i.  Particle j takes the rest of the input, c_1 and the fund.
 # phi(a, b; n) is the weight of `PhiParams.inverse(q, a, b, n)`.  Given the
 # remaining input, the X_i are free of alpha a_j; at q = 0 they donate the input.
+# A replay sums over the X_i and Y_i; X_1 and each Z_i are fixed by the particle's move.
 
 def _col_alpha_gap(lam_bar, lam, i) -> int:
     return part(lam_bar, len(lam) - i) - part(lam, len(lam) - i + 1)
 
 
-def _col_alpha_phi_params(lam_bar, lam, c, i, q, split, n, fund=0) -> PhiParams:
-    """The phi law of split "X", "Y" or "Z" of particle i < j over n boxes."""
-    j = len(lam)
-    if split == "X":
-        return PhiParams.inverse(q, _col_alpha_gap(lam_bar, lam, i), INF, n)
-    if split == "Y":
-        return PhiParams.inverse(q, c[j - i], part(lam_bar, j - i) - part(lam_bar, j - i + 1), n)
-    return PhiParams.inverse(q, fund, INF, n)
+def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None, target=None):
+    """The walk: the splits of the section comment, particle by particle, on each open
+    path of choices: the one drawn, or every replay whose parts so far are the target's.
 
-
-def col_alpha_v(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
-    """Normalized conditional weight of the q-geometric column insertion.
-
-    The phi weights of the sampler's choices of X_i and Y_i that give nu
-    (Z_i is then fixed by the particle's move), summed and divided by
-    (q;q)_V for the input V.  This strips the factor
-    (alpha a_j)^V (alpha a_j; q)_inf, so the value is free of alpha and a_j.
-    """
-    zero = q * 0
-    mv = _upper_moves(ctx, nu, interlaces_h)
-    v = (weight(nu) - weight(ctx.lam)) - (weight(ctx.nu_bar) - weight(ctx.lam_bar))
-    if mv is None or v < 0:
-        return zero
-    lam_bar, lam, j = ctx.lam_bar, ctx.lam, ctx.j
-    c = _moves(lam_bar, ctx.nu_bar)
-
-    def rest(i, remaining, fund):
-        """The weight of the choices of particles i..j, given the input and fund left."""
-        move = mv[j - i]
-        if i == j:
-            return zero + 1 if move == remaining + (c[0] if j >= 2 else 0) + fund else zero
-        px = _col_alpha_phi_params(lam_bar, lam, c, i, q, "X", remaining)
-        if i == 1:  # no lower-left neighbour: the move is the voluntary jump
-            wx = phi_weight(px, remaining - move) if move <= remaining else zero
-            return wx * rest(2, remaining - move, fund) if wx else zero
-        total = zero
-        gap, ell = _col_alpha_gap(lam_bar, lam, i), c[j - i]
-        for x in range(min(move, remaining) + 1):
-            wx = phi_weight(px, remaining - x)
-            if wx == 0:
-                continue
-            h = gap - x
-            py = _col_alpha_phi_params(lam_bar, lam, c, i, q, "Y", h)
-            for y in range(min(move - x, ell, h) + 1):
-                z = move - x - y
-                if z <= min(h - y, fund):
-                    pz = _col_alpha_phi_params(lam_bar, lam, c, i, q, "Z", h - y, fund)
-                    w = wx * phi_weight(py, h - y) * phi_weight(pz, h - y - z)
-                    if w:
-                        total += w * rest(i + 1, remaining - x, fund + ell - y - z)
-        return total
-
-    return rest(1, v, 0) / q_pochhammer(q, q, v)
-
-
-def col_alpha_prob(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
-    """Conditional probability (floating mode)."""
-    return _with_input_law(ctx, nu, col_alpha_v(ctx, nu, alpha, a_j, q), alpha, a_j, q)
-
-
-def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None):
-    """One level update: the splits of the section comment, particle by particle.
-
-    The parts and vj are ints, or int64 arrays over replicas with `rng` a numpy
+    Drawn, the parts and vj are ints, or int64 arrays over replicas with `rng` a numpy
     Generator.  `sampler` is an optional `QSampler` for q, passed on to `phi_sample`.
     """
     j = len(lam)
     c = _moves(lam_bar, nu_bar)
     # parts are rebound, never updated in place: an array part of lam is shared
     nu = list(lam)
-    remaining = vj
-    fund = 0
-    for i in range(1, j + 1):
-        if i == j:
-            x, y, z = remaining, (c[0] if j >= 2 else 0), fund
-        else:
-            x = y = z = 0
+    paths = [(vj, 0, 1)]  # per path of choices: the input left, the fund, the weight
+    for i in range(1, j):
+        p = j - i
+        move = None if target is None else target[p] - lam[p]
+        gap, ell = _col_alpha_gap(lam_bar, lam, i), (c[p] if i > 1 else 0)
+        extended = []
+        for remaining, fund, w in paths:
+            xs = ((0, 1),)
             if _draws(remaining):
-                px = _col_alpha_phi_params(lam_bar, lam, c, i, q, "X", remaining)
-                x = remaining - phi_sample(px, rng, sampler)
-            if i > 1:
-                h = _col_alpha_gap(lam_bar, lam, i) - x
-                py = _col_alpha_phi_params(lam_bar, lam, c, i, q, "Y", h)
-                y = h - phi_sample(py, rng, sampler)
-                if _draws(fund):
-                    pz = _col_alpha_phi_params(lam_bar, lam, c, i, q, "Z", h - y, fund)
-                    z = (h - y) - phi_sample(pz, rng, sampler)
-                fund = fund + c[j - i] - y - z
-        remaining = remaining - x
-        nu[j - i] = nu[j - i] + x + y + z
-    return tuple(nu)
+                px = PhiParams.inverse(q, gap, INF, remaining)
+                xs = _phi_choices(px, move, i > 1, rng, sampler)
+            for x, wx in xs:
+                left = None if move is None else move - x  # replaying: what Y_i and Z_i add
+                h, ys = 0, ((0, 1),)  # particle 1 has no lower-left neighbour to push it
+                if i > 1:
+                    h = gap - x
+                    py = PhiParams.inverse(q, ell, lam_bar[p - 1] - lam_bar[p], h)
+                    ys = _phi_choices(py, left, True, rng, sampler)
+                for y, wy in ys:
+                    zs = ((0, 1),)
+                    if _draws(fund):
+                        pz = PhiParams.inverse(q, fund, INF, h - y)
+                        z_left = None if left is None else left - y
+                        zs = _phi_choices(pz, z_left, False, rng, sampler)
+                    for z, wz in zs:
+                        nu[p] = lam[p] + x + y + z
+                        if target is None or nu[p] == target[p]:
+                            extended.append((remaining - x, fund + ell - y - z, w * wx * wy * wz))
+        paths = extended
+    total = 0
+    for remaining, fund, w in paths:  # particle j takes the rest of the input, c_1 and the fund
+        nu[0] = lam[0] + remaining + (c[0] if j >= 2 else 0) + fund
+        if target is None or nu[0] == target[0]:
+            total += w
+    return tuple(nu) if target is None else total
+
+
+def col_alpha_v(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
+    """Normalized conditional weight of the q-geometric column insertion.
+
+    Its replayed walk over (q;q)_V for the input V.  This strips the factor
+    (alpha a_j)^V (alpha a_j; q)_inf, so the value is free of alpha and a_j.
+    """
+    return _q_geometric_input(_sample_col_alpha_level, ctx, nu, q)
+
+
+def col_alpha_prob(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
+    """Conditional probability (floating mode)."""
+    return _with_input_law(ctx, nu, col_alpha_v(ctx, nu, alpha, a_j, q), alpha, a_j, q)
 
 
 # ---------------------------------------------------------------------------

@@ -53,15 +53,20 @@ def _insert_row(lam: RealWord, a: RealWord) -> Tuple[RealWord, Optional[RealWord
     return nu, b
 
 
-def grsk_row_insert(array: RealArray, a: Sequence[float]) -> RealArray:
-    """Geometric RSK row insertion of the word a into the array (new array)."""
+def _grsk_insert(insert_word, array: RealArray, a: Sequence[float]) -> RealArray:
+    """Insert a into the array's words in turn; each insertion passes on the next word, or None."""
     arr = [list(w) for w in array]
     cur: Optional[RealWord] = list(a)
     for k in range(len(arr)):
         if cur is None:
             break
-        arr[k], cur = _insert_row(arr[k], cur)
+        arr[k], cur = insert_word(arr[k], cur)
     return arr
+
+
+def grsk_row_insert(array: RealArray, a: Sequence[float]) -> RealArray:
+    """Geometric RSK row insertion of the word a into the array (new array)."""
+    return _grsk_insert(_insert_row, array, a)
 
 
 def _insert_col(lam: RealWord, a: RealWord) -> Tuple[RealWord, Optional[RealWord]]:
@@ -84,14 +89,8 @@ def _insert_col(lam: RealWord, a: RealWord) -> Tuple[RealWord, Optional[RealWord
 
 
 def grsk_col_insert(array: RealArray, a: Sequence[float]) -> RealArray:
-    """Geometric RSK column insertion of the word a into the array."""
-    arr = [list(w) for w in array]
-    cur: Optional[RealWord] = list(a)
-    for k in range(len(arr)):
-        if cur is None:
-            break
-        arr[k], cur = _insert_col(arr[k], cur)
-    return arr
+    """Geometric RSK column insertion of the word a into the array (new array)."""
+    return _grsk_insert(_insert_col, array, a)
 
 
 # ---------------------------------------------------------------------------

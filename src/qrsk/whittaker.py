@@ -18,6 +18,7 @@ from .gt import (
     interlaces_v,
     padded,
     part,
+    signatures_between,
     weight,
 )
 from .qnum import Scalar, exact_div, memoised, q_binomial, q_pochhammer, q_pochhammer_inf
@@ -161,8 +162,6 @@ def _chain_sum(lam, params, q, coef, strip_candidates, cache):
 
 def _h_strips_below(lam):
     """Same-length mu with mu interlacing below lam (horizontal strip lam/mu)."""
-    from .gt import signatures_between
-
     n = len(lam)
     uppers = list(lam)
     lowers = tuple(part(lam, i + 1) for i in range(1, n + 1))
@@ -171,15 +170,7 @@ def _h_strips_below(lam):
 
 def _v_strips_below(lam):
     """Same-length mu with lam/mu a vertical strip."""
-    from itertools import product
-
-    n = len(lam)
-    for drop in product((0, 1), repeat=n):
-        mu = tuple(lam[i] - drop[i] for i in range(n))
-        if all(mu[i] >= 0 for i in range(n)) and all(
-            mu[i] >= mu[i + 1] for i in range(n - 1)
-        ):
-            yield mu
+    return signatures_between([max(x - 1, 0) for x in lam], lam)
 
 
 def q_poly_alpha(lam: Sequence[int], alphas: Sequence[Scalar], q: Scalar) -> Scalar:

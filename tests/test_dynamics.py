@@ -721,3 +721,86 @@ def test_first_success_of_rational_trials_sums_to_one(ps):
     assert len(weights) == len(ps) + 1
     assert all(w >= 0 for w in weights)
     assert sum(weights) == 1
+
+
+# Final arrays of seeded sample_step runs, recorded before the level updates
+# were rewritten as walks: they fix how each kind consumes its rng.
+_GOLDEN_FINAL_ARRAYS = {
+    (ROW_ALPHA, 3): ((304,), (305, 249), (307, 257, 200)),
+    (ROW_ALPHA, 5): ((264,), (270, 227), (279, 235, 211), (279, 248, 220, 162),
+                     (282, 251, 225, 165, 129)),
+    (COL_ALPHA, 3): ((239,), (268, 219), (289, 223, 194)),
+    (COL_ALPHA, 5): ((262,), (269, 234), (273, 254, 191), (274, 256, 199, 164),
+                     (274, 258, 202, 173, 149)),
+    (ROW_BETA, 3): ((102,), (105, 70), (109, 87, 67)),
+    (ROW_BETA, 5): ((98,), (100, 64), (104, 75, 54), (106, 81, 62, 50),
+                    (106, 86, 64, 60, 49)),
+    (COL_BETA, 3): ((83,), (88, 79), (98, 83, 73)),
+    (COL_BETA, 5): ((87,), (91, 62), (93, 78, 61), (97, 82, 68, 57),
+                    (97, 82, 72, 67, 44)),
+    (PUSH_BLOCK_ALPHA, 3): ((73,), (78, 44), (83, 58, 27)),
+    (PUSH_BLOCK_ALPHA, 5): ((51,), (57, 42), (61, 51, 28), (61, 53, 31, 19),
+                            (63, 54, 33, 26, 12)),
+    (PUSH_BLOCK_BETA, 3): ((18,), (19, 10), (22, 15, 7)),
+    (PUSH_BLOCK_BETA, 5): ((19,), (19, 11), (20, 17, 9), (24, 17, 11, 9),
+                           (25, 19, 11, 10, 5)),
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(_GOLDEN_FINAL_ARRAYS))
+def test_seeded_sample_step_runs_are_unchanged(kind, n):
+    rule = dyn.KINDS[kind]
+    a = tuple(1.0 - 0.1 * i for i in range(n))
+    spec = DynamicsSpec(kind, 0.5, 0.4 if rule.beta else 0.35, a)
+    rng = random.Random(1000 * n + len(kind))
+    arr = zero_array(n)
+    for _ in range(60 if rule.push_block else 300):
+        arr = sample_step(spec, arr, rng)
+    assert arr == _GOLDEN_FINAL_ARRAYS[kind, n]
+
+
+def test_seeded_scaled_arrays_are_unchanged():
+    # the per-(j, k) sums over 50 replicas of the integer parts behind the log ratios
+    from qrsk.polymers import scaled_col_arrays, scaled_row_arrays
+
+    eps, t = 1e-2, 3
+    log_inv_eps = math.log(1 / eps)
+    args = (3, t, [0.5, 1.0, 1.5], [0.75, 1.25, 2.0], eps, 50)
+    row = scaled_row_arrays(*args, random.Random(7))
+    col = scaled_col_arrays(*args, random.Random(7))
+    row_sums = {(j, k): sum(round((x + (t + j - 2 * k + 1) * log_inv_eps) / eps) for x in xs)
+                for (j, k), xs in row.items()}
+    col_sums = {(j, k): sum(round(((t - j + 2 * k - 1) * log_inv_eps - x) / eps) for x in xs)
+                for (j, k), xs in col.items()}
+    assert row_sums == {(1, 1): 67720, (2, 1): 92613, (2, 2): 35200,
+                        (3, 1): 114791, (3, 2): 57048, (3, 3): 13945}
+    assert col_sums == {(1, 1): 66323, (2, 1): 36194, (2, 2): 91567,
+                        (3, 1): 14735, (3, 2): 57068, (3, 3): 114144}
+
+
+@pytest.mark.parametrize("kind", [ROW_ALPHA, COL_ALPHA])
+def test_q_geometric_evaluators_sum_to_one_per_input_exactly(kind):
+    # given the input V, the normalised weights of its nu sum to 1 / (q;q)_V:
+    # a choice the evaluator drops or counts twice shows as an exact mismatch
+    q = F(1, 3)
+    rnd = random.Random(29 if kind == ROW_ALPHA else 31)
+    done = 0
+    while done < 30:
+        j = rnd.choice((2, 3, 4))
+        lam = tuple(sorted((rnd.randint(0, 3) for _ in range(j)), reverse=True))
+        lam_bar = tuple(rnd.randint(lam[i + 1], lam[i]) for i in range(j - 1))
+        nu_bar = tuple(rnd.randint(lam_bar[i], min(3, lam_bar[i - 1] if i else 3))
+                       for i in range(j - 1))
+        if not (interlaces_h(lam_bar, lam) and interlaces_h(lam_bar, nu_bar)):
+            continue
+        done += 1
+        ctx = LevelUpdateContext(lam_bar, nu_bar, lam)
+        totals = {v: F(0) for v in range(4)}
+        for nu in level_candidates(kind, lam, nu_bar, 3):
+            v = (weight(nu) - weight(lam)) - (weight(nu_bar) - weight(lam_bar))
+            if v in totals:
+                w = row_alpha_v(ctx, nu, q) if kind == ROW_ALPHA else dyn.col_alpha_v(
+                    ctx, nu, F(1, 5), F(1), q)
+                totals[v] += w
+        for v, total in totals.items():
+            assert total * q_pochhammer(q, q, v) == 1, (kind, lam_bar, nu_bar, lam, v)
