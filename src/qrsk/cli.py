@@ -343,10 +343,20 @@ def cmd_simulate(args) -> int:
         return 2
     rng = random.Random(args.seed)
     exact = args.mode == "exact"
+    a_given = _parse_params(args, n)
+    pars_given = args.alpha or args.beta or [Fraction(1, 3)]
+    # checked before any step, as for q: a particle system checks them only as it steps
+    xs = [par * aj for par in pars_given for aj in a_given]
+    if min(xs) < 0 or (is_alpha and max(xs) >= 1):
+        print(f"need 0 <= {right} a_j{' < 1' if is_alpha else ''} at every step and level",
+              file=sys.stderr)
+        return 2
+    # the run's parameters as given, for the JSON report: rationals as "p/q" strings
+    run = {"system": args.system, "version": __version__, "seed": args.seed, "mode": args.mode,
+           "q": str(args.q), right: [str(x) for x in pars_given], "a": [str(x) for x in a_given]}
     q = args.q if exact else float(args.q)
-    a = [x if exact else float(x) for x in _parse_params(args, n)]
-    pars = args.alpha or args.beta or [Fraction(1, 3)]
-    pars = [x if exact else float(x) for x in pars]
+    a = [x if exact else float(x) for x in a_given]
+    pars = [x if exact else float(x) for x in pars_given]
 
     def par_at(t):
         # repeatable per time step; the last value carries on
@@ -369,7 +379,7 @@ def cmd_simulate(args) -> int:
                 for i, x in enumerate(level, start=1):
                     rows.append((t, j, i, x))
         header = ["t", "level", "index", "position"]
-        final = {"levels": [list(level) for level in arr], "v_draws": v_log}
+        final = dict(run, levels=[list(level) for level in arr], v_draws=v_log)
     elif args.system in PARTICLE_SYSTEMS:
         step = PARTICLE_SYSTEMS[args.system]
         cfg = particles.step_config(n)
@@ -378,7 +388,7 @@ def cmd_simulate(args) -> int:
             for i, x in enumerate(cfg, start=1):
                 rows.append((t, i, x))
         header = ["t", "i", "x_i"]
-        final = {"x": list(cfg)}
+        final = dict(run, x=list(cfg))
     else:
         print(f"unknown system {args.system!r}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -147,13 +148,24 @@ class DynamicsSpec:
         if not 0 <= self.q < 1:
             raise ValueError(f"need 0 <= q < 1, got q = {self.q}")
         pars = self.step_param if isinstance(self.step_param, (list, tuple)) else [self.step_param]
-        if not beta and any(par * aj >= 1 for par in pars for aj in self.a):
+        xs = [par * aj for par in pars for aj in self.a]
+        name = "beta" if beta else "alpha"
+        if any(x < 0 for x in xs):
+            raise ValueError(f"need {name} a_j >= 0, got {name} = {self.step_param}, a = {self.a}")
+        if not beta and any(x >= 1 for x in xs):
             raise ValueError(f"need alpha a_j < 1, got alpha = {self.step_param}, a = {self.a}")
 
     @cached_property
     def sampler(self) -> QSampler:
         """Floating-mode sampling tables at this q, shared by every step drawn with this spec."""
         return QSampler(self.q)
+
+    @cached_property
+    def input_params(self) -> Tuple[float, ...]:
+        """Per level, the float parameter of its input draw, with x = par a_j: the
+        probability x / (1 + x) of a Bernoulli input, or x of a q-geometric one."""
+        xs = [float(self.step_param * aj) for aj in self.a]
+        return tuple(x / (1 + x) for x in xs) if _rule(self.kind).beta else tuple(xs)
 
 
 @dataclass(frozen=True)
@@ -183,7 +195,7 @@ def _pt(sig: Sequence[int], i: int):
 
 def _moves(before: Sequence[int], after: Sequence[int]) -> Tuple[int, ...]:
     """after - before, part by part."""
-    return tuple(b - a for a, b in zip(before, after))
+    return tuple(map(sub, after, before))
 
 
 def _strip_bounds(beta: bool, lam, nu_bar) -> Tuple[list, list]:
@@ -268,29 +280,30 @@ def _first_success(ps) -> list:
     """The law of the first success in trials of success probabilities ps, then a sure one:
     (1 - ps[0])...(1 - ps[s-1]) ps[s], multiplied left to right, and the remainder."""
     weights, rest = [], 1
-    for s, p in enumerate(ps):
-        weights.append(rest * p if s else p)
-        rest = rest * (1 - p) if s else 1 - p
+    for p in ps:
+        weights.append(rest * p)  # 1 * p is p, bit for bit
+        rest = rest * (1 - p)
     weights.append(rest)
     return weights
 
 
 def _pick(weights, u) -> int:
-    """The first index whose cumulative float weight reaches u (the last if none does)."""
+    """The first index whose cumulative float weight reaches u (the last if none does).
+    A float plus a Fraction weight is the sum of the two floats."""
     acc = 0.0
     for s, w in enumerate(weights):
-        acc += float(w)
+        acc += w
         if u <= acc:
             return s
     return len(weights) - 1
 
 
-def _g_factor(i, nu_bar, lam, q):
-    return 1 - qpow(q, part(lam, i) - part(nu_bar, i) + 1)
+def _g_factor(i, nu_bar, lam, q):  # parts i <= len(nu_bar); a finite e, so q ** e is qpow(q, e)
+    return 1 - q ** (lam[i - 1] - nu_bar[i - 1] + 1)
 
 
 def _f_factor(i, nu_bar, lam, q):
-    return _g_factor(i, nu_bar, lam, q) / (1 - qpow(q, _pt(nu_bar, i - 1) - part(nu_bar, i) + 1))
+    return _g_factor(i, nu_bar, lam, q) / (1 - qpow(q, _pt(nu_bar, i - 1) - nu_bar[i - 1] + 1))
 
 
 def _islands(c: Sequence[int]) -> List[Tuple[int, int]]:
@@ -336,12 +349,12 @@ def row_beta_prob(ctx: LevelUpdateContext, nu: Signature, beta, a_j, q):
 # (beta) column insertion: pairs of moved particles and move donation
 # ---------------------------------------------------------------------------
 
-def _gp_factor(s, nu_bar, lam, q):
-    return 1 - qpow(q, _pt(nu_bar, s - 1) - part(lam, s))
+def _gp_factor(s, nu_bar, lam, q):  # s >= 2
+    return 1 - q ** (nu_bar[s - 2] - lam[s - 1])
 
 
 def _fp_factor(k, nu_bar, lam, q):
-    return _gp_factor(k, nu_bar, lam, q) / (1 - qpow(q, _pt(nu_bar, k - 1) - part(nu_bar, k) + 1))
+    return _gp_factor(k, nu_bar, lam, q) / (1 - q ** (nu_bar[k - 2] - nu_bar[k - 1] + 1))
 
 
 def _pair_law(r, k, nu_bar, lam, q) -> list:
@@ -360,8 +373,8 @@ def _moved_pairs(c: Sequence[int]) -> List[Tuple[int, int]]:
     """Consecutive moved lower indices (r, k), from r = 0 (1-based)."""
     pairs = []
     prev = 0
-    for k in range(1, len(c) + 1):
-        if c[k - 1] == 1:
+    for k, ck in enumerate(c, start=1):
+        if ck == 1:
             pairs.append((prev, k))
             prev = k
     return pairs
@@ -471,7 +484,8 @@ def row_alpha_prob(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
 # A replay sums over the X_i and Y_i; X_1 and each Z_i are fixed by the particle's move.
 
 def _col_alpha_gap(lam_bar, lam, i) -> int:
-    return part(lam_bar, len(lam) - i) - part(lam, len(lam) - i + 1)
+    """lam_bar_{j-i} - lam_{j-i+1} for 1 <= i < j = len(lam)."""
+    return lam_bar[len(lam) - i - 1] - lam[len(lam) - i]
 
 
 def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None, target=None):
@@ -726,15 +740,10 @@ def sample_inputs(spec: DynamicsSpec, rng) -> Tuple[int, ...]:
     Alpha kinds draw from the q-geometric tables of `spec.sampler`, so the
     normaliser log (alpha a_j; q)_inf is computed once per spec and level.
     """
-    beta = KINDS[spec.kind].beta  # the spec checked its kind
-    vs = []
-    for aj in spec.a:
-        x = float(spec.step_param * aj)
-        if beta:
-            vs.append(1 if rng.random() < x / (1 + x) else 0)
-        else:
-            vs.append(sample_q_geometric(x, float(spec.q), rng, spec.sampler))
-    return tuple(vs)
+    if KINDS[spec.kind].beta:  # the spec checked its kind
+        return tuple([1 if rng.random() < p else 0 for p in spec.input_params])
+    q, sampler = float(spec.q), spec.sampler
+    return tuple([sample_q_geometric(x, q, rng, sampler) for x in spec.input_params])
 
 
 def sample_step(
@@ -754,15 +763,23 @@ def sample_step(
         inputs = sample_inputs(spec, rng)
     elif len(inputs) != n:
         raise ValueError(f"{spec.kind} step: {len(inputs)} inputs for {n} levels")
-    out: List[Signature] = [(arr[0][0] + inputs[0],)]
-    for j in range(2, n + 1):
-        nu_bar = out[-1]
-        new = rule.sample_level(spec, j, arr[j - 2], nu_bar, arr[j - 1], inputs[j - 1], rng)
-        if not interlaces_h(nu_bar, new):
+    nu_bar = (arr[0][0] + inputs[0],)
+    out: List[Signature] = [nu_bar]
+    for j, (lam_bar, lam, vj) in enumerate(zip(arr, arr[1:], inputs[1:]), start=2):
+        new = rule.sample_level(spec, j, lam_bar, nu_bar, lam, vj, rng)
+        # interlaces_h(nu_bar, new) for a new of length j: new_1 >= nu_bar_1 >= ... >= new_j >= 0
+        ok = len(new) == j and new[-1] >= 0
+        if ok:
+            for m, upper, lower in zip(nu_bar, new, new[1:]):
+                if not upper >= m >= lower:
+                    ok = False
+                    break
+        if not ok:
             raise ValueError(
                 f"{spec.kind} step: level {j} {new} does not interlace with level {j - 1} {nu_bar}"
             )
         out.append(new)
+        nu_bar = new
     return tuple(out)
 
 

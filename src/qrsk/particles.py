@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from .qnum import INF, Q_MEMO_SIZE, PhiParams, QSampler, phi_sample, qpow, sample_q_geometric
+from .qnum import INF, Q_MEMO_SIZE, PhiParams, QSampler, phi_sample, sample_q_geometric
 
 ParticleConfig = Tuple[int, ...]
 
@@ -28,8 +28,9 @@ def flip(cfg: Sequence[int]) -> ParticleConfig:
 def _check_step(x: Sequence[int], q) -> None:
     if not 0 <= q < 1:
         raise ValueError(f"need 0 <= q < 1, got q = {q}")
-    if any(x[i] <= x[i + 1] for i in range(len(x) - 1)):
-        raise ValueError("particles must be strictly decreasing")
+    for i in range(len(x) - 1):
+        if x[i] <= x[i + 1]:
+            raise ValueError("particles must be strictly decreasing")
 
 
 @lru_cache(maxsize=Q_MEMO_SIZE)
@@ -38,67 +39,66 @@ def _sampler(q: float) -> QSampler:
     return QSampler(q)
 
 
-def _push_jump_prob(cfg, j, bj, q, prev_jumped):
-    """Jump probability of particle j of the Bernoulli q-PushTASEP: its own jump,
-    and after a jump of particle j - 1 a push with probability q^gap."""
-    if not prev_jumped:
-        return bj / (1 + bj)
-    return (bj + qpow(q, cfg[j - 1] - cfg[j] - 1)) / (1 + bj)
+def _jump_prob(push, cfg, j, b, q, prev_jumped):
+    """Jump probability of particle j, b = beta a_j, of the Bernoulli q-PushTASEP (push)
+    or q-TASEP.  Its own jump has probability b / (1 + b).  In the PushTASEP a jump of
+    particle j - 1 also pushes it with probability q^gap; in the q-TASEP it is blocked
+    with probability q^gap unless particle j - 1 jumped.  Particle 0 jumps freely."""
+    if j == 0 or prev_jumped != push:
+        return b / (1 + b)
+    gap_factor = q ** (cfg[j - 1] - cfg[j] - 1)
+    return (b + gap_factor) / (1 + b) if push else b * (1 - gap_factor) / (1 + b)
 
 
-def _tasep_jump_prob(cfg, j, bj, q, prev_jumped):
-    """Jump probability of particle j of the Bernoulli q-TASEP: blocked with
-    probability q^gap unless particle j - 1 jumped (particle 0 counts as such)."""
-    if prev_jumped:
-        return bj / (1 + bj)
-    return bj * (1 - qpow(q, cfg[j - 1] - cfg[j] - 1)) / (1 + bj)
-
-
-# system -> (jump probability, jump direction, whether particle 0 counts as after a jump)
-_BERNOULLI = {
-    "BernoulliPush": (_push_jump_prob, -1, False),
-    "BernoulliTasep": (_tasep_jump_prob, 1, True),
-}
-
-
-def _bernoulli_step(system, cfg, beta, a, q, rng) -> ParticleConfig:
+def _bernoulli_step(push, cfg, beta, a, q, rng) -> ParticleConfig:
     _check_step(cfg, q)
-    jump_prob, direction, jumped = _BERNOULLI[system]
     q = float(q)
     x = list(cfg)
+    jumped = False
     for j in range(len(x)):
-        jumped = rng.random() < jump_prob(cfg, j, float(beta * a[j]), q, jumped)
+        b = beta * a[j]
+        if b < 0:
+            raise ValueError(f"need beta a_j >= 0, got beta = {beta}, a_j = {a[j]}")
+        b = float(b)
+        # _jump_prob(push, cfg, j, b, q, jumped), inline: one call fewer per particle
+        if j == 0 or jumped != push:
+            p = b / (1 + b)
+        else:
+            gap_factor = q ** (cfg[j - 1] - cfg[j] - 1)
+            p = (b + gap_factor) / (1 + b) if push else b * (1 - gap_factor) / (1 + b)
+        jumped = rng.random() < p
         if jumped:
-            x[j] += direction
+            x[j] += -1 if push else 1
     return tuple(x)
 
 
 def bernoulli_qpush_step(cfg, beta, a, q, rng) -> ParticleConfig:
     """One step of the Bernoulli q-PushTASEP (left jumps)."""
-    return _bernoulli_step("BernoulliPush", cfg, beta, a, q, rng)
+    return _bernoulli_step(True, cfg, beta, a, q, rng)
 
 
 def bernoulli_qtasep_step(cfg, beta, a, q, rng) -> ParticleConfig:
     """One step of the Bernoulli q-TASEP (right jumps)."""
-    return _bernoulli_step("BernoulliTasep", cfg, beta, a, q, rng)
+    return _bernoulli_step(False, cfg, beta, a, q, rng)
 
 
 def geometric_qpush_step(cfg, alpha, a, q, rng) -> ParticleConfig:
     """One step of the geometric q-PushTASEP (left jumps).
 
     x_j jumps by an independent q-geometric amount plus a push split off the
-    move of its right neighbor.
+    move of its right neighbor.  The q-geometric draw rejects alpha a_j < 0.
     """
     _check_step(cfg, q)
+    q = float(q)
     x = list(cfg)
-    sampler = _sampler(float(q))
+    sampler = _sampler(q)
     for j in range(len(x)):
-        v = sample_q_geometric(float(alpha * a[j]), float(q), rng, sampler)
+        v = sample_q_geometric(float(alpha * a[j]), q, rng, sampler)
         w = 0
         if j > 0:
-            gap = cfg[j - 1] - cfg[j] - 1
             c = cfg[j - 1] - x[j - 1]  # left displacement of the neighbor
             if c > 0:
+                gap = cfg[j - 1] - cfg[j] - 1
                 w = phi_sample(PhiParams.inverse(q, gap, INF, c), rng, sampler)
         x[j] -= v + w
     return tuple(x)
@@ -107,15 +107,19 @@ def geometric_qpush_step(cfg, alpha, a, q, rng) -> ParticleConfig:
 def geometric_qtasep_step(cfg, alpha, a, q, rng) -> ParticleConfig:
     """One step of the geometric q-TASEP (right jumps)."""
     _check_step(cfg, q)
+    q = float(q)
     x = list(cfg)
     for j in range(len(x)):
+        xj = alpha * a[j]
+        if xj < 0:
+            raise ValueError(f"need alpha a_j >= 0, got alpha = {alpha}, a_j = {a[j]}")
         gap = INF if j == 0 else cfg[j - 1] - cfg[j] - 1
         if gap == INF:
-            w = sample_q_geometric(float(alpha * a[j]), float(q), rng, _sampler(float(q)))
+            w = sample_q_geometric(float(xj), q, rng, _sampler(q))
         elif gap == 0:
             w = 0
         else:
-            w = phi_sample(PhiParams.direct(q, alpha * a[j], q * 0, gap), rng)
+            w = phi_sample(PhiParams.direct(q, float(xj), 0.0, gap), rng)
         x[j] += w
     return tuple(x)
 
@@ -126,14 +130,15 @@ def geometric_qtasep_step(cfg, alpha, a, q, rng) -> ParticleConfig:
 
 def _bernoulli_transitions(system, cfg, beta, a, q):
     """(configuration, probability) over the one-step moves of a Bernoulli system."""
-    jump_prob, direction, first = _BERNOULLI[system]
+    push = system == "BernoulliPush"
+    direction = -1 if push else 1
     one = q * 0 + 1
 
     def rec(j, x, prob, prev_jumped):
         if j == len(x):
             yield tuple(x), prob
             return
-        p = jump_prob(cfg, j, beta * a[j], q, prev_jumped)
+        p = _jump_prob(push, cfg, j, beta * a[j], q, prev_jumped)
         for jumped in (False, True):
             pr = p if jumped else one - p
             if pr == 0:
@@ -142,7 +147,7 @@ def _bernoulli_transitions(system, cfg, beta, a, q):
             yield from rec(j + 1, x, prob * pr, jumped)
             x[j] -= direction if jumped else 0
 
-    yield from rec(0, list(cfg), one, first)
+    yield from rec(0, list(cfg), one, False)
 
 
 def evolve_distribution(dist, system: str, steps: int, beta, a, q):

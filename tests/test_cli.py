@@ -221,3 +221,47 @@ def test_polymer_limit_report_records_the_version(tmp_path, capsys):
     assert code == 0
     rep = json.loads((tmp_path / "r.json").read_text())
     assert rep["version"] == qrsk.__version__ and rep["seed"] == 5
+
+
+def test_simulate_rejects_a_negative_step_parameter(tmp_path, capsys):
+    # beta a_j < 0 ran a frozen trajectory (every input 0), and beta a_j = -1 divided by zero
+    out = ["--out", str(tmp_path / "run")]
+    for system, flag in [("row-beta", "--beta"), ("push-block-beta", "--beta"),
+                         ("row-alpha", "--alpha"), ("bernoulli-qpush", "--beta"),
+                         ("bernoulli-qtasep", "--beta"), ("geometric-qpush", "--alpha"),
+                         ("geometric-qtasep", "--alpha")]:
+        for value in ("-1/2", "-1"):
+            args = ["simulate", system, "-N", "2", "-T", "3", f"{flag}={value}"]
+            assert main(args + out) == 2, (system, value)
+        # a negative entry at a later step, or a negative level parameter
+        assert main(["simulate", system, "-N", "2", "-T", "3", flag, "1/3", f"{flag}=-1/3"]
+                    + out) == 2, system
+        assert main(["simulate", system, "-N", "2", "-T", "3", flag, "1/3", "--a", "1",
+                     "--a=-1"] + out) == 2, system
+        # checked before the first step, as q is
+        assert main(["simulate", system, "-N", "2", "-T", "0", f"{flag}=-1/3"] + out) == 2, system
+    # and alpha a_j < 1, for the particle systems too
+    for system in ("geometric-qpush", "geometric-qtasep"):
+        assert main(["simulate", system, "-N", "2", "-T", "0", "--alpha", "3/2"] + out) == 2
+    err = capsys.readouterr().err
+    assert "need 0 <= beta a_j at every step and level" in err
+    assert "need 0 <= alpha a_j < 1 at every step and level" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_simulate_json_records_the_run(tmp_path, capsys):
+    import qrsk
+
+    for system, flag, keys in [("col-alpha", "--alpha", ["levels", "v_draws"]),
+                               ("bernoulli-qtasep", "--beta", ["x"])]:
+        base = tmp_path / system
+        args = ["simulate", system, "-N", "2", "-T", "3", "--seed", "9", "--q", "2/5",
+                flag, "1/4", flag, "1/5", "--a", "1", "--a", "9/10", "--out", str(base)]
+        assert main(args) == 0
+        report = json.loads(base.with_suffix(".json").read_text())
+        assert list(report) == ["system", "version", "seed", "mode", "q", flag[2:], "a"] + keys
+        assert report["system"] == system and report["version"] == qrsk.__version__
+        assert report["seed"] == 9 and report["mode"] == "float" and report["q"] == "2/5"
+        assert report[flag[2:]] == ["1/4", "1/5"] and report["a"] == ["1", "9/10"]
+    capsys.readouterr()

@@ -430,6 +430,72 @@ def test_sample_step_rejects_a_level_that_does_not_interlace(monkeypatch):
         sample_step(spec, zero_array(2), random.Random(0), inputs=(0, 0))
 
 
+def _fake_levels(monkeypatch, levels):
+    """A row-beta level sampler that returns levels[len(lam)], whatever it is given."""
+    monkeypatch.setattr(
+        dyn, "_sample_row_beta_level", lambda lam_bar, nu_bar, lam, vj, q, rng: levels[len(lam)]
+    )
+
+
+@pytest.mark.parametrize("levels, bad", [
+    ({2: (0, -1)}, 2),              # a negative last part
+    ({2: (0,)}, 2),                 # a level one part short, or one part long:
+    ({2: (0, 0, 0)}, 2),            # interlaces_h pads both with zeros and accepts them
+    ({2: (2, 1), 3: (2, 0, 0)}, 3),  # part 2 below part 2 of the level beneath
+])
+def test_sample_step_rejects_more_levels_that_do_not_interlace(monkeypatch, levels, bad):
+    _fake_levels(monkeypatch, levels)
+    n = max(levels)
+    spec = DynamicsSpec(ROW_BETA, 0.5, 0.4, (1.0,) * n)
+    inputs = (levels[2][0],) + (0,) * (n - 1)
+    with pytest.raises(ValueError, match=f"level {bad} .* does not interlace with level {bad - 1}"):
+        sample_step(spec, zero_array(n), random.Random(0), inputs=inputs)
+
+
+@st.composite
+def _level_chains(draw):
+    """Levels 1..j, level k of length k, each interlacing above the one below; then
+    maybe one part of a level k >= 2 moved by up to 2, or the level a part short or long."""
+    j = draw(st.integers(2, 5))
+    chain = {1: (draw(st.integers(0, 4)),)}
+    for k in range(2, j + 1):
+        below = chain[k - 1]
+        bounds = [(below[0], below[0] + 2)] + list(zip(below[1:], below)) + [(0, below[-1])]
+        chain[k] = tuple(draw(st.integers(lo, hi)) for lo, hi in bounds)
+    k = draw(st.integers(2, j))
+    change = draw(st.sampled_from(["none", "part", "short", "long"]))
+    level = list(chain[k])
+    if change == "part":
+        i = draw(st.integers(0, k - 1))
+        level[i] += draw(st.integers(-2, 2))
+    elif change == "short":
+        level.pop()
+    elif change == "long":
+        level.append(draw(st.integers(-1, 1)))
+    chain[k] = tuple(level)
+    return chain
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_level_chains())
+def test_sample_step_interlace_check_is_interlaces_h(chain):
+    # for levels of lengths (k - 1, k) the step's inline check is gt.interlaces_h;
+    # a level of another length is rejected
+    with pytest.MonkeyPatch.context() as mp:
+        _fake_levels(mp, chain)
+        n = max(chain)
+        bad = [k for k in range(2, n + 1)
+               if len(chain[k]) != k or not interlaces_h(chain[k - 1], chain[k])]
+        spec = DynamicsSpec(ROW_BETA, 0.5, 0.4, (1.0,) * n)
+        arr = tuple((0,) * k for k in range(1, n + 1))
+        inputs = chain[1] + (0,) * (n - 1)
+        if not bad:
+            assert sample_step(spec, arr, random.Random(0), inputs=inputs) == tuple(chain.values())
+        else:
+            with pytest.raises(ValueError, match=f"level {bad[0]} .* does not interlace"):
+                sample_step(spec, arr, random.Random(0), inputs=inputs)
+
+
 def test_sample_step_rejects_a_count_that_differs_from_the_levels():
     # three a_j (or three inputs) for a two-level array: named, not an IndexError
     spec = DynamicsSpec(ROW_BETA, 0.5, 0.4, (1.0, 0.9, 0.8))
@@ -577,6 +643,20 @@ def test_dynamics_spec_rejects_out_of_range_parameters():
         DynamicsSpec(PUSH_BLOCK_ALPHA, 0.5, [0.3, 1.0], (1.0, 0.9))
     # the bound on alpha a_j is for q-geometric input only
     DynamicsSpec(ROW_BETA, 0.5, [0.3, 2.0], (1.0, 0.9))
+
+
+def test_dynamics_spec_rejects_a_negative_step_parameter_times_a_j():
+    # x = par a_j < 0 made x / (1 + x) < 0, a Bernoulli input that never fires (and
+    # x = -1 divided by zero); a q-geometric draw of a negative parameter fails later
+    for kind in dyn.KINDS:
+        for par, a in [(-0.5, (1.0, 0.9)), (F(-1, 2), (F(1),)), (0.4, (1.0, -0.9)),
+                       ([0.4, -1.0], (1.0,)), (-1.0, (1.0,))]:
+            with pytest.raises(ValueError, match="a_j >= 0"):
+                DynamicsSpec(kind, 0.5, par, a)
+        # par a_j = 0 is legal, and every input is then 0
+        DynamicsSpec(kind, 0.5, [0.0, 0.3], (1.0, 0.0))
+        assert sample_step(DynamicsSpec(kind, 0.5, 0.0, (1.0, 0.5)), zero_array(2),
+                           random.Random(0)) == zero_array(2)
 
 
 def test_push_block_beta_float_matches_exact_at_large_parts():

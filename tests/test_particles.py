@@ -250,3 +250,58 @@ def test_steps_reject_q_outside_unit_interval(step):
     for q in (1.5, 1.0, -0.1, F(3, 2)):
         with pytest.raises(ValueError, match="q"):
             step(step_config(2), 0.3, [1.0, 0.9], q, random.Random(0))
+
+
+_STEPS = {
+    "bernoulli_qpush": bernoulli_qpush_step,
+    "bernoulli_qtasep": bernoulli_qtasep_step,
+    "geometric_qpush": geometric_qpush_step,
+    "geometric_qtasep": geometric_qtasep_step,
+}
+
+# Final configurations of seeded 200-step runs from the step initial
+# configuration, and the next draw of the rng after them: they fix how each
+# step consumes its rng.  Float runs at q = 0.5, beta = 0.4 or alpha = 0.35,
+# a_j = 1 - (j - 1)/10; exact runs at q = 1/2, beta = 2/5, a = (1, 9/10, 4/5, 7/10).
+_GOLDEN_PARTICLE_RUNS = {
+    ("bernoulli_qpush", 3, "float"): ((-64, -69, -71), 0.506760926093766),
+    ("bernoulli_qpush", 6, "float"): ((-48, -59, -61, -63, -70, -75), 0.33585361273320036),
+    ("bernoulli_qpush", 4, "exact"): ((-51, -67, -69, -70), 0.499555835961782),
+    ("bernoulli_qtasep", 3, "float"): ((56, 48, 43), 0.0633877588622962),
+    ("bernoulli_qtasep", 6, "float"): ((58, 56, 37, 27, 16, 10), 0.7807991470692128),
+    ("bernoulli_qtasep", 4, "exact"): ((50, 47, 34, 24), 0.7201274627711709),
+    ("geometric_qpush", 3, "float"): ((-169, -187, -192), 0.4305311171425694),
+    ("geometric_qpush", 6, "float"): ((-167, -210, -213, -221, -222, -223), 0.609424984330352),
+    ("geometric_qtasep", 3, "float"): ((173, 161, 129), 0.3831348734643255),
+    ("geometric_qtasep", 6, "float"): ((211, 144, 118, 97, 85, 60), 0.7538715428035019),
+}
+
+
+@pytest.mark.parametrize("name, n, mode", sorted(_GOLDEN_PARTICLE_RUNS))
+def test_seeded_particle_step_runs_are_unchanged(name, n, mode):
+    step = _STEPS[name]
+    if mode == "float":
+        par = 0.35 if name.startswith("geometric") else 0.4
+        a, q = [1.0 - 0.1 * i for i in range(n)], 0.5
+        rng = random.Random(100 * n + len(name))
+    else:
+        par, a, q = F(2, 5), [F(1), F(9, 10), F(4, 5), F(7, 10)], F(1, 2)
+        rng = random.Random(7 + len(name))
+    cfg = step_config(n)
+    for _ in range(200):
+        cfg = step(cfg, par, a, q, rng)
+    assert (cfg, rng.random()) == _GOLDEN_PARTICLE_RUNS[name, n, mode]
+
+
+@pytest.mark.parametrize("name", sorted(_STEPS))
+def test_steps_reject_a_negative_step_parameter_times_a_j(name):
+    step = _STEPS[name]
+    # from (-1, -2) particle 2 has gap 0: a step that draws nothing for it still checks it;
+    # the geometric q-PushTASEP's q-geometric draws check alpha a_j for every particle
+    for par, a in [(-0.5, [1.0, 0.9]), (F(-1, 2), [F(1), F(1)]), (0.3, [1.0, -0.9]),
+                   (-1.0, [1.0, 1.0])]:
+        with pytest.raises(ValueError, match="a_j|alpha"):
+            step((-1, -2), par, a, 0.5, random.Random(0))
+    # par a_j = 0 is legal: a step of the Bernoulli systems leaves such a particle put
+    for par, a in [(0.0, [1.0, 0.9]), (0.3, [1.0, 0.0])]:
+        assert len(step((-1, -2), par, a, 0.5, random.Random(0))) == 2

@@ -328,6 +328,25 @@ def test_phi_inverse_float_closed_form_and_mode_against_exact():
         assert ws[mode - sup[0]] == max(ws), (q, a, b, c)
 
 
+def test_a_sampler_keeps_a_bounded_set_of_walk_starts_that_change_no_draw():
+    # each draw's start (the mode and its weight) is kept per (a, b, c) and reused;
+    # a draw through a warm sampler is the draw of a fresh one, and the kept
+    # starts stop growing at MEMO_SIZE
+    q = 0.7
+    warm = QSampler(q)
+    rnd = random.Random(37)
+    # supports of two points or more; b = a + c + 1 or inf: one (a, c), weights far apart
+    triples = [(a, b, c) for a in range(1, 41) for c in range(1, 15) for b in (INF, a + c + 1)]
+    for a, b, c in triples[:qnum.MEMO_SIZE + 50] * 2:
+        p = PhiParams.inverse(q, a, b, c)
+        seed = rnd.random()
+        drawn = phi_sample(p, random.Random(seed), warm)
+        assert drawn == phi_sample(p, random.Random(seed), QSampler(q)), (a, b, c)
+        mode, w_mode = warm._phi_starts[a, b, c]
+        assert w_mode == math.exp(warm.log_phi_inverse(a, b, c, mode))
+        assert len(warm._phi_starts) <= qnum.MEMO_SIZE
+
+
 def test_zero_mass_raises_instead_of_returning_a_constant():
     rng = random.Random(31)
     q = math.exp(-1e-3)
