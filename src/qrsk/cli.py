@@ -20,6 +20,7 @@ import time
 from fractions import Fraction
 
 from . import __version__, dynamics, gt, moments, particles, polymers, whittaker
+from .qnum import check_step_params
 from .qnum import qbinom_switch_identity as _qbinom_switch_identity
 from .qnum import qbinom_triple_sum as _qbinom_triple_sum
 
@@ -345,11 +346,11 @@ def cmd_simulate(args) -> int:
     exact = args.mode == "exact"
     a_given = _parse_params(args, n)
     pars_given = args.alpha or args.beta or [Fraction(1, 3)]
-    # checked before any step, as for q: a particle system checks them only as it steps
-    xs = [par * aj for par in pars_given for aj in a_given]
-    if min(xs) < 0 or (is_alpha and max(xs) >= 1):
-        print(f"need 0 <= {right} a_j{' < 1' if is_alpha else ''} at every step and level",
-              file=sys.stderr)
+    # checked before any step, as q is: a particle system checks them only as it steps
+    try:
+        check_step_params(pars_given, a_given, is_alpha)
+    except ValueError as e:
+        print(e, file=sys.stderr)
         return 2
     # the run's parameters as given, for the JSON report: rationals as "p/q" strings
     run = {"system": args.system, "version": __version__, "seed": args.seed, "mode": args.mode,

@@ -42,6 +42,7 @@ from .qnum import (
     PhiParams,
     QSampler,
     ZeroMassError,
+    check_step_params,
     is_exact,
     phi_sample,
     phi_weight,
@@ -144,16 +145,10 @@ class DynamicsSpec:
     a: Tuple[object, ...]       # level parameters a_1..a_N
 
     def __post_init__(self):
-        beta = _rule(self.kind).beta
         if not 0 <= self.q < 1:
             raise ValueError(f"need 0 <= q < 1, got q = {self.q}")
         pars = self.step_param if isinstance(self.step_param, (list, tuple)) else [self.step_param]
-        xs = [par * aj for par in pars for aj in self.a]
-        name = "beta" if beta else "alpha"
-        if any(x < 0 for x in xs):
-            raise ValueError(f"need {name} a_j >= 0, got {name} = {self.step_param}, a = {self.a}")
-        if not beta and any(x >= 1 for x in xs):
-            raise ValueError(f"need alpha a_j < 1, got alpha = {self.step_param}, a = {self.a}")
+        check_step_params(pars, self.a, not _rule(self.kind).beta)
 
     @cached_property
     def sampler(self) -> QSampler:

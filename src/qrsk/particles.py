@@ -11,7 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from .qnum import INF, Q_MEMO_SIZE, PhiParams, QSampler, phi_sample, sample_q_geometric
+from .qnum import (INF, Q_MEMO_SIZE, PhiParams, QSampler, check_step_params, phi_sample,
+                   sample_q_geometric)
 
 ParticleConfig = Tuple[int, ...]
 
@@ -25,9 +26,10 @@ def flip(cfg: Sequence[int]) -> ParticleConfig:
     return tuple(-x for x in cfg)
 
 
-def _check_step(x: Sequence[int], q) -> None:
+def _check_step(x: Sequence[int], q, par, a, alpha: bool) -> None:
     if not 0 <= q < 1:
         raise ValueError(f"need 0 <= q < 1, got q = {q}")
+    check_step_params((par,), a, alpha)
     for i in range(len(x) - 1):
         if x[i] <= x[i + 1]:
             raise ValueError("particles must be strictly decreasing")
@@ -51,22 +53,12 @@ def _jump_prob(push, cfg, j, b, q, prev_jumped):
 
 
 def _bernoulli_step(push, cfg, beta, a, q, rng) -> ParticleConfig:
-    _check_step(cfg, q)
+    _check_step(cfg, q, beta, a, False)
     q = float(q)
     x = list(cfg)
     jumped = False
     for j in range(len(x)):
-        b = beta * a[j]
-        if b < 0:
-            raise ValueError(f"need beta a_j >= 0, got beta = {beta}, a_j = {a[j]}")
-        b = float(b)
-        # _jump_prob(push, cfg, j, b, q, jumped), inline: one call fewer per particle
-        if j == 0 or jumped != push:
-            p = b / (1 + b)
-        else:
-            gap_factor = q ** (cfg[j - 1] - cfg[j] - 1)
-            p = (b + gap_factor) / (1 + b) if push else b * (1 - gap_factor) / (1 + b)
-        jumped = rng.random() < p
+        jumped = rng.random() < _jump_prob(push, cfg, j, float(beta * a[j]), q, jumped)
         if jumped:
             x[j] += -1 if push else 1
     return tuple(x)
@@ -86,9 +78,9 @@ def geometric_qpush_step(cfg, alpha, a, q, rng) -> ParticleConfig:
     """One step of the geometric q-PushTASEP (left jumps).
 
     x_j jumps by an independent q-geometric amount plus a push split off the
-    move of its right neighbor.  The q-geometric draw rejects alpha a_j < 0.
+    move of its right neighbor.
     """
-    _check_step(cfg, q)
+    _check_step(cfg, q, alpha, a, True)
     q = float(q)
     x = list(cfg)
     sampler = _sampler(q)
@@ -106,13 +98,11 @@ def geometric_qpush_step(cfg, alpha, a, q, rng) -> ParticleConfig:
 
 def geometric_qtasep_step(cfg, alpha, a, q, rng) -> ParticleConfig:
     """One step of the geometric q-TASEP (right jumps)."""
-    _check_step(cfg, q)
+    _check_step(cfg, q, alpha, a, True)
     q = float(q)
     x = list(cfg)
     for j in range(len(x)):
         xj = alpha * a[j]
-        if xj < 0:
-            raise ValueError(f"need alpha a_j >= 0, got alpha = {alpha}, a_j = {a[j]}")
         gap = INF if j == 0 else cfg[j - 1] - cfg[j] - 1
         if gap == INF:
             w = sample_q_geometric(float(xj), q, rng, _sampler(q))
@@ -152,6 +142,7 @@ def _bernoulli_transitions(system, cfg, beta, a, q):
 
 def evolve_distribution(dist, system: str, steps: int, beta, a, q):
     """Push an exact configuration distribution through `steps` updates."""
+    check_step_params((beta,), a, False)
     for _ in range(steps):
         new: Dict[ParticleConfig, object] = {}
         for cfg, p in dist.items():

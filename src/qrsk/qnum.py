@@ -835,6 +835,17 @@ def _chop_down(u: float, mode: int, lo, hi, w_mode: float, ratio: Callable[[int]
     return s
 
 
+def check_step_params(pars, a, alpha: bool) -> None:
+    """Raise ValueError unless 0 <= par a_j for each step parameter in `pars` and each
+    level parameter a_j, and par a_j < 1 if `alpha` (q-geometric input)."""
+    name = "alpha" if alpha else "beta"
+    for par in pars:
+        for aj in a:
+            if not (0 <= par * aj < 1 if alpha else 0 <= par * aj):
+                raise ValueError(f"need 0 <= {name} a_j{' < 1' if alpha else ''}, "
+                                 f"got {name} = {par}, a_j = {aj}")
+
+
 def sample_q_geometric(
     alpha: float, q: float, rng, sampler: Optional[QSampler] = None, size: Optional[int] = None
 ):

@@ -244,8 +244,8 @@ def test_simulate_rejects_a_negative_step_parameter(tmp_path, capsys):
     for system in ("geometric-qpush", "geometric-qtasep"):
         assert main(["simulate", system, "-N", "2", "-T", "0", "--alpha", "3/2"] + out) == 2
     err = capsys.readouterr().err
-    assert "need 0 <= beta a_j at every step and level" in err
-    assert "need 0 <= alpha a_j < 1 at every step and level" in err
+    assert "need 0 <= beta a_j, got beta = -1/2, a_j = 1" in err
+    assert "need 0 <= alpha a_j < 1, got alpha = 3/2, a_j = 1" in err
     assert "Traceback" not in err
     assert not (tmp_path / "run.csv").exists()
 

@@ -651,7 +651,7 @@ def test_dynamics_spec_rejects_a_negative_step_parameter_times_a_j():
     for kind in dyn.KINDS:
         for par, a in [(-0.5, (1.0, 0.9)), (F(-1, 2), (F(1),)), (0.4, (1.0, -0.9)),
                        ([0.4, -1.0], (1.0,)), (-1.0, (1.0,))]:
-            with pytest.raises(ValueError, match="a_j >= 0"):
+            with pytest.raises(ValueError, match="need 0 <= (alpha|beta) a_j"):
                 DynamicsSpec(kind, 0.5, par, a)
         # par a_j = 0 is legal, and every input is then 0
         DynamicsSpec(kind, 0.5, [0.0, 0.3], (1.0, 0.0))

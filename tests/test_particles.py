@@ -302,6 +302,17 @@ def test_steps_reject_a_negative_step_parameter_times_a_j(name):
                    (-1.0, [1.0, 1.0])]:
         with pytest.raises(ValueError, match="a_j|alpha"):
             step((-1, -2), par, a, 0.5, random.Random(0))
+    # alpha a_j < 1 as well, also for particle 2 at gap 0
+    if name.startswith("geometric"):
+        with pytest.raises(ValueError, match="alpha a_j < 1"):
+            step((-1, -2), 0.5, [1.0, 3.0], 0.5, random.Random(0))
     # par a_j = 0 is legal: a step of the Bernoulli systems leaves such a particle put
     for par, a in [(0.0, [1.0, 0.9]), (0.3, [1.0, 0.0])]:
         assert len(step((-1, -2), par, a, 0.5, random.Random(0))) == 2
+
+
+def test_exact_distribution_rejects_a_negative_beta_times_a_j():
+    # it returned {(-1,): 2, (-2,): -1}, weights outside [0, 1]
+    for system in ("BernoulliPush", "BernoulliTasep", "TwoPart"):
+        with pytest.raises(ValueError, match="beta a_j"):
+            exact_trajectory_distribution(system, 1, 1, F(-1, 2), [F(1)], F(1, 2))
