@@ -24,8 +24,6 @@ from functools import cached_property, lru_cache
 from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .gt import (
     InterlacingArray,
     Signature,
@@ -43,6 +41,7 @@ from .qnum import (
     QSampler,
     ZeroMassError,
     check_step_params,
+    is_array,
     is_exact,
     phi_sample,
     phi_weight,
@@ -406,7 +405,7 @@ def col_beta_prob(ctx: LevelUpdateContext, nu: Signature, beta, a_j, q):
 def _draws(count) -> bool:
     """Whether a split of `count` boxes needs a phi draw: not for a scalar 0.  Over a
     replica axis every replica draws; a count of 0 draws the one point of its support."""
-    return isinstance(count, np.ndarray) or count != 0
+    return is_array(count) or count != 0
 
 
 def _sample_row_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None, target=None):

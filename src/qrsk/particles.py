@@ -26,9 +26,13 @@ def flip(cfg: Sequence[int]) -> ParticleConfig:
     return tuple(-x for x in cfg)
 
 
-def _check_step(x: Sequence[int], q, par, a, alpha: bool) -> None:
-    if not 0 <= q < 1:
-        raise ValueError(f"need 0 <= q < 1, got q = {q}")
+def _check_step(x: Sequence[int], q, par, a, alpha: bool, q_one: bool = False) -> None:
+    """Raise ValueError unless 0 <= q < 1 (or q = 1, with `q_one`), a holds one a_j
+    per particle, each par a_j is in range and x is strictly decreasing."""
+    if not (0 <= q < 1 or q_one and q == 1):
+        raise ValueError(f"need 0 <= q < 1{' or q = 1' if q_one else ''}, got q = {q}")
+    if len(a) != len(x):
+        raise ValueError(f"{len(a)} level parameters a_j for {len(x)} particles")
     check_step_params((par,), a, alpha)
     for i in range(len(x) - 1):
         if x[i] <= x[i + 1]:
@@ -141,8 +145,14 @@ def _bernoulli_transitions(system, cfg, beta, a, q):
 
 
 def evolve_distribution(dist, system: str, steps: int, beta, a, q):
-    """Push an exact configuration distribution through `steps` updates."""
-    check_step_params((beta,), a, False)
+    """Push an exact configuration distribution through `steps` updates of the
+    'BernoulliPush' or 'BernoulliTasep' system.  Raises ValueError where a step
+    function would, except that q = 1 is allowed: its pushes and blocks are then
+    certain, and each step is still a law."""
+    if system not in ("BernoulliPush", "BernoulliTasep"):
+        raise ValueError(f"unknown Bernoulli system {system!r}")
+    for cfg in dist:
+        _check_step(cfg, q, beta, a, False, q_one=True)
     for _ in range(steps):
         new: Dict[ParticleConfig, object] = {}
         for cfg, p in dist.items():

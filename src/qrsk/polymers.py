@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .dynamics import COL_ALPHA, ROW_ALPHA, _sample_col_alpha_level, _sample_row_alpha_level
-from .qnum import QSampler, sample_q_geometric
+from .qnum import QSampler, np, sample_q_geometric
 
 RealWord = List[float]
 RealArray = List[RealWord]

@@ -9,12 +9,11 @@ an infinite product, and those raise `ExactModeError` on exact scalars.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
-
-import numpy as np
 
 Scalar = Union[Fraction, float, int]
 
@@ -54,6 +53,41 @@ Q_MEMO_SIZE = 8
 memoised = lru_cache(maxsize=MEMO_SIZE, typed=True)
 
 
+class _Numpy:
+    """numpy, imported on the first attribute read.
+
+    Only array code reads it: the replica axis, the batch draws and the
+    float sampling tables.  The exact verifier and the Bernoulli samplers
+    never do, so they run without numpy in the process.  The first read
+    copies numpy's names into the instance, so later reads are plain
+    attribute lookups.
+    """
+
+    def __getattr__(self, name):
+        import numpy
+
+        value = getattr(numpy, name)  # may import a submodule, such as numpy.random
+        vars(self).update(vars(numpy))
+        return value
+
+
+np = _Numpy()
+
+
+# Python scalars, which `is_array` answers without looking numpy up: every
+# scalar draw checks its counts and exponents, and they are these.
+_SCALAR_TYPES = frozenset((int, float, Fraction, type(None)))
+
+
+def is_array(x) -> bool:
+    """isinstance(x, numpy.ndarray), without importing numpy: no array exists
+    before numpy is imported."""
+    if type(x) in _SCALAR_TYPES:
+        return False
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(x, numpy.ndarray)
+
+
 class ExactModeError(TypeError):
     """An operation that requires floating arithmetic got exact scalars."""
 
@@ -78,7 +112,7 @@ def exact_div(num: Scalar, den: Scalar) -> Scalar:
 
 def _finite(b) -> bool:
     """Whether an exponent b (an int, INF, or an int array over replicas) is finite."""
-    return isinstance(b, np.ndarray) or b != INF
+    return is_array(b) or b != INF
 
 
 def qpow(q: Scalar, e) -> Scalar:
@@ -304,7 +338,7 @@ class PhiParams(NamedTuple):
             b = INF
         if not (0 <= q < 1):
             raise ValueError("inverse regime needs 0 <= q < 1")
-        if isinstance(y, np.ndarray) or isinstance(a, np.ndarray):
+        if is_array(y) or is_array(a):
             bad = np.any((a < 0) | (a > b) | (y > b))
         else:
             bad = a < 0 or a > b or y > b
@@ -422,7 +456,7 @@ def phi_sample(p: PhiParams, rng, sampler: Optional[QSampler] = None):
     each draw is the inverse CDF of its weight over a window around the mode
     (`QSampler.draw_phi_inverse_batch`).
     """
-    if isinstance(p.y, np.ndarray) or isinstance(p.a, np.ndarray):
+    if is_array(p.y) or is_array(p.a):
         return _phi_sample_batch(p, rng, sampler)
     u = rng.random()
     q, y, xi, eta, a, b = p
@@ -609,7 +643,7 @@ class QSampler:
     def log_qpoch_at(self, n):
         """log (q;q)_n for an int or int array n >= 0, from the prefix's array."""
         prefix = self._prefix
-        top = int(n.max(initial=0)) if isinstance(n, np.ndarray) else n
+        top = int(n.max(initial=0)) if is_array(n) else n
         if top >= prefix.array.size:
             prefix.grow(top)
         # an array that reaches the cap ends there: past it log (q;q)_n stays put
@@ -627,12 +661,12 @@ class QSampler:
         arrays, broadcast against each other, give an array (b = INF or an
         array).
         """
-        lp = self.log_qpoch_at if isinstance(s, np.ndarray) else self.log_qpoch
+        lp = self.log_qpoch_at if is_array(s) else self.log_qpoch
         d = a - c + s
         # the terms free of s are summed apart: over a replica axis they are
         # one value per replica
         v = s * d * self.log_q - lp(s) - lp(c - s) - lp(d) + (lp(a) + lp(c))
-        if isinstance(b, np.ndarray) or b != INF:
+        if _finite(b):
             v = v + (lp(b - a) + lp(b - c) - lp(b)) - lp(b - a - s)
         return v
 

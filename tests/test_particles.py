@@ -316,3 +316,47 @@ def test_exact_distribution_rejects_a_negative_beta_times_a_j():
     for system in ("BernoulliPush", "BernoulliTasep", "TwoPart"):
         with pytest.raises(ValueError, match="beta a_j"):
             exact_trajectory_distribution(system, 1, 1, F(-1, 2), [F(1)], F(1, 2))
+
+
+@pytest.mark.parametrize("q", [F(3, 2), F(-1, 2)])
+def test_exact_distribution_rejects_q_outside_the_unit_interval(q):
+    # q = 3/2 returned a "law" with weights outside [0, 1]
+    for system in ("BernoulliPush", "BernoulliTasep", "TwoPart"):
+        with pytest.raises(ValueError, match="q"):
+            exact_trajectory_distribution(system, 2, 2, F(1, 2), [F(1), F(1)], q)
+    with pytest.raises(ValueError, match="q"):
+        evolve_distribution({step_config(2): F(1)}, "BernoulliPush", 1, F(1, 2), [F(1), F(1)], q)
+
+
+def test_exact_distribution_rejects_an_unknown_system():
+    # "Foo" ran as the q-TASEP
+    with pytest.raises(ValueError, match="Foo"):
+        exact_trajectory_distribution("Foo", 2, 2, F(1, 2), [F(1), F(1)], Q)
+    with pytest.raises(ValueError, match="Foo"):
+        evolve_distribution({step_config(2): F(1)}, "Foo", 1, F(1, 2), [F(1), F(1)], Q)
+
+
+def test_exact_distribution_rejects_too_few_level_parameters():
+    # they raised IndexError
+    for system in ("BernoulliPush", "BernoulliTasep", "TwoPart"):
+        with pytest.raises(ValueError, match="a_j"):
+            exact_trajectory_distribution(system, 3, 1, F(1, 2), [F(1)], Q)
+    with pytest.raises(ValueError, match="a_j"):
+        evolve_distribution({step_config(3): F(1)}, "BernoulliTasep", 1, F(1, 2), [F(1)] * 2, Q)
+
+
+@pytest.mark.parametrize("name", ["bernoulli_qpush", "bernoulli_qtasep", "geometric_qpush",
+                                  "geometric_qtasep"])
+def test_step_rejects_too_few_level_parameters(name):
+    # bernoulli_qpush_step((-1, -2, -3), 0.4, [1.0], 0.5, rng) raised IndexError
+    step = globals()[f"{name}_step"]
+    for a in ([1.0], [1.0, 0.9]):
+        with pytest.raises(ValueError, match="a_j"):
+            step((-1, -2, -3), 0.4, a, 0.5, random.Random(0))
+
+
+def test_exact_distribution_at_q_one_is_a_law():
+    # q = 1 stays allowed: a pushed particle always moves, a blocked one never does
+    for system in ("BernoulliPush", "BernoulliTasep"):
+        d = exact_trajectory_distribution(system, 2, 2, F(1, 2), [F(1), F(1)], F(1))
+        assert sum(d.values()) == 1 and all(0 <= p <= 1 for p in d.values())
