@@ -19,10 +19,8 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, dynamics, gt, moments, particles, polymers, whittaker
+from . import __version__, dynamics, gt, identities, moments, particles, polymers, whittaker
 from .qnum import check_step_params
-from .qnum import qbinom_switch_identity as _qbinom_switch_identity
-from .qnum import qbinom_triple_sum as _qbinom_triple_sum
 
 
 def rational(text: str) -> Fraction:
@@ -37,240 +35,63 @@ def _parse_params(args, count=None):
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: each returns the cases of one generator of
+# `identities` and the tolerance of their residuals |lhs - rhs| (0: exact),
+# taken relative to |rhs| or absolute
 # ---------------------------------------------------------------------------
 
+_Q, _BETA = Fraction(1, 2), Fraction(1, 3)
+_A = (Fraction(1), Fraction(2, 3), Fraction(1, 2))
+_MAIN_EQ_TUPLES = [(_Q, _BETA, Fraction(1)), (Fraction(2, 3), Fraction(1, 5), Fraction(1, 2)),
+                   (Fraction(1, 7), Fraction(1, 2), Fraction(1))]
+
+
 def _suite_main_eq(args):
-    failures = []
-    tuples = [
-        (Fraction(1, 2), Fraction(1, 3), Fraction(1)),
-        (Fraction(2, 3), Fraction(1, 5), Fraction(1, 2)),
-        (Fraction(1, 7), Fraction(1, 2), Fraction(1)),
-    ]
-    by_kind = {kind: 0 for kind, rule in dynamics.KINDS.items() if rule.exact}
-    as_float = getattr(args, "mode", "exact") == "float"
-    for q, par, aj in tuples[: args.tuples]:
-        if as_float:
-            q, par, aj = float(q), float(par), float(aj)
-        for kind in by_kind:
-            for j in range(2, args.levels + 1):
-                by_kind[kind] += dynamics.main_equation_sweep(
-                    kind, j, args.max_part, par, aj, q, report=failures,
-                    tol=1e-9 if as_float else None,
-                )
-    return sum(by_kind.values()), failures, {"cases_by_kind": by_kind}
+    if args.tuples > len(_MAIN_EQ_TUPLES):
+        raise ValueError(f"main-eq has {len(_MAIN_EQ_TUPLES)} parameter tuples, got --tuples {args.tuples}")
+    tuples = _MAIN_EQ_TUPLES[: args.tuples]
+    as_float = args.mode == "float"
+    if as_float:
+        tuples = [tuple(map(float, t)) for t in tuples]
+    kinds = [kind for kind, rule in dynamics.KINDS.items() if rule.exact]
+    cases = identities.main_equation(tuples, kinds, range(2, args.levels + 1), args.max_part)
+    return cases, 1e-9 if as_float else 0, False
 
 
 def _suite_gibbs(args):
-    q = Fraction(1, 2)
-    a = (Fraction(1), Fraction(2, 3), Fraction(1, 2))[: args.levels]
-    spec = whittaker.SpecParams.betas(Fraction(1, 3), Fraction(1, 4))
-    failures = []
-    cases = 0
-    tops = [
-        lam
-        for lam in gt.enumerate_signatures(args.max_part, len(a))
-    ]
-    weights = {}
-    for top in tops:
-        for arr in gt.enumerate_arrays_with_top(top):
-            weights[arr] = whittaker.process_weight(arr, a, spec, q)
-    cases += 1
-    if not whittaker.check_gibbs(weights, a, q):
-        failures.append({"instance": "process weights", "lhs": "ratio", "rhs": "not constant"})
-    # uniform weights at q = 0, a = 1 are Gibbs as well
-    uni = {arr: Fraction(1) for arr in weights}
-    cases += 1
-    if not whittaker.check_gibbs(uni, [Fraction(1)] * len(a), Fraction(0)):
-        failures.append({"instance": "uniform q=0", "lhs": "ratio", "rhs": "not constant"})
-    return cases, failures
+    if not 1 <= args.levels <= len(_A):
+        raise ValueError(f"gibbs has {len(_A)} level parameters, got --levels {args.levels}")
+    spec = whittaker.SpecParams.betas(_BETA, Fraction(1, 4))
+    return identities.gibbs(_Q, _A[: args.levels], spec, args.max_part), 0, False
 
 
 def _suite_cauchy(args):
-    q = Fraction(1, 2)
-    aj = Fraction(2, 3)
-    beta = Fraction(1, 3)
-    failures = []
-    cases = 0
-    for lam in gt.enumerate_signatures(args.max_part, args.levels):
-        for nu_bar in gt.enumerate_signatures(args.max_part, args.levels - 1):
-            lhs = Fraction(0)
-            for lam_bar in gt.enumerate_signatures(args.max_part, args.levels - 1):
-                lhs += (
-                    whittaker.psi(lam, lam_bar, q)
-                    * aj ** (gt.weight(lam) - gt.weight(lam_bar))
-                    * whittaker.psi_prime(nu_bar, lam_bar, q)
-                    * beta ** (gt.weight(nu_bar) - gt.weight(lam_bar))
-                )
-            rhs = Fraction(0)
-            for nu in dynamics._v_strips_above(lam):
-                rhs += (
-                    whittaker.psi(nu, nu_bar, q)
-                    * aj ** (gt.weight(nu) - gt.weight(nu_bar))
-                    * whittaker.psi_prime(nu, lam, q)
-                    * beta ** (gt.weight(nu) - gt.weight(lam))
-                )
-            rhs /= 1 + beta * aj
-            cases += 1
-            if lhs != rhs:
-                failures.append(
-                    {"instance": f"lam={lam} nu_bar={nu_bar}", "lhs": str(lhs), "rhs": str(rhs)}
-                )
-    return cases, failures
+    return identities.skew_cauchy_dual(_Q, Fraction(2, 3), _BETA, args.max_part, args.levels), 0, False
 
 
 def _suite_complementation(args):
-    q = Fraction(1, 2)
-    beta = Fraction(1, 3)
-    aj = Fraction(1)
-    failures = []
-    cases = 0
-    S = args.max_part + 2
-    for j in range(2, args.levels + 1):
-        for lam in gt.enumerate_signatures(args.max_part, j):
-            for lam_bar in gt.enumerate_signatures(args.max_part, j - 1):
-                if not gt.interlaces_h(lam_bar, lam):
-                    continue
-                for nu_bar in dynamics._v_strips_above(lam_bar):
-                    ctx = dynamics.LevelUpdateContext(lam_bar, nu_bar, lam)
-                    for nu in dynamics._v_strips_above(lam):
-                        lhs = dynamics.col_beta_prob(ctx, nu, beta, aj, q)
-                        cctx = dynamics.LevelUpdateContext(
-                            gt.complement(lam_bar, S, j - 1),
-                            gt.complement(tuple(x - 1 for x in nu_bar), S, j - 1),
-                            gt.complement(lam, S, j),
-                        )
-                        cnu = gt.complement(tuple(x - 1 for x in nu), S, j)
-                        expo = -2 * (
-                            (gt.weight(lam) - gt.weight(nu))
-                            - (gt.weight(lam_bar) - gt.weight(nu_bar))
-                        ) - 1
-                        rhs = (aj * beta) ** expo * dynamics.row_beta_prob(
-                            cctx, cnu, beta, aj, q
-                        )
-                        cases += 1
-                        if lhs != rhs:
-                            failures.append(
-                                {
-                                    "instance": f"j={j} lam={lam} nu={nu} "
-                                    f"lam_bar={lam_bar} nu_bar={nu_bar}",
-                                    "lhs": str(lhs),
-                                    "rhs": str(rhs),
-                                }
-                            )
-    return cases, failures
+    cases = identities.complementation(_Q, _BETA, Fraction(1), args.max_part + 2, args.max_part,
+                                       range(2, args.levels + 1))
+    return cases, 0, False
 
 
 def _suite_coupling(args):
-    q = Fraction(1, 2)
-    beta = Fraction(1, 3)
     a = _parse_params(args, args.levels)[: args.levels]
-    failures = []
-    cases = 0
-    for n in range(1, args.levels + 1):
-        for t in range(1, args.steps + 1):
-            cases += 1
-            if not particles.coupling_check(n, t, beta, a[:n], q):
-                failures.append({"instance": f"n={n} t={t}", "lhs": "push", "rhs": "tasep"})
-    return cases, failures
+    return identities.coupling(_Q, _BETA, a, range(1, args.levels + 1), range(1, args.steps + 1)), 0, False
 
 
 def _suite_moments(args):
-    q = Fraction(1, 2)
-    beta = Fraction(1, 3)
-    a = (Fraction(1), Fraction(2, 3), Fraction(1, 2))
-    failures = []
-    values = []
-    cases = 0
-    grids = [(1, (1,)), (1, (2,)), (2, (2, 1))]
-    for k, ns in grids:
-        for t in range(0, args.steps + 1):
-            qy = moments.MomentQuery(k, ns, t, q, beta, a)
-            r = moments.nested_moment_residues(qy)
-            e = moments.exact_qmoment(qy)
-            cases += 1
-            values.append(
-                {"k": k, "n": list(ns), "t": t, "value": str(r), "decimal": float(r)}
-            )
-            if r != e:
-                failures.append({"instance": f"k={k} n={ns} t={t}", "lhs": str(r), "rhs": str(e)})
-    return cases, failures, {"values": values}
+    queries = [moments.MomentQuery(k, ns, t, _Q, _BETA, _A)
+               for k, ns in [(1, (1,)), (1, (2,)), (2, (2, 1))] for t in range(args.steps + 1)]
+    return identities.q_moments(queries), 0, False
 
 
 def _suite_qbinom(args):
-    import random as _random
-
-    rnd = _random.Random(args.seed)
-    failures = []
-    cases = 0
-    for _ in range(5):
-        q = Fraction(rnd.randint(1, 6), rnd.randint(7, 12))
-        s = rnd.randint(0, 4)
-        ell = rnd.randint(0, 4)
-        rr = rnd.randint(0, 4)
-        b = rnd.randint(4, 8)
-        h = rnd.randint(0, 4)
-        cases += 1
-        if not _qbinom_switch_identity(q, s, ell, rr, b, h):
-            failures.append({"instance": f"q={q} s={s} l={ell} R={rr} b={b} h={h}",
-                             "lhs": "switch-lhs", "rhs": "switch-rhs"})
-        A = rnd.randint(0, 4)
-        B = rnd.randint(0, 4)
-        C = rnd.randint(0, 4)
-        ell2 = rnd.randint(0, min(4, B + C))
-        r2 = rnd.randint(0, min(4, A + B))
-        cases += 1
-        val = _qbinom_triple_sum(q, A, B, C, ell2, r2)
-        if val != 1:
-            failures.append({"instance": f"q={q} A={A} B={B} C={C} l={ell2} r={r2}",
-                             "lhs": str(val), "rhs": "1"})
-    return cases, failures
+    return identities.q_binomial_sums(args.seed, 5), 0, False
 
 
 def _suite_grsk_lgv(args):
-    import random as _random
-
-    rnd = _random.Random(args.seed)
-    failures = []
-    cases = 0
-    for n, t in [(3, 4), (4, 5)]:
-        words = [[0.5 + rnd.random() for _ in range(n)] for _ in range(t)]
-        row = polymers.empty_array(n)
-        col = polymers.empty_array(n)
-        for a in words:
-            row = polymers.grsk_row_insert(row, a)
-            col = polymers.grsk_col_insert(col, a)
-        envR = polymers.PolymerEnv("LogGamma", words)
-        envL = polymers.PolymerEnv("StrictWeak", words)
-        for k in range(1, n + 1):
-            for j in range(k, n + 1):
-                if t >= k:
-                    Rk = polymers.lgv_partition(envR, j, k, t)
-                    Rk1 = polymers.lgv_partition(envR, j, k - 1, t) if k > 1 else 1.0
-                    cases += 1
-                    if abs(row[k - 1][j - k] - Rk / Rk1) > 1e-10 * abs(Rk / Rk1):
-                        failures.append({"instance": f"row n={n} t={t} j={j} k={k}",
-                                         "lhs": str(row[k - 1][j - k]), "rhs": str(Rk / Rk1)})
-                if t >= j - k + 1:
-                    Lk = polymers.lgv_partition(envL, j, k, t)
-                    Lk1 = polymers.lgv_partition(envL, j, k - 1, t) if k > 1 else 1.0
-                    cases += 1
-                    if abs(col[k - 1][j - k] - Lk / Lk1) > 1e-10 * abs(Lk / Lk1):
-                        failures.append({"instance": f"col n={n} t={t} j={j} k={k}",
-                                         "lhs": str(col[k - 1][j - k]), "rhs": str(Lk / Lk1)})
-        cases += 1
-        if not polymers.transfer_product_check(words):
-            failures.append({"instance": f"transfer product n={n} t={t}", "lhs": "G-prod",
-                             "rhs": "H-prod"})
-    for _ in range(5):
-        n = rnd.choice((2, 3))
-        lam = [0.5 + rnd.random() for _ in range(n)]
-        a = [0.5 + rnd.random() for _ in range(n)]
-        cases += 1
-        if not polymers.transfer_matrix_check(lam, a, 1, n):
-            failures.append({"instance": f"transfer step lam={lam} a={a}", "lhs": "GH",
-                             "rhs": "HG"})
-    return cases, failures
+    return identities.grsk_lgv(args.seed, [(3, 4), (4, 5)], 5, (2, 3)), 1e-10, True
 
 
 SUITES = {
@@ -286,15 +107,24 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    suite = SUITES[args.suite]
     t0 = time.perf_counter()
-    result = suite(args)
-    elapsed = time.perf_counter() - t0
-    cases, failures = result[0], result[1]
-    report = {"suite": args.suite, "cases": cases, "elapsed_s": round(elapsed, 3),
+    cases, tol, relative = SUITES[args.suite](args)
+    by_kind, failures, worst = {}, [], 0
+    for kind, instance, lhs, rhs in cases:
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        residual = abs(lhs - rhs)
+        if relative:
+            residual /= abs(rhs)
+        worst = max(worst, residual)
+        if not residual <= tol:
+            failures.append({"kind": kind, **instance, "lhs": lhs, "rhs": rhs, "residual": residual})
+    if not by_kind:
+        print(f"verify {args.suite}: no cases at these arguments", file=sys.stderr)
+        return 2
+    report = {"suite": args.suite, "cases": sum(by_kind.values()), "cases_by_kind": by_kind,
+              "worst_residual": float(worst), "residual": "relative" if relative else "absolute",
+              "tolerance": tol, "elapsed_s": round(time.perf_counter() - t0, 3),
               "failures": failures}
-    if len(result) > 2:
-        report.update(result[2])
     text = json.dumps(report, indent=2, default=str)
     if args.out:
         with open(args.out, "w") as f:

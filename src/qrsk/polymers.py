@@ -112,10 +112,6 @@ class PolymerEnv:
     weights: Union[List[List[float]], np.ndarray]
 
     @property
-    def t_max(self) -> int:
-        return len(self.weights)
-
-    @property
     def n(self) -> int:
         return len(self.weights[0])
 

@@ -30,28 +30,14 @@ from qrsk.dynamics import (
     row_beta_prob,
     sample_step,
 )
-from qrsk.gt import (
-    complement,
-    enumerate_arrays_with_top,
-    enumerate_signatures,
-    interlaces_h,
-    weight,
-    zero_array,
-)
-from qrsk.moments import MomentQuery, exact_qmoment, nested_moment_residues
-from qrsk.particles import coupling_check
+from qrsk.gt import enumerate_arrays_with_top, zero_array
+from qrsk.identities import complementation, coupling, grsk_lgv, q_binomial_sums, q_moments
+from qrsk.moments import MomentQuery
 from qrsk.polymers import (
-    PolymerEnv,
-    empty_array,
-    grsk_col_insert,
-    grsk_row_insert,
     ks_statistic,
-    lgv_partition,
     polymer_log_ratios,
     scaled_col_arrays,
     scaled_row_arrays,
-    transfer_matrix_check,
-    transfer_product_check,
 )
 from qrsk.qnum import INF, PhiParams, phi_pmf
 from qrsk.whittaker import SpecParams, process_weight
@@ -61,6 +47,15 @@ PARAM_TUPLES = [
     (F(2, 3), F(1, 5), F(1, 2)),
     (F(1, 7), F(1, 2), F(1)),
 ]
+
+
+def _all_equal(cases):
+    """Assert that every case of an identity generator holds exactly; return how many ran."""
+    count = 0
+    for kind, instance, lhs, rhs in cases:
+        assert lhs == rhs, (kind, instance)
+        count += 1
+    return count
 
 
 def test_criterion_01_main_equation_sweep():
@@ -114,53 +109,27 @@ def test_criterion_03_q0_degeneration():
 
 
 def test_criterion_04_complementation():
-    q, beta, aj = F(1, 2), F(1, 3), F(2, 3)
-    S = 5
-    checked = 0
-    for j in (2, 3, 4):
-        for lam in enumerate_signatures(3, j):
-            for lam_bar in enumerate_signatures(3, j - 1):
-                if not interlaces_h(lam_bar, lam):
-                    continue
-                for nu_bar in dyn._v_strips_above(lam_bar):
-                    ctx = LevelUpdateContext(lam_bar, nu_bar, lam)
-                    cctx = LevelUpdateContext(
-                        complement(lam_bar, S, j - 1),
-                        complement(tuple(x - 1 for x in nu_bar), S, j - 1),
-                        complement(lam, S, j),
-                    )
-                    for nu in dyn._v_strips_above(lam):
-                        lhs = col_beta_prob(ctx, nu, beta, aj, q)
-                        expo = -2 * (
-                            (weight(lam) - weight(nu))
-                            - (weight(lam_bar) - weight(nu_bar))
-                        ) - 1
-                        rhs = (aj * beta) ** expo * row_beta_prob(
-                            cctx, complement(tuple(x - 1 for x in nu), S, j), beta, aj, q
-                        )
-                        assert lhs == rhs
-                        checked += 1
+    checked = _all_equal(complementation(F(1, 2), F(1, 3), F(2, 3), 5, 3, (2, 3, 4)))
+    assert checked == 9464
     print(f"\n[PASS] criterion 4: column insertion equals complemented row "
           f"insertion exactly ({checked} instances, parts <= 3, j <= 4)")
 
 
 def test_criterion_05_moments():
-    count = 0
     pairs2 = [(n1, n2) for n1 in (1, 2, 3) for n2 in (1, 2, 3) if n1 >= n2]
+    queries = []
     for q, beta, _ in PARAM_TUPLES:
         a = (F(1), F(2, 3), F(1, 2))
         for ns in [(1,), (2,), (3,)] + pairs2:
             for t in (0, 1, 2, 3):
                 if len(ns) == 2 and t == 3 and ns != (2, 1):
                     continue  # keep the grid under the runtime budget
-                qy = MomentQuery(len(ns), tuple(ns), t, q, beta, a)
-                assert nested_moment_residues(qy) == exact_qmoment(qy), (q, ns, t)
-                count += 1
+                queries.append(MomentQuery(len(ns), tuple(ns), t, q, beta, a))
         for ns in [(1,), (3,), (2, 1), (3, 3)]:
             for tr, tl in [(1, 1), (2, 2), (3, 2), (0, 3)]:
-                qy = MomentQuery(len(ns), tuple(ns), tr, q, beta, system="TwoPart", t_left=tl)
-                assert nested_moment_residues(qy) == exact_qmoment(qy), (q, ns, tr, tl)
-                count += 1
+                queries.append(MomentQuery(len(ns), tuple(ns), tr, q, beta, system="TwoPart", t_left=tl))
+    count = _all_equal(q_moments(queries))
+    assert count == 141
     print(f"\n[PASS] criterion 5: nested-contour moments equal trajectory "
           f"expectations exactly ({count} queries, k <= 2, N <= 3, t <= 3)")
 
@@ -168,65 +137,29 @@ def test_criterion_05_moments():
 def test_criterion_06_coupling():
     count = 0
     for q, beta, _ in PARAM_TUPLES:
-        a = [F(1), F(2, 3), F(1, 2)]
-        for n in (1, 2, 3):
-            for t in (1, 2, 3):
-                assert coupling_check(n, t, beta, a[:n], q)
-                count += 1
+        count += _all_equal(coupling(q, beta, [F(1), F(2, 3), F(1, 2)], (1, 2, 3), (1, 2, 3)))
+    assert count == 27
     print(f"\n[PASS] criterion 6: shifted q-PushTASEP equals parameter-inverted "
           f"q-TASEP exactly ({count} (N, T) cases)")
 
 
 def test_criterion_07_grsk_lgv_and_transfer():
-    rnd = random.Random(7)
     worst = 0.0
-    for n, t in [(2, 3), (3, 4), (4, 5)]:
-        words = [[0.5 + rnd.random() for _ in range(n)] for _ in range(t)]
-        row = empty_array(n)
-        col = empty_array(n)
-        for a in words:
-            row = grsk_row_insert(row, a)
-            col = grsk_col_insert(col, a)
-        envR = PolymerEnv("LogGamma", words)
-        envL = PolymerEnv("StrictWeak", words)
-        for k in range(1, n + 1):
-            for j in range(k, n + 1):
-                if t >= k:
-                    rk = lgv_partition(envR, j, k, t)
-                    rk1 = lgv_partition(envR, j, k - 1, t) if k > 1 else 1.0
-                    worst = max(worst, abs(row[k - 1][j - k] - rk / rk1) / (rk / rk1))
-                if t >= j - k + 1:
-                    lk = lgv_partition(envL, j, k, t)
-                    lk1 = lgv_partition(envL, j, k - 1, t) if k > 1 else 1.0
-                    worst = max(worst, abs(col[k - 1][j - k] - lk / lk1) / (lk / lk1))
-        assert transfer_product_check(words, rel_tol=1e-10)
-    for _ in range(10):
-        n = rnd.choice((2, 3, 4))
-        assert transfer_matrix_check(
-            [0.5 + rnd.random() for _ in range(n)],
-            [0.5 + rnd.random() for _ in range(n)],
-            1,
-            n,
-        )
+    by_kind = {}
+    for kind, instance, lhs, rhs in grsk_lgv(7, [(2, 3), (3, 4), (4, 5)], 10, (2, 3, 4)):
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        if kind in ("row", "col"):
+            worst = max(worst, abs(lhs - rhs) / rhs)
+        else:
+            assert lhs, (kind, instance)
+    assert by_kind == {"row": 19, "col": 19, "transfer product": 3, "transfer step": 10}
     assert worst <= 1e-10
     print(f"\n[PASS] criterion 7: geometric insertions match partition-function "
           f"ratios (worst rel err {worst:.2e} <= 1e-10) and transfer identities hold")
 
 
 def test_criterion_08_qbinomial_identities():
-    from qrsk.cli import _qbinom_triple_sum, _qbinom_switch_identity
-
-    rnd = random.Random(8)
-    for _ in range(5):
-        q = F(rnd.randint(1, 6), rnd.randint(7, 12))
-        assert _qbinom_switch_identity(
-            q, rnd.randint(0, 4), rnd.randint(0, 4), rnd.randint(0, 4),
-            rnd.randint(4, 8), rnd.randint(0, 4)
-        )
-        A, B, C = (rnd.randint(0, 4) for _ in range(3))
-        ell = rnd.randint(0, min(4, B + C))
-        r = rnd.randint(0, min(4, A + B))
-        assert _qbinom_triple_sum(q, A, B, C, ell, r) == 1
+    assert _all_equal(q_binomial_sums(8, 5)) == 10
     print("\n[PASS] criterion 8: both q-binomial summation identities hold "
           "exactly at 5 random rational points each")
 

@@ -1,8 +1,10 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 import qrsk.dynamics as dyn
-from qrsk.cli import main
+from qrsk.cli import SUITES, main
 from qrsk.dynamics import ROW_ALPHA, classical_rsk_step
 from qrsk.gt import zero_array
 
@@ -62,6 +64,61 @@ def test_verify_other_suites_quick(capsys):
     ]:
         code, _ = run(["verify", suite] + extra, capsys)
         assert code == 0, suite
+
+
+# small arguments per suite, and the cases per kind each must check there
+SMALL_RUNS = {
+    "main-eq": (["--levels", "2", "--max-part", "1"],
+                {"RowAlpha": 7, "ColAlpha": 7, "RowBeta": 8, "ColBeta": 8, "PushBlockBeta": 8}),
+    "gibbs": (["--levels", "2", "--max-part", "1"], {"process": 1, "uniform": 1}),
+    "cauchy": (["--levels", "2", "--max-part", "2"], {"dual": 18}),
+    "complementation": (["--levels", "2", "--max-part", "1"], {"j=2": 28}),
+    "coupling": (["--levels", "2", "--steps", "2"], {"n=1": 2, "n=2": 2}),
+    "moments": (["--steps", "1"], {"BernoulliPush k=1": 4, "BernoulliPush k=2": 2}),
+    "qbinom": (["--seed", "1"], {"switch": 5, "triple sum": 5}),
+    "grsk-lgv": ([], {"row": 16, "col": 16, "transfer product": 2, "transfer step": 5}),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_suite_checks_every_case(suite, capsys):
+    # a generator that drops instances changes these counts
+    extra, by_kind = SMALL_RUNS[suite]
+    code, out = run(["verify", suite] + extra, capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["cases_by_kind"] == by_kind
+    assert report["cases"] == sum(by_kind.values())
+    assert report["failures"] == []
+    assert 0 <= report["worst_residual"] <= report["tolerance"]
+    assert report["residual"] == ("relative" if suite == "grsk-lgv" else "absolute")
+    assert report["elapsed_s"] >= 0
+
+
+def test_verify_complementation_corrupted_is_caught(capsys, monkeypatch):
+    # negative control outside main-eq: scale the row insertion probabilities
+    orig = dyn.row_beta_prob
+    monkeypatch.setattr(dyn, "row_beta_prob", lambda *args: orig(*args) * Fraction(9, 10))
+    code, out = run(["verify", "complementation", "--levels", "2", "--max-part", "1"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["cases"] == 28
+    assert report["failures"], "the corrupted probabilities must produce failures"
+    failure = report["failures"][0]
+    assert failure["kind"] == "j=2" and {"lam", "nu", "lam_bar", "nu_bar", "lhs", "rhs"} <= set(failure)
+    assert report["worst_residual"] > 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["main-eq", "--levels", "1"], "no cases"),
+    (["complementation", "--levels", "1"], "no cases"),
+    (["moments", "--steps", "-1"], "no cases"),
+    (["gibbs", "--levels", "5"], "gibbs has 3 level parameters"),
+])
+def test_verify_that_would_check_nothing_exits_2(argv, message, capsys):
+    assert main(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 def test_simulate_deterministic(tmp_path, capsys):

@@ -33,13 +33,13 @@ from qrsk.dynamics import (
     sample_step,
 )
 from qrsk.gt import (
-    complement,
     enumerate_arrays_with_top,
     enumerate_signatures,
     interlaces_h,
     weight,
     zero_array,
 )
+from qrsk.identities import complementation
 from qrsk.qnum import INF, PhiParams, phi_weight, q_pochhammer
 from qrsk.whittaker import SpecParams, process_weight, psi, psi_prime
 
@@ -317,27 +317,11 @@ def test_beta_evaluators_are_stochastic():
 def test_complementation_identity_small():
     # column insertion probabilities are the rectangle-complement transform of
     # the row insertion ones
-    q, beta, aj = F(1, 2), F(1, 3), F(2, 3)
-    S = 5
-    j = 3
-    for lam in enumerate_signatures(2, j):
-        for lam_bar in enumerate_signatures(2, j - 1):
-            if not interlaces_h(lam_bar, lam):
-                continue
-            for nu_bar in dyn._v_strips_above(lam_bar):
-                ctx = LevelUpdateContext(lam_bar, nu_bar, lam)
-                cctx = LevelUpdateContext(
-                    complement(lam_bar, S, j - 1),
-                    complement(tuple(x - 1 for x in nu_bar), S, j - 1),
-                    complement(lam, S, j),
-                )
-                for nu in dyn._v_strips_above(lam):
-                    lhs = col_beta_prob(ctx, nu, beta, aj, q)
-                    expo = -2 * ((weight(lam) - weight(nu)) - (weight(lam_bar) - weight(nu_bar))) - 1
-                    rhs = (aj * beta) ** expo * row_beta_prob(
-                        cctx, complement(tuple(x - 1 for x in nu), S, j), beta, aj, q
-                    )
-                    assert lhs == rhs
+    checked = 0
+    for kind, instance, lhs, rhs in complementation(F(1, 2), F(1, 3), F(2, 3), 5, 2, (3,)):
+        assert lhs == rhs, instance
+        checked += 1
+    assert checked == 456
 
 
 def test_classical_pull_push_operations():

@@ -10,6 +10,7 @@ from scipy import stats
 from qrsk import polymers, qnum
 from qrsk.dynamics import _sample_col_alpha_level, _sample_row_alpha_level
 from qrsk.gt import zero_array
+from qrsk.identities import grsk_lgv
 from qrsk.polymers import (
     PolymerEnv,
     empty_array,
@@ -64,38 +65,22 @@ def test_col_insert_zero_branches():
     assert arr[2] == [24.0]
 
 
+def _grsk_lgv_side(seed, side):
+    """Check one side's gRSK entries against LGV ratios at 1e-10 relative; return the count."""
+    checked = 0
+    for kind, instance, lhs, rhs in grsk_lgv(seed, [(2, 2), (3, 4), (4, 5)], 0, ()):
+        if kind == side:
+            assert abs(lhs - rhs) <= 1e-10 * abs(rhs), instance
+            checked += 1
+    return checked
+
+
 def test_row_grsk_matches_lgv_ratios():
-    rng = random.Random(0)
-    for n, t in [(2, 2), (3, 4), (4, 5)]:
-        words = rand_words(rng, n, t)
-        arr = empty_array(n)
-        for a in words:
-            arr = grsk_row_insert(arr, a)
-        env = PolymerEnv("LogGamma", words)
-        for k in range(1, n + 1):
-            for j in range(k, n + 1):
-                if t < k:
-                    continue
-                rk = lgv_partition(env, j, k, t)
-                rk1 = lgv_partition(env, j, k - 1, t) if k > 1 else 1.0
-                assert abs(arr[k - 1][j - k] - rk / rk1) <= 1e-10 * abs(rk / rk1)
+    assert _grsk_lgv_side(0, "row") == 19
 
 
 def test_col_grsk_matches_lgv_ratios():
-    rng = random.Random(1)
-    for n, t in [(2, 2), (3, 4), (4, 5)]:
-        words = rand_words(rng, n, t)
-        arr = empty_array(n)
-        for a in words:
-            arr = grsk_col_insert(arr, a)
-        env = PolymerEnv("StrictWeak", words)
-        for k in range(1, n + 1):
-            for j in range(k, n + 1):
-                if t < j - k + 1:
-                    continue
-                lk = lgv_partition(env, j, k, t)
-                lk1 = lgv_partition(env, j, k - 1, t) if k > 1 else 1.0
-                assert abs(arr[k - 1][j - k] - lk / lk1) <= 1e-10 * abs(lk / lk1)
+    assert _grsk_lgv_side(1, "col") == 19
 
 
 def test_lgv_single_cell_and_forced_staircase():

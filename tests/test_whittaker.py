@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrsk import qnum, whittaker
+from qrsk.dynamics import _v_strips_above
 from qrsk.gt import enumerate_arrays_with_top, enumerate_signatures, weight
+from qrsk.identities import skew_cauchy_dual
 from qrsk.qnum import ExactModeError, q_pochhammer, q_pochhammer_inf
 from qrsk.whittaker import (
     SpecParams,
@@ -200,21 +202,9 @@ def test_univariate_beta_row_sums():
     cache = {}
     for lam in enumerate_signatures(2, 2):
         total = F(0)
-        for nu in _v_strips_above_list(lam):
+        for nu in _v_strips_above(lam):
             total += univariate_step_prob("beta", lam, nu, a, beta, q, cache)
         assert total == 1, lam
-
-
-def _v_strips_above_list(lam):
-    from itertools import product
-
-    n = len(lam)
-    out = []
-    for add in product((0, 1), repeat=n):
-        nu = tuple(lam[i] + add[i] for i in range(n))
-        if all(nu[i] >= nu[i + 1] for i in range(n - 1)):
-            out.append(nu)
-    return out
 
 
 def test_univariate_alpha_row_sums_float():
@@ -235,28 +225,11 @@ def test_univariate_alpha_row_sums_float():
 
 
 def test_skew_cauchy_dual_exact():
-    q = F(1, 2)
-    aj = F(2, 3)
-    beta = F(1, 3)
-    for lam in enumerate_signatures(3, 3):
-        for nu_bar in enumerate_signatures(3, 2):
-            lhs = F(0)
-            for lam_bar in enumerate_signatures(3, 2):
-                lhs += (
-                    psi(lam, lam_bar, q)
-                    * aj ** (weight(lam) - weight(lam_bar))
-                    * psi_prime(nu_bar, lam_bar, q)
-                    * beta ** (weight(nu_bar) - weight(lam_bar))
-                )
-            rhs = F(0)
-            for nu in _v_strips_above_list(lam):
-                rhs += (
-                    psi(nu, nu_bar, q)
-                    * aj ** (weight(nu) - weight(nu_bar))
-                    * psi_prime(nu, lam, q)
-                    * beta ** (weight(nu) - weight(lam))
-                )
-            assert lhs == rhs / (1 + beta * aj), (lam, nu_bar)
+    checked = 0
+    for kind, instance, lhs, rhs in skew_cauchy_dual(F(1, 2), F(2, 3), F(1, 3), 3, 3):
+        assert lhs == rhs, instance
+        checked += 1
+    assert checked == 200
 
 
 def test_skew_cauchy_usual_float():
@@ -298,7 +271,7 @@ def test_pieri_expansion():
         for aj in a:
             lhs *= 1 + beta * aj
         rhs = F(0)
-        for nu in _v_strips_above_list(lam):
+        for nu in _v_strips_above(lam):
             rhs += psi_prime(nu, lam, q) * beta ** (weight(nu) - weight(lam)) * p_poly(nu, a, q, cache)
         assert lhs == rhs, lam
 
@@ -312,7 +285,7 @@ def test_intertwining_with_links():
     for lam in enumerate_signatures(2, 3):
         for mu_bar in enumerate_signatures(3, 2):
             lhs = F(0)
-            for nu in _v_strips_above_list(lam):
+            for nu in _v_strips_above(lam):
                 lhs += univariate_step_prob("beta", lam, nu, a, beta, q, cache) * link_weight(
                     nu, mu_bar, a, q, cache
                 )
