@@ -22,6 +22,7 @@ from .dynamics import (
     col_beta_prob,
     exact_array_distribution,
     main_equation_residual,
+    main_equation_squares,
     main_equation_sweep,
     push_block_prob,
     row_alpha_prob,

@@ -38,7 +38,6 @@ from .gt import (
 from .qnum import (
     INF,
     PhiParams,
-    QSampler,
     ZeroMassError,
     check_step_params,
     is_array,
@@ -102,9 +101,7 @@ class KindRule:
         fn = globals()[self.sampler]
         if self.push is None:
             return fn(self.name, lam, nu_bar, spec.step_param, spec.a[j - 1], spec.q, rng)
-        if self.beta:
-            return fn(lam_bar, nu_bar, lam, vj, spec.q, rng)
-        return fn(lam_bar, nu_bar, lam, vj, spec.q, rng, spec.sampler)  # the spec's tables
+        return fn(lam_bar, nu_bar, lam, vj, spec.q, rng)
 
     def level_weight(self, ctx: LevelUpdateContext, nu, par, a_j, q):
         fn = globals()[self.weight]
@@ -148,11 +145,6 @@ class DynamicsSpec:
             raise ValueError(f"need 0 <= q < 1, got q = {self.q}")
         pars = self.step_param if isinstance(self.step_param, (list, tuple)) else [self.step_param]
         check_step_params(pars, self.a, not _rule(self.kind).beta)
-
-    @cached_property
-    def sampler(self) -> QSampler:
-        """Floating-mode sampling tables at this q, shared by every step drawn with this spec."""
-        return QSampler(self.q)
 
     @cached_property
     def input_params(self) -> Tuple[float, ...]:
@@ -234,7 +226,8 @@ def _phi_choices(p: PhiParams, k, up_to, rng, sampler):
     drawn, of weight 1, or, replaying (no rng), n - s = k (each of 0..k if up_to) where
     its weight is nonzero."""
     if rng is not None:
-        return ((p.y - phi_sample(p, rng, sampler), 1),)
+        # by keyword: the traced benchmark replays each positional None as its rng
+        return ((p.y - phi_sample(p, rng, sampler=sampler), 1),)
     out = []
     for t in range(0 if up_to else max(k, 0), min(k, p.y) + 1):
         w = phi_weight(p, p.y - t)
@@ -731,13 +724,13 @@ def classical_rsk_step(kind: str, arr: InterlacingArray, inputs: Sequence[int]) 
 def sample_inputs(spec: DynamicsSpec, rng) -> Tuple[int, ...]:
     """The independent per-level inputs V_1..V_N for one time step.
 
-    Alpha kinds draw from the q-geometric tables of `spec.sampler`, so the
-    normaliser log (alpha a_j; q)_inf is computed once per spec and level.
+    Alpha kinds draw from the q-geometric tables of the shared sampler of q,
+    so the table of each alpha a_j is built once per q.
     """
     if KINDS[spec.kind].beta:  # the spec checked its kind
         return tuple([1 if rng.random() < p else 0 for p in spec.input_params])
-    q, sampler = float(spec.q), spec.sampler
-    return tuple([sample_q_geometric(x, q, rng, sampler) for x in spec.input_params])
+    q = float(spec.q)
+    return tuple([sample_q_geometric(x, q, rng) for x in spec.input_params])
 
 
 def sample_step(
@@ -876,6 +869,9 @@ def _square_terms(kind: str, lam, nu_bar, par, a_j, q) -> tuple:
     return tuple(terms)
 
 
+MAIN_EQ_FLOAT_TOL = 1e-9  # the largest |residual| a floating-mode main equation may leave
+
+
 def main_equation_residual(kind: str, lam, nu, nu_bar, par, a_j, q, alpha_float=False):
     """LHS minus RHS of the structural equation the dynamics must satisfy.
 
@@ -884,7 +880,7 @@ def main_equation_residual(kind: str, lam, nu, nu_bar, par, a_j, q, alpha_float=
     non-closed normalization.  The normalised weights of the q-geometric
     insertions enter as they are, the weights of the other kinds with x^(-V).
     The terms free of nu come from `_square_terms`, a memo of a few entries:
-    call with nu innermost, as `main_equation_sweep` does.
+    call with nu innermost, as `main_equation_squares` does.
     """
     rule = _rule(kind)
     terms = _square_terms(kind, tuple(lam), tuple(nu_bar), par, a_j, q)
@@ -914,19 +910,13 @@ def main_equation_residual(kind: str, lam, nu, nu_bar, par, a_j, q, alpha_float=
     return lhs - rhs
 
 
-def main_equation_sweep(kind: str, j: int, max_part: int, par, a_j, q, report=None, tol=None):
-    """Check the structural equation on all admissible squares at level j.
+def main_equation_squares(kind: str, j: int, max_part: int, par, a_j, q):
+    """Yield (lam, nu, nu_bar, residual) on every admissible square at level j, parts <= max_part.
 
-    Returns the number of (lam, nu, nu_bar) triples checked; nonzero residuals
-    are appended to `report` (and raise if no report list is given).  With
-    exact scalars the residual must be exactly zero; pass `tol` (or use the
-    usual push-block kind) for floating-mode comparisons.  The squares run
-    with nu innermost, so each (lam, nu_bar) builds its terms free of nu once.
+    The residual is `main_equation_residual`'s.  The squares run with nu
+    innermost, so each (lam, nu_bar) builds its terms free of nu once.
     """
     rule = _rule(kind)
-    if not rule.exact and tol is None:
-        tol = 1e-9
-    checked = 0
     for lam in enumerate_signatures(max_part, j):
         # nu_bar_i lies between nu_{i+1} >= lam_{i+1} and nu_i, at most the strip's reach and max_part
         reach = [min(lam[i] + 1 if rule.beta else _pt(lam, i), max_part) for i in range(j - 1)]
@@ -934,12 +924,24 @@ def main_equation_sweep(kind: str, j: int, max_part: int, par, a_j, q, report=No
             lo, hi = _strip_bounds(rule.beta, lam, nu_bar)
             hi[0] = min(hi[0], max_part)
             for nu in signatures_between(lo, hi):
-                r = main_equation_residual(kind, lam, nu, nu_bar, par, a_j, q)
-                checked += 1
-                bad = (abs(r) > tol) if tol is not None else (r != 0)
-                if bad:
-                    item = {"kind": kind, "lam": lam, "nu": nu, "nu_bar": nu_bar, "residual": str(r)}
-                    if report is None:
-                        raise AssertionError(f"main equation violated: {item}")
-                    report.append(item)
+                yield lam, nu, nu_bar, main_equation_residual(kind, lam, nu, nu_bar, par, a_j, q)
+
+
+def main_equation_sweep(kind: str, j: int, max_part: int, par, a_j, q, report=None):
+    """Check the structural equation on all admissible squares at level j.
+
+    Returns the number of squares checked; the failing ones are appended to
+    `report` (and raise if no report list is given).  A residual must be 0
+    with exact scalars, and at most `MAIN_EQ_FLOAT_TOL` with a float one or
+    PushBlockAlpha.
+    """
+    floating = not _rule(kind).exact or not all(map(is_exact, (par, a_j, q)))
+    checked = 0
+    for lam, nu, nu_bar, r in main_equation_squares(kind, j, max_part, par, a_j, q):
+        checked += 1
+        if (not abs(r) <= MAIN_EQ_FLOAT_TOL) if floating else r != 0:
+            item = {"kind": kind, "lam": lam, "nu": nu, "nu_bar": nu_bar, "residual": str(r)}
+            if report is None:
+                raise AssertionError(f"main equation violated: {item}")
+            report.append(item)
     return checked

@@ -105,23 +105,9 @@ def signatures_between(lower: Sequence[int], upper_bounds: Sequence[int]) -> Ite
 
 
 def enumerate_interlacing_below(lam: Sequence[int]) -> Iterator[Signature]:
-    """All mu of length len(lam) - 1 with mu interlacing below lam."""
-    j = len(lam)
-    def rec(prefix, i):
-        if i == j:
-            yield tuple(prefix)
-            return
-        lo, hi = lam[i], lam[i - 1]
-        if prefix:
-            hi = min(hi, prefix[-1])
-        for x in range(hi, lo - 1, -1):
-            prefix.append(x)
-            yield from rec(prefix, i + 1)
-            prefix.pop()
-
-    if j == 0:
-        return
-    yield from rec([], 1)
+    """All mu of length len(lam) - 1 with mu interlacing below lam; none for an empty lam."""
+    if lam:
+        yield from signatures_between(lam[1:], lam[:-1])
 
 
 def enumerate_arrays_with_top(top: Sequence[int]) -> Iterator[InterlacingArray]:

@@ -26,13 +26,9 @@ def main_equation(tuples, kinds, js, max_part):
     for q, par, a_j in tuples:
         for kind in kinds:
             for j in js:
-                squares = []
-                # a negative tolerance makes the sweep report every square with its residual
-                dynamics.main_equation_sweep(kind, j, max_part, par, a_j, q, report=squares, tol=-1)
-                for sq in squares:
-                    instance = {"q": q, "par": par, "a_j": a_j,
-                                "lam": sq["lam"], "nu": sq["nu"], "nu_bar": sq["nu_bar"]}
-                    yield kind, instance, type(q)(sq["residual"]), 0
+                for lam, nu, nu_bar, r in dynamics.main_equation_squares(kind, j, max_part, par, a_j, q):
+                    instance = {"q": q, "par": par, "a_j": a_j, "lam": lam, "nu": nu, "nu_bar": nu_bar}
+                    yield kind, instance, r, 0
 
 
 def gibbs(q, a, spec, max_part):

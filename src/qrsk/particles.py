@@ -8,11 +8,9 @@ initial configuration is x_i(0) = -i.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from .qnum import (INF, Q_MEMO_SIZE, PhiParams, QSampler, check_step_params, phi_sample,
-                   sample_q_geometric)
+from .qnum import INF, PhiParams, check_step_params, phi_sample, sample_q_geometric
 
 ParticleConfig = Tuple[int, ...]
 
@@ -37,12 +35,6 @@ def _check_step(x: Sequence[int], q, par, a, alpha: bool, q_one: bool = False) -
     for i in range(len(x) - 1):
         if x[i] <= x[i + 1]:
             raise ValueError("particles must be strictly decreasing")
-
-
-@lru_cache(maxsize=Q_MEMO_SIZE)
-def _sampler(q: float) -> QSampler:
-    """The sampling tables at q, shared by every geometric step at that q."""
-    return QSampler(q)
 
 
 def _jump_prob(push, cfg, j, b, q, prev_jumped):
@@ -87,15 +79,14 @@ def geometric_qpush_step(cfg, alpha, a, q, rng) -> ParticleConfig:
     _check_step(cfg, q, alpha, a, True)
     q = float(q)
     x = list(cfg)
-    sampler = _sampler(q)
     for j in range(len(x)):
-        v = sample_q_geometric(float(alpha * a[j]), q, rng, sampler)
+        v = sample_q_geometric(float(alpha * a[j]), q, rng)
         w = 0
         if j > 0:
             c = cfg[j - 1] - x[j - 1]  # left displacement of the neighbor
             if c > 0:
                 gap = cfg[j - 1] - cfg[j] - 1
-                w = phi_sample(PhiParams.inverse(q, gap, INF, c), rng, sampler)
+                w = phi_sample(PhiParams.inverse(q, gap, INF, c), rng)
         x[j] -= v + w
     return tuple(x)
 
@@ -109,7 +100,7 @@ def geometric_qtasep_step(cfg, alpha, a, q, rng) -> ParticleConfig:
         xj = alpha * a[j]
         gap = INF if j == 0 else cfg[j - 1] - cfg[j] - 1
         if gap == INF:
-            w = sample_q_geometric(float(xj), q, rng, _sampler(q))
+            w = sample_q_geometric(float(xj), q, rng)
         elif gap == 0:
             w = 0
         else:

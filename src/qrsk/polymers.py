@@ -349,6 +349,10 @@ def _scaled_replicas(level, n, t, thetas, theta_hats, eps, replicas, rng):
     q = math.exp(-eps)
     a = [math.exp(-thetas[j] * eps) for j in range(n)]
     alphas = [math.exp(-theta_hats[s] * eps) for s in range(t)]
+    # a sampler of the call's own, not the shared one of q: the traced
+    # benchmark records the log (alpha;q)_inf calls that table builds make,
+    # in the process that has just run these replicas, and tables shared
+    # across calls would already be built and make none
     sampler = QSampler(q)
     gen = np.random.default_rng(rng.getrandbits(64))
     arr = [tuple(np.zeros(replicas, dtype=np.int64) for _ in range(j)) for j in range(1, n + 1)]

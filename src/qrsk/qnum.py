@@ -43,8 +43,8 @@ _RESCALE_BELOW = 2.0 ** -_RESCALE_BITS
 # keeps a run whose float arguments never repeat from growing them without
 # limit.
 MEMO_SIZE = 1024
-# Values of q kept by each per-q memo: the log (q;q)_n prefixes here and the
-# samplers of `particles`.
+# Values of q kept by each per-q memo: the log (q;q)_n prefixes and the
+# shared samplers.
 Q_MEMO_SIZE = 8
 
 # Memoise a pure weight on its (hashable) arguments.  The key includes each
@@ -415,7 +415,7 @@ def _phi_inverse_weight(q, a, b, c, s):
     if q == 0:
         return zero + 1 if s == max(c - a, 0) else zero
     if isinstance(q, float):
-        return math.exp(QSampler(q).log_phi_inverse(a, b, c, s))
+        return math.exp(_shared_sampler(q).log_phi_inverse(a, b, c, s))
     if b == INF:
         top = qpow(q, s * d) * q_binomial(c, s, q) * q_pochhammer(q, q, a)
         return exact_div(top, q_pochhammer(q, q, d))
@@ -445,9 +445,8 @@ def phi_sample(p: PhiParams, rng, sampler: Optional[QSampler] = None):
     Inverse regime: a chop-down walk from the mode over the closed-form
     weights, so a draw costs O(1) plus O(1) per visited support point, however
     large the count and the exponents (as in the scaling experiments); the
-    log (q;q)_n values come from the prefix that every `QSampler` for q
-    shares, so a one-shot draw does not rebuild them, and a sampler keeps the
-    mode of each (a, b, count) it draws for.  Direct regime: the same walk
+    log (q;q)_n values and the mode of each (a, b, count) come from `sampler`,
+    or without one from the shared sampler of q.  Direct regime: the same walk
     from the mode, whose weight is taken in log space (`_phi_direct_mode`).
     A weight with no mass left in floating point raises `ZeroMassError`.
 
@@ -607,18 +606,20 @@ class QSampler:
       phi weight costs O(1) (`log_phi_inverse`).  It is a property of q, not
       of the sampler: every `QSampler(q)` reads the one prefix of q, kept in
       a per-q memo of the last `Q_MEMO_SIZE` values of q and grown on demand
-      (`_LogQPochPrefix`), so a new sampler, or a one-shot draw, starts from
-      the entries earlier ones computed.  Scalar draws read it as a list,
-      draws over a replica axis as a numpy array.
-    * Per q-geometric parameter alpha, a CDF table (a numpy array) over the
-      support points whose weight is at least 2^-60 times the modal weight,
-      built once from the normaliser log (alpha;q)_inf (itself memoised), so
-      a draw is one bisect.  These tables belong to the sampler.
+      (`_LogQPochPrefix`), so a new sampler starts from the entries earlier
+      ones computed.  Scalar draws read it as a list, draws over a replica
+      axis as a numpy array.
+    * Per q-geometric parameter alpha, a CDF table (a numpy array, and a
+      list for scalar bisects) over the support points whose weight is at
+      least 2^-60 times the modal weight, built once from the normaliser
+      log (alpha;q)_inf (itself memoised), so a draw is one bisect.
     * Per inverse-regime (a, b, count), the mode and the weight there, where
       a `phi_sample` walk starts (`draw_phi_inverse`).
 
-    The CDF tables live as long as the object.  Create one per run of draws
-    at a fixed q and pass it to `phi_sample` and `sample_q_geometric`.
+    The last two belong to the sampler, up to `MEMO_SIZE` entries of each,
+    after which each starts again from empty.  Every draw given no sampler
+    reads the one shared sampler of q (`_shared_sampler`); pass one of your
+    own only to keep its tables apart.
     """
 
     def __init__(self, q):
@@ -768,6 +769,8 @@ class QSampler:
             raise ArithmeticError(
                 f"q-geometric table for alpha={alpha}, q={self.q} has mass {total}, not 1"
             )
+        if len(self._cdfs) >= MEMO_SIZE:
+            self._cdfs.clear()
         table = self._cdfs[alpha] = (lo, cdf / total)
         return table
 
@@ -776,14 +779,37 @@ class QSampler:
         table = self._cdf_lists.get(alpha)
         if table is None:
             lo, cdf = self.q_geometric_cdf(alpha)
+            if len(self._cdf_lists) >= MEMO_SIZE:
+                self._cdf_lists.clear()
             table = self._cdf_lists[alpha] = (lo, cdf.tolist())
         return table
 
 
+# The shared samplers, one per float q: a plain dict, so that a draw finds
+# its sampler with one subscript, which costs less than checking a sampler
+# it was given.
+_SAMPLERS: Dict[float, QSampler] = {}
+
+
+def _shared_sampler(q) -> QSampler:
+    """The `QSampler` of q that draws and float phi weights given none read, made
+    on first use; past `Q_MEMO_SIZE` values of q the one made first is dropped."""
+    q = float(q)
+    if q not in _SAMPLERS:
+        new = QSampler(q)  # raises unless 0 <= q < 1
+        if len(_SAMPLERS) >= Q_MEMO_SIZE:
+            del _SAMPLERS[next(iter(_SAMPLERS))]
+        _SAMPLERS[q] = new
+    return _SAMPLERS[q]
+
+
 def _qsampler(q, sampler: Optional[QSampler]) -> QSampler:
-    """`sampler` after checking that it is for q, or a fresh one for q."""
+    """`sampler` after checking that it is for q, or the shared sampler of q."""
     if sampler is None:
-        return QSampler(q)
+        try:
+            return _SAMPLERS[q]
+        except KeyError:
+            return _shared_sampler(q)
     if sampler.q != float(q):
         raise ValueError(f"sampler is for q = {sampler.q}, not {float(q)}")
     return sampler
@@ -885,12 +911,8 @@ def sample_q_geometric(
 ):
     """Draw from pmf (alpha;q)_inf alpha^n/(q;q)_n; one `rng.random()` a draw.
 
-    With a `QSampler` for q the draw is one bisect into the sampler's CDF
-    table for alpha, built on first use.  Without one it is a chop-down walk
-    from the mode over weights computed in log space, which costs O(sd)
-    steps and cannot underflow; its log (q;q)_mode and log (alpha;q)_inf
-    come from the per-q prefix and the memo, so only the first draw at a q
-    and alpha pays for them.
+    A draw is one bisect into the CDF table for alpha of `sampler`, or
+    without one of the shared sampler of q, built on first use.
 
     With `size`, `rng` is a numpy Generator and the result is an int64 array
     of `size` draws, the same table bisect for each of `rng.random(size)`.
@@ -906,16 +928,8 @@ def sample_q_geometric(
     u = rng.random()
     if alpha == 0:
         return 0
-    if sampler is not None:
-        lo, cdf = _qsampler(q, sampler)._q_geometric_cdf_list(alpha)
-        return lo + bisect_right(cdf, u)
-    mode = _q_geometric_mode(alpha, q)
-    log_w_mode = log_q_pochhammer_inf(alpha, q)
-    if mode:
-        log_w_mode += mode * math.log(alpha) - QSampler(q).log_qpoch(mode)
-    return _chop_down(
-        u, mode, 0, INF, math.exp(log_w_mode), lambda n: alpha / (1.0 - q ** (n + 1))
-    )
+    lo, cdf = _qsampler(q, sampler)._q_geometric_cdf_list(alpha)
+    return lo + bisect_right(cdf, u)
 
 
 def _q_geometric_mode(alpha: float, q: float) -> int:

@@ -121,6 +121,14 @@ def test_verify_that_would_check_nothing_exits_2(argv, message, capsys):
     assert message in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("suite", sorted(set(SUITES) - {"main-eq"}))
+def test_verify_float_mode_is_for_main_eq_only(suite, capsys):
+    # every other suite is exact, so a float run of it would check nothing in float
+    assert main(["verify", suite, "--mode", "float"]) == 2
+    captured = capsys.readouterr()
+    assert "main-eq, the only float suite" in captured.err and captured.out == ""
+
+
 def test_simulate_deterministic(tmp_path, capsys):
     args = [
         "simulate", "row-beta", "-N", "3", "-T", "5", "--seed", "42",
@@ -216,7 +224,7 @@ def test_simulate_rejects_mismatched_parameter_flags(tmp_path, capsys):
 
 
 def test_simulate_builds_one_spec_per_step_parameter(tmp_path, capsys, monkeypatch):
-    # the sampling tables of a spec are reused across every step with its parameter
+    # a spec is built where the step parameter changes, not at every step
     built = []
 
     class CountingSpec(dyn.DynamicsSpec):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qrsk.dynamics as dyn
+from qrsk import qnum
 from qrsk.dynamics import (
     BETA_KINDS,
     COL_ALPHA,
@@ -167,6 +168,32 @@ def test_main_equation_mini_sweep(kind):
 def test_main_equation_push_block_alpha_float():
     checked = main_equation_sweep(PUSH_BLOCK_ALPHA, 2, 2, 0.3, 0.9, 0.5)
     assert checked > 0
+
+
+@pytest.mark.parametrize("kind", [ROW_BETA, COL_BETA, PUSH_BLOCK_BETA, ROW_ALPHA, COL_ALPHA])
+def test_float_sweep_checks_the_squares_of_the_exact_sweep(kind):
+    # float residuals are rounding-sized, not zero: the sweep holds them to its
+    # float tolerance, with any float scalar
+    for j in (2, 3):
+        exact = main_equation_sweep(kind, j, 3, F(1, 3), F(1), F(1, 2))
+        assert main_equation_sweep(kind, j, 3, 1 / 3, 1.0, 0.5) == exact
+        assert main_equation_sweep(kind, j, 3, F(1, 3), 1.0, F(1, 2)) == exact
+    worst = max(abs(r) for *_, r in dyn.main_equation_squares(kind, 3, 3, 1 / 3, 1.0, 0.5))
+    assert 0 < worst <= dyn.MAIN_EQ_FLOAT_TOL
+
+
+def test_float_sweep_reports_a_residual_past_its_tolerance(monkeypatch):
+    original = dyn.main_equation_residual
+
+    def off(kind, lam, nu, nu_bar, *args):
+        return original(kind, lam, nu, nu_bar, *args) + 1e-6 * (lam == (2, 1))
+
+    monkeypatch.setattr(dyn, "main_equation_residual", off)
+    report = []
+    checked = main_equation_sweep(ROW_BETA, 2, 3, 1 / 3, 1.0, 0.5, report=report)
+    assert checked == 56 and report and {item["lam"] for item in report} == {(2, 1)}
+    with pytest.raises(AssertionError, match="main equation violated"):
+        main_equation_sweep(ROW_BETA, 2, 3, 1 / 3, 1.0, 0.5)
 
 
 def _strip_squares(kind, j, max_part):
@@ -493,15 +520,17 @@ def test_sample_step_rejects_a_count_that_differs_from_the_levels():
         sample_step(spec, zero_array(2), random.Random(0), inputs=(0, 0, 1))
 
 
-def test_alpha_spec_shares_one_sampler_across_steps():
+def test_alpha_spec_shares_one_sampler_across_steps(monkeypatch):
+    # every draw of every step reads the one shared sampler of q
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})
     spec = DynamicsSpec(ROW_ALPHA, 0.5, 0.35, (1.0, 0.9))
     rng = random.Random(1)
     arr = zero_array(2)
     for _ in range(5):
         arr = sample_step(spec, arr, rng)
-    assert spec.sampler is spec.sampler and spec.sampler.q == 0.5
+    assert list(qnum._SAMPLERS) == [0.5]
     # one q-geometric table per level parameter alpha a_j
-    assert sorted(spec.sampler._cdfs) == sorted({0.35 * 1.0, 0.35 * 0.9})
+    assert sorted(qnum._SAMPLERS[0.5]._cdfs) == sorted({0.35 * 1.0, 0.35 * 0.9})
 
 
 @pytest.mark.parametrize("kind", BETA_KINDS)

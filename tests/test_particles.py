@@ -61,7 +61,8 @@ def test_a_priori_bound():
 
 
 def test_coupling_identity():
-    a = [F(1), F(2, 3), F(1, 2)]
+    # criterion 6 checks a = (1, 2/3, 1/2); here a part is above 1 and out of order
+    a = [F(2), F(1, 3), F(3, 4)]
     for n in (1, 2, 3):
         for t in (1, 2, 3):
             assert coupling_check(n, t, BETA, a[:n], Q)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrsk import particles, qnum
+from qrsk import qnum
 from qrsk.qnum import (
     INF,
     ExactModeError,
@@ -466,7 +466,6 @@ def test_a_repeated_bad_log_q_pochhammer_inf_call_raises_each_time(a, q):
 
 def test_the_per_q_prefix_memo_keeps_its_bound():
     assert qnum._log_qpoch_prefix.cache_parameters()["maxsize"] == qnum.Q_MEMO_SIZE
-    assert particles._sampler.cache_parameters()["maxsize"] == qnum.Q_MEMO_SIZE
     qnum._log_qpoch_prefix.cache_clear()
     samplers = [QSampler(0.5 + i / 100) for i in range(qnum.Q_MEMO_SIZE + 3)]
     assert qnum._log_qpoch_prefix.cache_info().currsize == qnum.Q_MEMO_SIZE
@@ -474,6 +473,28 @@ def test_the_per_q_prefix_memo_keeps_its_bound():
     assert QSampler(samplers[-1].q)._prefix is samplers[-1]._prefix
     # an evicted q gets a new prefix; its old samplers keep theirs
     assert QSampler(samplers[0].q)._prefix is not samplers[0]._prefix
+
+
+def test_the_shared_samplers_and_their_tables_keep_their_bounds(monkeypatch):
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})
+    rng = random.Random(41)
+    qs = [0.5 + i / 100 for i in range(qnum.Q_MEMO_SIZE + 3)]
+    for q in qs:
+        sample_q_geometric(0.3, q, rng)
+        assert len(qnum._SAMPLERS) <= qnum.Q_MEMO_SIZE
+    # the last Q_MEMO_SIZE values of q keep their samplers
+    assert list(qnum._SAMPLERS) == qs[-qnum.Q_MEMO_SIZE:]
+    # one sampler of q for every draw given none, whatever the type of q
+    q = 0.5
+    sampler = qnum._shared_sampler(q)
+    assert qnum._shared_sampler(F(1, 2)) is sampler and qnum._qsampler(q, None) is sampler
+    phi_sample(PhiParams.inverse(q, 2, INF, 3), rng)
+    assert (2, INF, 3) in sampler._phi_starts
+    # each sampler keeps at most MEMO_SIZE tables of each kind
+    for i in range(qnum.MEMO_SIZE + 5):
+        sample_q_geometric(0.1 + i / 2e4, q, rng)
+        assert len(sampler._cdfs) <= qnum.MEMO_SIZE and len(sampler._cdf_lists) <= qnum.MEMO_SIZE
+    assert sampler._cdf_lists and qnum._shared_sampler(q) is sampler
 
 
 def test_prefix_values_are_a_function_of_q_and_n_alone():
@@ -540,14 +561,15 @@ def test_q_geometric_table_covers_the_points_above_the_cut(q, alpha):
     lambda q, rng: sample_q_geometric(q * q, q, rng),
     lambda q, rng: phi_sample(PhiParams.inverse(q, 3000, INF, 2500), rng),
 ], ids=["phi_inverse_weight", "sample_q_geometric", "phi_sample"])
-def test_a_second_one_shot_call_at_the_same_q_grows_no_prefix(draw):
+def test_a_second_one_shot_call_at_the_same_q_grows_no_prefix(draw, monkeypatch):
     q = math.exp(-1e-3)
     qnum._log_qpoch_prefix.cache_clear()
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # a shared sampler keeps the prefix it was made with
     rng = random.Random(0)
     draw(q, rng)
     prefix = qnum._log_qpoch_prefix(q)
     array, listed = prefix.array, len(prefix.values)
-    assert listed > 1
+    assert array.size > 1 or listed > 1
     draw(q, rng)
     assert qnum._log_qpoch_prefix(q) is prefix
     assert prefix.array is array and len(prefix.values) == listed
