@@ -13,6 +13,7 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 Scalar = Union[Fraction, float, int]
@@ -26,7 +27,10 @@ _POCHHAMMER_TAIL = 2.0 ** -60
 # The same policy for the sampling tables: drop support points whose weight is
 # below 2^-60 times the modal weight.
 _LOG_TAIL = math.log(_POCHHAMMER_TAIL)
-# Sums and tables longer than this many terms are computed with numpy.
+# Sums and float sampling tables of at most this many terms or points are
+# built in plain Python, longer ones with numpy.  Which builder runs depends on
+# the arguments alone (q, alpha, a count), so a scalar draw and a batch read
+# the same floats, and a short table costs no numpy import.
 _VECTOR_TERMS = 64
 # A batch of inverse-regime phi draws evaluates its weights in blocks of at
 # most this many (replica, support point) cells: its memory stays flat, and
@@ -57,8 +61,9 @@ class _Numpy:
     """numpy, imported on the first attribute read.
 
     Only array code reads it: the replica axis, the batch draws and the
-    float sampling tables.  The exact verifier and the Bernoulli samplers
-    never do, so they run without numpy in the process.  The first read
+    float sampling tables and sums of more than `_VECTOR_TERMS` terms.  The
+    exact verifier, the Bernoulli samplers and the q-geometric steps at
+    moderate q never do, so they run without numpy in the process.  The first read
     copies numpy's names into the instance, so later reads are plain
     attribute lookups.
     """
@@ -512,8 +517,7 @@ def _phi_direct_mode(q: float, xi: float, eta: float, y) -> Tuple[int, float]:
         log_w = log_q_pochhammer_inf(xi, q) - log_q_pochhammer_inf(eta, q)
     else:
         log_w = _log_q_pochhammer(xi, q, y) - _log_q_pochhammer(eta, q, y)
-    if lo:
-        log_w += float(np.log(ratio(np.arange(lo))).sum())
+    log_w += math.fsum(math.log(ratio(s)) for s in range(lo))
     return lo, math.exp(log_w)
 
 
@@ -543,36 +547,61 @@ def _check_mass(w: float, what) -> None:
 class _LogQPochPrefix:
     """log (q;q)_n for n = 0, 1, ..., cap, for one q, grown on demand.
 
-    Past cap, log(1 - q^n) > -2^-60 and log (q;q)_n stops changing.  The
-    array grows in blocks with fixed ends 64, 128, 256, ... and cap, each a
-    cumulative sum from the last value of the block before, so every value is
-    a function of q and n alone, whatever calls grew the prefix and in what
-    order.  `values` holds the same floats as a list, for scalar reads; it
-    is filled from the array when a scalar read passes its end.  The array
-    is read-only, since every sampler for q shares it.
+    Past cap, log(1 - q^n) > -2^-60 and log (q;q)_n stops changing.  A
+    prefix of at most `_VECTOR_TERMS` terms (cap <= 64, so q up to about
+    0.52) is one plain-Python cumulative sum, built on the first read past
+    n = 0.  A longer one grows in numpy blocks with fixed ends 64, 128, 256,
+    ... and cap, each a cumulative sum from the last value of the block
+    before.  Either way every value is a function of q and n alone, whatever
+    calls grew the prefix and in what order.
+
+    `values` holds the floats as a list, for scalar reads; `array` holds the
+    same floats as a read-only numpy array, for reads over a replica axis
+    (every sampler for q shares it).  The constructor makes neither with
+    numpy: a short prefix is a list, whose array is made from it on the
+    first read of `array`; a long one is built as the array, and the list is
+    filled from it when a scalar read passes its end.
     """
 
     def __init__(self, q: float):
         self.log_q = math.log(q) if q > 0 else -INF
         self.cap = math.ceil(_LOG_TAIL / self.log_q) if q > 0 else 0
-        self.array = np.zeros(1)
-        self.array.flags.writeable = False
         self.values: List[float] = [0.0]
+        self._array = None
+
+    @property
+    def array(self) -> np.ndarray:
+        """The prefix as a read-only numpy array, made from `values` where
+        the list is longer (a short prefix)."""
+        array = self._array
+        if array is None or array.size < len(self.values):
+            array = self._array = np.array(self.values)
+            array.flags.writeable = False
+        return array
 
     def grow(self, n) -> None:
-        """Grow the array to min(n, cap) and on to the end of that block."""
-        end = self.array.size - 1
+        """Grow the prefix to min(n, cap): a short one to cap, a long one on to
+        the end of the block that holds min(n, cap)."""
         n = min(n, self.cap)
-        if n <= end:
+        if self.cap <= _VECTOR_TERMS:
+            if n >= len(self.values):
+                # the numpy blocks' sum, 0.0 + cumsum(log(1 - q^k)), term by term
+                total = 0.0
+                for k in range(1, self.cap + 1):
+                    total += math.log(-math.expm1(k * self.log_q))
+                    self.values.append(total)
             return
         blocks = [self.array]
+        end = blocks[0].size - 1
+        if n <= end:
+            return
         while end < n:
             stop = min(max(2 * end, _VECTOR_TERMS), self.cap)
             k = np.arange(end + 1, stop + 1)
             blocks.append(blocks[-1][-1] + np.cumsum(np.log(-np.expm1(k * self.log_q))))
             end = stop
-        self.array = np.concatenate(blocks)
-        self.array.flags.writeable = False
+        array = self._array = np.concatenate(blocks)
+        array.flags.writeable = False
 
     def at(self, n) -> float:
         """log (q;q)_n for an integer n >= 0 or n = INF, from the list."""
@@ -580,7 +609,8 @@ class _LogQPochPrefix:
         values = self.values
         if n >= len(values):
             self.grow(n)
-            values.extend(self.array[len(values):].tolist())
+            if n >= len(values):  # a long prefix, grown as the array
+                values.extend(self._array[len(values):].tolist())
         return values[n]
 
     def upto(self, stop: int) -> np.ndarray:
@@ -604,15 +634,19 @@ class QSampler:
 
     * The prefix log (q;q)_n, n = 0, 1, ...; with it every inverse-regime
       phi weight costs O(1) (`log_phi_inverse`).  It is a property of q, not
-      of the sampler: every `QSampler(q)` reads the one prefix of q, kept in
-      a per-q memo of the last `Q_MEMO_SIZE` values of q and grown on demand
-      (`_LogQPochPrefix`), so a new sampler starts from the entries earlier
-      ones computed.  Scalar draws read it as a list, draws over a replica
-      axis as a numpy array.
-    * Per q-geometric parameter alpha, a CDF table (a numpy array, and a
-      list for scalar bisects) over the support points whose weight is at
-      least 2^-60 times the modal weight, built once from the normaliser
-      log (alpha;q)_inf (itself memoised), so a draw is one bisect.
+      of the sampler: every `QSampler(q)` reads the one prefix of q, that of
+      the live shared sampler of q or else one from a per-q memo of the
+      last `Q_MEMO_SIZE` values of q, grown on demand (`_LogQPochPrefix`),
+      so a new sampler starts from the entries earlier ones computed.
+      Scalar draws read it as a list, draws over a replica axis as a numpy
+      array.
+    * Per q-geometric parameter alpha, one CDF table over the support
+      points whose weight is at least 2^-60 times the modal weight, built
+      once from the normaliser log (alpha;q)_inf (itself memoised), so a
+      draw is one bisect.  A table of at most `_VECTOR_TERMS` points is
+      built as a list in plain Python, a longer one as a numpy array; a
+      scalar bisect reads the list and a batch the array, each made from
+      the other on the first draw that asks for it (`_QGeometricCdf`).
     * Per inverse-regime (a, b, count), the mode and the weight there, where
       a `phi_sample` walk starts (`draw_phi_inverse`).
 
@@ -627,11 +661,13 @@ class QSampler:
         if not 0 <= q < 1:
             raise ValueError("QSampler needs 0 <= q < 1")
         self.q = q
-        self._prefix = _log_qpoch_prefix(q)
+        # the live shared sampler of q holds the prefix of q, even once the
+        # per-q memo has dropped it
+        shared = _SAMPLERS.get(q)
+        self._prefix = shared._prefix if shared is not None else _log_qpoch_prefix(q)
         self.log_q = self._prefix.log_q
         self._log_qpoch = self._prefix.values
-        self._cdfs: Dict[float, Tuple[int, np.ndarray]] = {}
-        self._cdf_lists: Dict[float, Tuple[int, List[float]]] = {}
+        self._cdfs: Dict[float, _QGeometricCdf] = {}
         self._phi_starts: Dict[Tuple[int, float, int], Tuple[int, float]] = {}
 
     def log_qpoch(self, n) -> float:
@@ -642,13 +678,18 @@ class QSampler:
         return self._prefix.at(n)
 
     def log_qpoch_at(self, n):
-        """log (q;q)_n for an int or int array n >= 0, from the prefix's array."""
+        """log (q;q)_n for an int or int array n >= 0, from the prefix's array.
+
+        One clamp at cap, past which log (q;q)_n stays put, and one index; a
+        read past the end of the array grows the prefix and reads again.
+        """
         prefix = self._prefix
-        top = int(n.max(initial=0)) if is_array(n) else n
-        if top >= prefix.array.size:
-            prefix.grow(top)
-        # an array that reaches the cap ends there: past it log (q;q)_n stays put
-        return prefix.array.take(n, mode="clip")
+        n = np.minimum(n, prefix.cap)
+        try:
+            return prefix.array[n]
+        except IndexError:
+            prefix.grow(int(np.max(n)))
+            return prefix.array[n]
 
     def log_phi_inverse(self, a, b, c, s):
         """log phi_{q^{-1}, q^a, q^b}(s | c) at a support point s, q > 0.
@@ -742,12 +783,78 @@ class QSampler:
         The mass of the points the 2^-60 cut keeps must agree with the
         normaliser to 1e-9, or the table is not built.
         """
+        table = self._q_geometric_table(alpha)
+        if table.array is None:
+            table.array = np.array(table.values)
+        return table.lo, table.array
+
+    def _q_geometric_cdf_list(self, alpha: float) -> Tuple[int, List[float]]:
+        """`q_geometric_cdf` as a list, for scalar bisects."""
+        table = self._cdfs.get(alpha)
+        if table is None:
+            table = self._q_geometric_table(alpha)
+        if table.values is None:
+            table.values = table.array.tolist()
+        return table.lo, table.values
+
+    def _q_geometric_table(self, alpha: float) -> _QGeometricCdf:
+        """The table of alpha, built on first use: in plain Python if it has
+        at most `_VECTOR_TERMS` points, else with numpy."""
         table = self._cdfs.get(alpha)
         if table is not None:
             return table
-        prefix = self._prefix
         mode = _q_geometric_mode(alpha, self.q)
         log_alpha = math.log(alpha)
+        lo, cdf = (self._short_q_geometric_cdf(alpha, mode, log_alpha)
+                   or self._long_q_geometric_cdf(alpha, mode, log_alpha))
+        total = cdf[-1]
+        if not abs(total - 1.0) <= 1e-9:
+            raise ArithmeticError(
+                f"q-geometric table for alpha={alpha}, q={self.q} has mass {total}, not 1"
+            )
+        if len(self._cdfs) >= MEMO_SIZE:
+            self._cdfs.clear()
+        if type(cdf) is list:
+            table = _QGeometricCdf(lo, [c / total for c in cdf], None)
+        else:
+            table = _QGeometricCdf(lo, None, cdf / total)
+        self._cdfs[alpha] = table
+        return table
+
+    def _log_w_mode(self, alpha: float, mode: int, log_alpha: float, lp_mode: float) -> float:
+        """log pmf(mode) of the q-geometric law of alpha."""
+        return log_q_pochhammer_inf(alpha, self.q) + mode * log_alpha - lp_mode
+
+    def _short_q_geometric_cdf(self, alpha: float, mode: int, log_alpha: float):
+        """(lo, the unnormalised CDF as a list) if the table has at most
+        `_VECTOR_TERMS` points, else None; plain Python.
+
+        The log weights fall away from the mode, so the table is the run of
+        points around it down to the cut.  Each log weight is the float that
+        `_long_q_geometric_cdf` computes.
+        """
+        lp = self._prefix.at
+        lp_mode = lp(mode)
+
+        def rel(n):  # log pmf(n) - log pmf(mode)
+            return (n - mode) * log_alpha - lp(n) + lp_mode
+
+        if rel(mode + _VECTOR_TERMS) >= _LOG_TAIL:  # 65 points from the mode up are kept
+            return None
+        hi = lo = mode
+        while rel(hi + 1) >= _LOG_TAIL:
+            hi += 1
+        while lo and rel(lo - 1) >= _LOG_TAIL:
+            lo -= 1
+            if hi - lo >= _VECTOR_TERMS:
+                return None
+        log_w_mode = self._log_w_mode(alpha, mode, log_alpha, lp_mode)
+        return lo, list(accumulate(math.exp(log_w_mode + rel(n)) for n in range(lo, hi + 1)))
+
+    def _long_q_geometric_cdf(self, alpha: float, mode: int, log_alpha: float):
+        """(lo, the unnormalised CDF as a numpy array), over the points at or
+        above the cut among 0..last, where last is past the cut."""
+        prefix = self._prefix
         last = 2 * mode + _VECTOR_TERMS - 1
         lp = prefix.upto(last + 1)
         lp_mode = lp[mode]
@@ -760,29 +867,24 @@ class QSampler:
             last += math.ceil((rel_last - _LOG_TAIL) / -step) + 1
             lp = prefix.upto(last + 1)
         rel_w = (np.arange(last + 1) - mode) * log_alpha - lp + lp_mode
-        log_w_mode = log_q_pochhammer_inf(alpha, self.q) + mode * log_alpha - lp_mode
+        log_w_mode = self._log_w_mode(alpha, mode, log_alpha, lp_mode)
         kept = np.flatnonzero(rel_w >= _LOG_TAIL)
         lo, hi = int(kept[0]), int(kept[-1])
-        cdf = np.cumsum(np.exp(log_w_mode + rel_w[lo:hi + 1]))
-        total = cdf[-1]
-        if not abs(total - 1.0) <= 1e-9:
-            raise ArithmeticError(
-                f"q-geometric table for alpha={alpha}, q={self.q} has mass {total}, not 1"
-            )
-        if len(self._cdfs) >= MEMO_SIZE:
-            self._cdfs.clear()
-        table = self._cdfs[alpha] = (lo, cdf / total)
-        return table
+        return lo, np.cumsum(np.exp(log_w_mode + rel_w[lo:hi + 1]))
 
-    def _q_geometric_cdf_list(self, alpha: float) -> Tuple[int, List[float]]:
-        """`q_geometric_cdf` as a list, for scalar bisects."""
-        table = self._cdf_lists.get(alpha)
-        if table is None:
-            lo, cdf = self.q_geometric_cdf(alpha)
-            if len(self._cdf_lists) >= MEMO_SIZE:
-                self._cdf_lists.clear()
-            table = self._cdf_lists[alpha] = (lo, cdf.tolist())
-        return table
+
+class _QGeometricCdf:
+    """One q-geometric CDF table: its first point `lo` and the cumulative
+    masses, as a list (`values`) for scalar bisects and as a numpy array
+    (`array`) for batch searches.  The builder makes one of the two; the
+    sampler makes the other from it when a draw first asks for it."""
+
+    __slots__ = ("lo", "values", "array")
+
+    def __init__(self, lo: int, values: Optional[List[float]], array: Optional[np.ndarray]):
+        self.lo = lo
+        self.values = values
+        self.array = array
 
 
 # The shared samplers, one per float q: a plain dict, so that a draw finds

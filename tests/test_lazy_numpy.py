@@ -1,8 +1,9 @@
 """numpy is imported only where arrays are made.
 
-The exact verifier, `qrsk verify` and the Bernoulli samplers run in a fresh
-interpreter without loading numpy; a q-geometric step and the replica axis
-load it and give their golden values.
+The exact verifier, `qrsk verify`, the Bernoulli samplers and, at q = 1/2,
+every q-geometric step and `qrsk simulate` run in a fresh interpreter without
+loading numpy: their sampling tables have at most 64 points.  A longer table
+and the replica axis load it, and every run gives its golden values.
 """
 
 import json
@@ -17,7 +18,7 @@ import pytest
 from qrsk import dynamics, qnum
 
 _CHILD = r"""
-import contextlib, io, json, random, sys
+import contextlib, io, json, os, random, sys, tempfile
 from fractions import Fraction as F
 
 import qrsk
@@ -44,15 +45,32 @@ for step in (particles.bernoulli_qpush_step, particles.bernoulli_qtasep_step):
     step((-1, -2, -3), F(2, 5), [F(1), F(9, 10), F(4, 5)], F(1, 2), rng)
 out["after_exact_and_bernoulli"] = "numpy" in sys.modules
 
-# a q-geometric step: the seeded run of the golden test in test_dynamics
+# q-geometric steps at q = 1/2: first the seeded run of the golden test in test_dynamics
 spec = dynamics.DynamicsSpec(dynamics.ROW_ALPHA, 0.5, 0.35, (1.0, 0.9, 0.8))
 rng = random.Random(3000 + len(dynamics.ROW_ALPHA))
 arr = qrsk.gt.zero_array(3)
-arr = dynamics.sample_step(spec, arr, rng)
-out["after_row_alpha_step"] = "numpy" in sys.modules
-for _ in range(299):
+for _ in range(300):
     arr = dynamics.sample_step(spec, arr, rng)
 out["row_alpha"] = arr
+out["after_row_alpha_steps"] = "numpy" in sys.modules
+for kind in (dynamics.COL_ALPHA, dynamics.PUSH_BLOCK_ALPHA):
+    spec = dynamics.DynamicsSpec(kind, 0.5, 0.35, (1.0, 0.9, 0.8))
+    arr = qrsk.gt.zero_array(3)
+    for _ in range(10):
+        arr = dynamics.sample_step(spec, arr, rng)
+for step in (particles.geometric_qpush_step, particles.geometric_qtasep_step):
+    x = particles.step_config(3)
+    for _ in range(20):
+        x = step(x, 0.35, [1.0, 0.9, 0.8], 0.5, rng)
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    out["simulate_exit"] = qrsk.cli.main(
+        ["simulate", "row-alpha", "-N", "3", "-T", "20", "--out", os.path.join(tmp, "run")])
+out["after_q_geometric_steps"] = "numpy" in sys.modules
+
+# a scalar draw whose table is longer than 64 points builds it with numpy
+from qrsk import qnum
+qnum.sample_q_geometric(0.99, 0.5, rng)
+out["after_long_table"] = "numpy" in sys.modules
 """
 
 
@@ -74,10 +92,13 @@ def test_exact_verifier_and_bernoulli_samplers_run_without_numpy():
     assert out["moment"] == out["oracle"] == "6781/1936"
     assert out["verify_exit"] == 0
     assert not out["after_exact_and_bernoulli"]
-    # a q-geometric step builds the float sampling tables, which are numpy
-    assert out["after_row_alpha_step"]
+    # at q = 1/2 the q-geometric steps' tables are short, built in plain Python
+    assert not out["after_row_alpha_steps"]
+    assert out["simulate_exit"] == 0 and not out["after_q_geometric_steps"]
     # the RowAlpha N = 3 entry of test_dynamics._GOLDEN_FINAL_ARRAYS
     assert tuple(map(tuple, out["row_alpha"])) == ((304,), (305, 249), (307, 257, 200))
+    # a table of more than 64 points is built with numpy
+    assert out["after_long_table"]
 
 
 def test_scaled_arrays_load_numpy_and_keep_their_golden_sums():

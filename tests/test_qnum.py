@@ -464,9 +464,10 @@ def test_a_repeated_bad_log_q_pochhammer_inf_call_raises_each_time(a, q):
             qnum.log_q_pochhammer_inf(a, q)
 
 
-def test_the_per_q_prefix_memo_keeps_its_bound():
+def test_the_per_q_prefix_memo_keeps_its_bound(monkeypatch):
     assert qnum._log_qpoch_prefix.cache_parameters()["maxsize"] == qnum.Q_MEMO_SIZE
     qnum._log_qpoch_prefix.cache_clear()
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # no shared sampler lends its prefix
     samplers = [QSampler(0.5 + i / 100) for i in range(qnum.Q_MEMO_SIZE + 3)]
     assert qnum._log_qpoch_prefix.cache_info().currsize == qnum.Q_MEMO_SIZE
     # samplers built at one q share its prefix while the memo keeps it
@@ -493,27 +494,43 @@ def test_the_shared_samplers_and_their_tables_keep_their_bounds(monkeypatch):
     # each sampler keeps at most MEMO_SIZE tables of each kind
     for i in range(qnum.MEMO_SIZE + 5):
         sample_q_geometric(0.1 + i / 2e4, q, rng)
-        assert len(sampler._cdfs) <= qnum.MEMO_SIZE and len(sampler._cdf_lists) <= qnum.MEMO_SIZE
-    assert sampler._cdf_lists and qnum._shared_sampler(q) is sampler
+        assert len(sampler._cdfs) <= qnum.MEMO_SIZE
+    assert sampler._cdfs and qnum._shared_sampler(q) is sampler
+
+
+def test_a_new_sampler_reads_the_prefix_of_the_shared_sampler(monkeypatch):
+    # the prefix memo drops the least recently used q, the shared samplers the
+    # oldest: after shared draws at Q_MEMO_SIZE values of q and a sampler at
+    # one more, the memo has dropped q1 while its shared sampler lives on
+    qnum._log_qpoch_prefix.cache_clear()
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})
+    rng = random.Random(2)
+    qs = [0.5 + i / 100 for i in range(qnum.Q_MEMO_SIZE + 1)]
+    for q in qs[:-1]:
+        sample_q_geometric(0.3, q, rng)
+    QSampler(qs[-1])
+    assert qs[0] in qnum._SAMPLERS
+    assert QSampler(qs[0])._prefix is qnum._SAMPLERS[qs[0]]._prefix
 
 
 def test_prefix_values_are_a_function_of_q_and_n_alone():
-    q = math.exp(-1e-3)
-    stepwise, at_once, scalar = (qnum._LogQPochPrefix(q) for _ in range(3))
-    stepwise.grow(100)
-    stepwise.grow(20_000)
-    at_once.grow(20_000)
-    for n in (7, 100, 101, 4_000, 20_000):  # scalar reads grow the list, in another order
-        scalar.at(n)
-    n = 20_001
-    assert stepwise.array[:n].tobytes() == at_once.array[:n].tobytes() == scalar.array[:n].tobytes()
-    assert scalar.values[:n] == stepwise.array[:n].tolist()
-    with pytest.raises(ValueError):  # shared by every sampler for q: read-only
-        at_once.upto(10)[3] = 0.0
-    # and they are log (q;q)_n
-    for n in (1, 64, 65, 1_000, 20_000):
-        oracle = math.fsum(math.log1p(-q ** k) for k in range(1, n + 1))
-        assert at_once.array[n] == pytest.approx(oracle, rel=1e-12, abs=1e-12), n
+    # one q in numpy blocks, and q = 0.5, whose cap (60) is below 64: one block in plain Python
+    for q in (math.exp(-1e-3), 0.5):
+        stepwise, at_once, scalar = (qnum._LogQPochPrefix(q) for _ in range(3))
+        stepwise.grow(100)
+        stepwise.grow(20_000)
+        at_once.grow(20_000)
+        for n in (7, 100, 101, 4_000, 20_000):  # scalar reads grow the list, in another order
+            scalar.at(n)
+        n = 20_001
+        assert stepwise.array[:n].tobytes() == at_once.array[:n].tobytes() == scalar.array[:n].tobytes()
+        assert scalar.values[:n] == stepwise.array[:n].tolist()
+        with pytest.raises(ValueError):  # shared by every sampler for q: read-only
+            at_once.upto(10)[3] = 0.0
+        # and they are log (q;q)_n, constant past the cap
+        for n in (1, 64, 65, 1_000, 20_000):
+            oracle = math.fsum(math.log1p(-q ** k) for k in range(1, n + 1))
+            assert at_once.array[min(n, at_once.cap)] == pytest.approx(oracle, rel=1e-12, abs=1e-12), (q, n)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, math.exp(-1e-2), math.exp(-1e-3)])
@@ -531,6 +548,9 @@ def test_scalar_and_array_log_qpoch_agree_bit_for_bit(q):
 
 
 @pytest.mark.parametrize("q, alpha", [
+    (0.5, 0.35),  # a table of 41 points, built in plain Python
+    (0.5, 0.51),  # 64 points: the longest table built in plain Python
+    (0.5, 0.515),  # 65 points: the shortest built with numpy
     (0.5, 0.99),  # a tail that runs far past the prefix's cap
     (0.9, 0.3),
     (math.exp(-1e-2), math.exp(-2.1e-2)),
@@ -538,8 +558,11 @@ def test_scalar_and_array_log_qpoch_agree_bit_for_bit(q):
     (math.exp(-1e-3), 0.999),
 ])
 def test_q_geometric_table_covers_the_points_above_the_cut(q, alpha):
-    lo, cdf = QSampler(q).q_geometric_cdf(alpha)
+    sampler = QSampler(q)
+    lo, cdf = sampler.q_geometric_cdf(alpha)
     hi = lo + cdf.size - 1
+    # a table of at most 64 points is built as a list, in plain Python
+    assert (sampler._cdfs[alpha].values is not None) == (cdf.size <= 64)
     # log pmf(n) - log pmf(mode) from an fsum oracle of log (q;q)_n
     mode = qnum._q_geometric_mode(alpha, q)
     logs = [0.0] + [math.log1p(-q ** k) for k in range(1, hi + 2)]
