@@ -293,14 +293,16 @@ def _f_factor(i, nu_bar, lam, q):
     return _g_factor(i, nu_bar, lam, q) / (1 - qpow(q, _pt(nu_bar, i - 1) - nu_bar[i - 1] + 1))
 
 
-def _islands(c: Sequence[int]) -> List[Tuple[int, int]]:
-    """Maximal runs [k, m] of indices with c_i = 1 (1-based)."""
+def _islands(lam_bar: Sequence[int], nu_bar: Sequence[int]) -> List[Tuple[int, int]]:
+    """Maximal runs [k, m] of indices whose lower particle moved, nu_bar_i = lam_bar_i + 1
+    (1-based)."""
     runs = []
-    for i, ci in enumerate(c, start=1):
-        if ci == 1 and runs and runs[-1][1] == i - 1:
-            runs[-1] = (runs[-1][0], i)
-        elif ci == 1:
-            runs.append((i, i))
+    for i, (before, after) in enumerate(zip(lam_bar, nu_bar), start=1):
+        if after - before == 1:
+            if runs and runs[-1][1] == i - 1:
+                runs[-1] = (runs[-1][0], i)
+            else:
+                runs.append((i, i))
     return runs
 
 
@@ -316,7 +318,7 @@ def _sample_row_beta_level(lam_bar, nu_bar, lam, vj, q, rng, target=None):
     nu = list(lam)
     nu[0] += vj
     w = 1
-    for (k, m) in _islands(_moves(lam_bar, nu_bar)):
+    for (k, m) in _islands(lam_bar, nu_bar):
         stay = 1  # with vj = 1, lam_1 took the input, and the rest of its island moves with it
         if vj != 1 or k != 1:
             stay, ws = _choose(_island_law(k, m, nu_bar, lam, q), k, 1, nu, 0, rng, target)
@@ -356,12 +358,13 @@ def _donation_law(m, j, nu_bar, lam, q) -> list:
     return _first_success([_gp_factor(i, nu_bar, lam, q) for i in range(j, m + 1, -1)])
 
 
-def _moved_pairs(c: Sequence[int]) -> List[Tuple[int, int]]:
-    """Consecutive moved lower indices (r, k), from r = 0 (1-based)."""
+def _moved_pairs(lam_bar: Sequence[int], nu_bar: Sequence[int]) -> List[Tuple[int, int]]:
+    """Consecutive indices (r, k) whose lower particles moved, nu_bar_k = lam_bar_k + 1,
+    from r = 0 (1-based)."""
     pairs = []
     prev = 0
-    for k, ck in enumerate(c, start=1):
-        if ck == 1:
+    for k, (before, after) in enumerate(zip(lam_bar, nu_bar), start=1):
+        if after - before == 1:
             pairs.append((prev, k))
             prev = k
     return pairs
@@ -374,7 +377,7 @@ def _sample_col_beta_level(lam_bar, nu_bar, lam, vj, q, rng, target=None):
     nu = list(lam)
     w = 1
     m = 0
-    for (r, k) in _moved_pairs(_moves(lam_bar, nu_bar)):
+    for (r, k) in _moved_pairs(lam_bar, nu_bar):
         mover, wm = _choose(_pair_law(r, k, nu_bar, lam, q), k, -1, nu, 1, rng, target)
         nu[mover - 1] += 1
         w *= wm
@@ -721,6 +724,10 @@ def classical_rsk_step(kind: str, arr: InterlacingArray, inputs: Sequence[int]) 
 # sampling and exact distributions for whole arrays
 # ---------------------------------------------------------------------------
 
+# The inputs a Bernoulli kind takes; a set, so that checking a step's inputs is one C call.
+_BERNOULLI_SUPPORT = frozenset((0, 1))
+
+
 def sample_inputs(spec: DynamicsSpec, rng) -> Tuple[int, ...]:
     """The independent per-level inputs V_1..V_N for one time step.
 
@@ -739,8 +746,10 @@ def sample_step(
     """One time step of the multivariate dynamics.
 
     Raises ValueError if the spec has not one a_j, or `inputs` not one
-    input, per level of `arr`, or if a level update returns a level that
-    does not interlace with the one below it.
+    input, per level of `arr`, if an input is outside the support of the
+    input law (0 or 1 for a Bernoulli kind, >= 0 for a q-geometric one), or
+    if a level update returns a level that does not interlace with the one
+    below it.
     """
     n = len(arr)
     rule = KINDS[spec.kind]
@@ -750,6 +759,9 @@ def sample_step(
         inputs = sample_inputs(spec, rng)
     elif len(inputs) != n:
         raise ValueError(f"{spec.kind} step: {len(inputs)} inputs for {n} levels")
+    elif not (_BERNOULLI_SUPPORT.issuperset(inputs) if rule.beta else min(inputs) >= 0):
+        raise ValueError(f"{spec.kind} step: need inputs {'in {0, 1}' if rule.beta else '>= 0'}, "
+                         f"got {tuple(inputs)}")
     nu_bar = (arr[0][0] + inputs[0],)
     out: List[Signature] = [nu_bar]
     for j, (lam_bar, lam, vj) in enumerate(zip(arr, arr[1:], inputs[1:]), start=2):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from .qnum import INF, PhiParams, check_step_params, phi_sample, sample_q_geometric
+from .qnum import INF, PhiParams, check_step_params, memoised, phi_sample, sample_q_geometric
 
 ParticleConfig = Tuple[int, ...]
 
@@ -24,17 +24,28 @@ def flip(cfg: Sequence[int]) -> ParticleConfig:
     return tuple(-x for x in cfg)
 
 
-def _check_step(x: Sequence[int], q, par, a, alpha: bool, q_one: bool = False) -> None:
-    """Raise ValueError unless 0 <= q < 1 (or q = 1, with `q_one`), a holds one a_j
-    per particle, each par a_j is in range and x is strictly decreasing."""
+def _check_params(q, par, a, alpha: bool, q_one: bool = False) -> None:
+    """Raise ValueError unless 0 <= q < 1 (or q = 1, with `q_one`) and each par a_j
+    is in range."""
     if not (0 <= q < 1 or q_one and q == 1):
         raise ValueError(f"need 0 <= q < 1{' or q = 1' if q_one else ''}, got q = {q}")
-    if len(a) != len(x):
-        raise ValueError(f"{len(a)} level parameters a_j for {len(x)} particles")
     check_step_params((par,), a, alpha)
-    for i in range(len(x) - 1):
+
+
+def _check_config(x: Sequence[int], n: int) -> None:
+    """Raise ValueError unless x holds n particles, strictly decreasing."""
+    if n != len(x):
+        raise ValueError(f"{n} level parameters a_j for {len(x)} particles")
+    for i in range(n - 1):
         if x[i] <= x[i + 1]:
             raise ValueError("particles must be strictly decreasing")
+
+
+def _check_step(x: Sequence[int], q, par, a, alpha: bool, q_one: bool = False) -> None:
+    """Raise ValueError unless 0 <= q < 1 (or q = 1, with `q_one`), each par a_j is in
+    range, a holds one a_j per particle and x is strictly decreasing."""
+    _check_params(q, par, a, alpha, q_one)
+    _check_config(x, len(a))
 
 
 def _jump_prob(push, cfg, j, b, q, prev_jumped):
@@ -48,13 +59,37 @@ def _jump_prob(push, cfg, j, b, q, prev_jumped):
     return (b + gap_factor) / (1 + b) if push else b * (1 - gap_factor) / (1 + b)
 
 
-def _bernoulli_step(push, cfg, beta, a, q, rng) -> ParticleConfig:
-    _check_step(cfg, q, beta, a, False)
+@memoised
+def _step_plan(system: str, par, q, *a) -> tuple:
+    """The checked parameters of a float step of `system` ('BernoulliPush',
+    'BernoulliTasep', 'GeometricPush' or 'GeometricTasep'): (float q, each
+    particle's float par a_j) and, for a Bernoulli system, each particle's free
+    jump probability.
+
+    Raises ValueError where the step's parameter checks fail.  Each a_j is an
+    argument of its own, so that the memo's key counts its type: equal a_j of
+    two types can give two products (F(1, 10) * 7 is 7/10, F(1, 10) * 7.0 is
+    0.7000000000000001), and the key of a tuple would count only the tuple's.
+    """
+    bernoulli = system.startswith("Bernoulli")
+    _check_params(q, par, a, not bernoulli)
     q = float(q)
+    xs = tuple([float(par * aj) for aj in a])
+    if not bernoulli:
+        return q, xs
+    push = system == "BernoulliPush"
+    return q, xs, tuple([_jump_prob(push, (), 0, x, q, False) for x in xs])
+
+
+def _bernoulli_step(push, cfg, beta, a, q, rng) -> ParticleConfig:
+    q, xs, free = _step_plan("BernoulliPush" if push else "BernoulliTasep", beta, q, *a)
+    _check_config(cfg, len(xs))
     x = list(cfg)
     jumped = False
-    for j in range(len(x)):
-        jumped = rng.random() < _jump_prob(push, cfg, j, float(beta * a[j]), q, jumped)
+    for j, p in enumerate(free):
+        if j and jumped == push:  # a neighbour that jumped may push it, one that stayed may block it
+            p = _jump_prob(push, cfg, j, xs[j], q, jumped)
+        jumped = rng.random() < p
         if jumped:
             x[j] += -1 if push else 1
     return tuple(x)
@@ -76,11 +111,11 @@ def geometric_qpush_step(cfg, alpha, a, q, rng) -> ParticleConfig:
     x_j jumps by an independent q-geometric amount plus a push split off the
     move of its right neighbor.
     """
-    _check_step(cfg, q, alpha, a, True)
-    q = float(q)
+    q, xs = _step_plan("GeometricPush", alpha, q, *a)
+    _check_config(cfg, len(xs))
     x = list(cfg)
-    for j in range(len(x)):
-        v = sample_q_geometric(float(alpha * a[j]), q, rng)
+    for j, xj in enumerate(xs):
+        v = sample_q_geometric(xj, q, rng)
         w = 0
         if j > 0:
             c = cfg[j - 1] - x[j - 1]  # left displacement of the neighbor
@@ -93,18 +128,17 @@ def geometric_qpush_step(cfg, alpha, a, q, rng) -> ParticleConfig:
 
 def geometric_qtasep_step(cfg, alpha, a, q, rng) -> ParticleConfig:
     """One step of the geometric q-TASEP (right jumps)."""
-    _check_step(cfg, q, alpha, a, True)
-    q = float(q)
+    q, xs = _step_plan("GeometricTasep", alpha, q, *a)
+    _check_config(cfg, len(xs))
     x = list(cfg)
-    for j in range(len(x)):
-        xj = alpha * a[j]
+    for j, xj in enumerate(xs):
         gap = INF if j == 0 else cfg[j - 1] - cfg[j] - 1
         if gap == INF:
-            w = sample_q_geometric(float(xj), q, rng)
+            w = sample_q_geometric(xj, q, rng)
         elif gap == 0:
             w = 0
         else:
-            w = phi_sample(PhiParams.direct(q, float(xj), 0.0, gap), rng)
+            w = phi_sample(PhiParams.direct(q, xj, 0.0, gap), rng)
         x[j] += w
     return tuple(x)
 

@@ -343,8 +343,9 @@ def _scaled_replicas(level, n, t, thetas, theta_hats, eps, replicas, rng):
     `QSampler` serves the whole call, so each q-geometric table is built
     once per (alpha_s, a_j).  The log (q;q)_n prefix it reads and the
     normalisers log (alpha;q)_inf of its tables outlive the call, in the
-    per-q memos of `qnum`; their values depend on q, n and alpha alone, so
-    the same `rng` state gives the same arrays whatever ran before.
+    shared sampler of q and a memo of `qnum`; their values depend on q, n
+    and alpha alone, so the same `rng` state gives the same arrays whatever
+    ran before.
     """
     q = math.exp(-eps)
     a = [math.exp(-thetas[j] * eps) for j in range(n)]

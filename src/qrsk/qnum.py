@@ -47,8 +47,8 @@ _RESCALE_BELOW = 2.0 ** -_RESCALE_BITS
 # keeps a run whose float arguments never repeat from growing them without
 # limit.
 MEMO_SIZE = 1024
-# Values of q kept by each per-q memo: the log (q;q)_n prefixes and the
-# shared samplers.
+# Values of q whose shared samplers, each with the log (q;q)_n prefix of its
+# q, are kept.
 Q_MEMO_SIZE = 8
 
 # Memoise a pure weight on its (hashable) arguments.  The key includes each
@@ -623,23 +623,16 @@ class _LogQPochPrefix:
         return np.concatenate((array, np.full(stop - array.size, array[-1])))
 
 
-@lru_cache(maxsize=Q_MEMO_SIZE)
-def _log_qpoch_prefix(q: float) -> _LogQPochPrefix:
-    """The log (q;q)_n prefix of a float q, shared by every `QSampler` for q."""
-    return _LogQPochPrefix(q)
-
-
 class QSampler:
     """Floating-mode sampling tables for one q, each built on first use.
 
     * The prefix log (q;q)_n, n = 0, 1, ...; with it every inverse-regime
       phi weight costs O(1) (`log_phi_inverse`).  It is a property of q, not
-      of the sampler: every `QSampler(q)` reads the one prefix of q, that of
-      the live shared sampler of q or else one from a per-q memo of the
-      last `Q_MEMO_SIZE` values of q, grown on demand (`_LogQPochPrefix`),
-      so a new sampler starts from the entries earlier ones computed.
-      Scalar draws read it as a list, draws over a replica axis as a numpy
-      array.
+      of the sampler: the shared sampler of q (`_shared_sampler`) makes it,
+      grown on demand (`_LogQPochPrefix`), and every other `QSampler(q)`
+      reads that one, so a new sampler starts from the entries earlier ones
+      computed.  Scalar draws read it as a list, draws over a replica axis
+      as a numpy array.
     * Per q-geometric parameter alpha, one CDF table over the support
       points whose weight is at least 2^-60 times the modal weight, built
       once from the normaliser log (alpha;q)_inf (itself memoised), so a
@@ -656,15 +649,13 @@ class QSampler:
     own only to keep its tables apart.
     """
 
-    def __init__(self, q):
+    def __init__(self, q, _shared: bool = False):
         q = float(q)
         if not 0 <= q < 1:
             raise ValueError("QSampler needs 0 <= q < 1")
         self.q = q
-        # the live shared sampler of q holds the prefix of q, even once the
-        # per-q memo has dropped it
-        shared = _SAMPLERS.get(q)
-        self._prefix = shared._prefix if shared is not None else _log_qpoch_prefix(q)
+        # `_shared` is for `_shared_sampler` alone: the sampler it makes owns the prefix of q
+        self._prefix = _LogQPochPrefix(q) if _shared else _shared_sampler(q)._prefix
         self.log_q = self._prefix.log_q
         self._log_qpoch = self._prefix.values
         self._cdfs: Dict[float, _QGeometricCdf] = {}
@@ -894,11 +885,12 @@ _SAMPLERS: Dict[float, QSampler] = {}
 
 
 def _shared_sampler(q) -> QSampler:
-    """The `QSampler` of q that draws and float phi weights given none read, made
-    on first use; past `Q_MEMO_SIZE` values of q the one made first is dropped."""
+    """The `QSampler` of q that draws and float phi weights given none read, and
+    that owns the log (q;q)_n prefix of q, made on first use; past `Q_MEMO_SIZE`
+    values of q the one made first is dropped."""
     q = float(q)
     if q not in _SAMPLERS:
-        new = QSampler(q)  # raises unless 0 <= q < 1
+        new = QSampler(q, _shared=True)  # raises unless 0 <= q < 1
         if len(_SAMPLERS) >= Q_MEMO_SIZE:
             del _SAMPLERS[next(iter(_SAMPLERS))]
         _SAMPLERS[q] = new
@@ -1014,7 +1006,10 @@ def sample_q_geometric(
     """Draw from pmf (alpha;q)_inf alpha^n/(q;q)_n; one `rng.random()` a draw.
 
     A draw is one bisect into the CDF table for alpha of `sampler`, or
-    without one of the shared sampler of q, built on first use.
+    without one of the shared sampler of q, built on first use.  The table
+    keeps every point above 2^-60 of the modal weight, about
+    41.6 / (1 - alpha) of them past the mode, so alpha near 1 costs memory:
+    alpha = 1 - 1e-5 builds about 4.2M points (about 300 MB).
 
     With `size`, `rng` is a numpy Generator and the result is an int64 array
     of `size` draws, the same table bisect for each of `rng.random(size)`.

@@ -442,9 +442,10 @@ def test_sample_step_rejects_a_level_that_does_not_interlace(monkeypatch):
 
 
 def _fake_levels(monkeypatch, levels):
-    """A row-beta level sampler that returns levels[len(lam)], whatever it is given."""
+    """A row-alpha level sampler that returns levels[len(lam)], whatever it is given.
+    Row-alpha takes every input >= 0, so level 1 may move by more than 1."""
     monkeypatch.setattr(
-        dyn, "_sample_row_beta_level", lambda lam_bar, nu_bar, lam, vj, q, rng: levels[len(lam)]
+        dyn, "_sample_row_alpha_level", lambda lam_bar, nu_bar, lam, vj, q, rng: levels[len(lam)]
     )
 
 
@@ -457,7 +458,7 @@ def _fake_levels(monkeypatch, levels):
 def test_sample_step_rejects_more_levels_that_do_not_interlace(monkeypatch, levels, bad):
     _fake_levels(monkeypatch, levels)
     n = max(levels)
-    spec = DynamicsSpec(ROW_BETA, 0.5, 0.4, (1.0,) * n)
+    spec = DynamicsSpec(ROW_ALPHA, 0.5, 0.4, (1.0,) * n)
     inputs = (levels[2][0],) + (0,) * (n - 1)
     with pytest.raises(ValueError, match=f"level {bad} .* does not interlace with level {bad - 1}"):
         sample_step(spec, zero_array(n), random.Random(0), inputs=inputs)
@@ -497,7 +498,7 @@ def test_sample_step_interlace_check_is_interlaces_h(chain):
         n = max(chain)
         bad = [k for k in range(2, n + 1)
                if len(chain[k]) != k or not interlaces_h(chain[k - 1], chain[k])]
-        spec = DynamicsSpec(ROW_BETA, 0.5, 0.4, (1.0,) * n)
+        spec = DynamicsSpec(ROW_ALPHA, 0.5, 0.4, (1.0,) * n)
         arr = tuple((0,) * k for k in range(1, n + 1))
         inputs = chain[1] + (0,) * (n - 1)
         if not bad:
@@ -505,6 +506,23 @@ def test_sample_step_interlace_check_is_interlaces_h(chain):
         else:
             with pytest.raises(ValueError, match=f"level {bad[0]} .* does not interlace"):
                 sample_step(spec, arr, random.Random(0), inputs=inputs)
+
+
+@pytest.mark.parametrize("kind", sorted(dyn.KINDS))
+def test_sample_step_rejects_inputs_outside_the_input_law(kind):
+    # from the zero 2-level array RowBeta took inputs (0, 2) to ((0,), (2, 0)), and
+    # ColBeta and PushBlockBeta dropped V_2 = 2 and V_2 = -1 without a word
+    spec = DynamicsSpec(kind, 0.5, 0.4, (1.0, 0.9))
+    bad = [(0, 2), (2, 0), (0, -1)] if kind in BETA_KINDS else [(0, -1), (-1, 0)]
+    for inputs in bad:
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="need inputs"):
+            sample_step(spec, zero_array(2), rng, inputs=inputs)
+        assert rng.getstate() == state
+    good = [(1, 0), (0, 1)] + ([] if kind in BETA_KINDS else [(3, 2)])
+    for inputs in good:
+        assert len(sample_step(spec, zero_array(2), random.Random(0), inputs=inputs)) == 2
 
 
 def test_sample_step_rejects_a_count_that_differs_from_the_levels():
@@ -776,7 +794,8 @@ def test_insertion_samplers_match_their_evaluators_at_level_four(index):
     q, beta, alpha, aj = 0.5, 0.4, 0.35, 0.9
     c = tuple(b - a for a, b in zip(lam_bar, nu_bar))
     if kind == ROW_BETA:  # two islands, or an island of three particles
-        assert len(dyn._islands(c)) == 2 or dyn._islands(c) == [(2, 3)]
+        islands = dyn._islands(lam_bar, nu_bar)
+        assert len(islands) == 2 or islands == [(2, 3)]
     if kind == COL_ALPHA:
         assert dyn._col_alpha_gap(lam_bar, lam, 2) < c[2]
     ctx = LevelUpdateContext(lam_bar, nu_bar, lam)

@@ -1,9 +1,11 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from qrsk import particles, qnum
 from qrsk.dynamics import COL_ALPHA, ROW_BETA, DynamicsSpec, LevelUpdateContext, exact_array_distribution
 from qrsk.particles import (
     bernoulli_qpush_step,
@@ -361,3 +363,56 @@ def test_exact_distribution_at_q_one_is_a_law():
     for system in ("BernoulliPush", "BernoulliTasep"):
         d = exact_trajectory_distribution(system, 2, 2, F(1, 2), [F(1), F(1)], F(1))
         assert sum(d.values()) == 1 and all(0 <= p <= 1 for p in d.values())
+
+
+# the system name each step gives its plan
+_PLAN_SYSTEMS = {
+    "bernoulli_qpush": "BernoulliPush",
+    "bernoulli_qtasep": "BernoulliTasep",
+    "geometric_qpush": "GeometricPush",
+    "geometric_qtasep": "GeometricTasep",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STEPS))
+def test_step_plan_checks_before_any_draw_and_keys_on_each_a_j_type(name):
+    step = _STEPS[name]
+    system = _PLAN_SYSTEMS[name]
+    bernoulli = name.startswith("bernoulli")
+    range_msg = "need 0 <= beta a_j, got" if bernoulli else "need 0 <= alpha a_j < 1, got"
+    out_of_range = [1.0, -1.0] if bernoulli else [1.0, 3.0]  # at the last particle
+    cases = [
+        ((-1, -2), 0.4, [1.0, 0.9], 1.0, "need 0 <= q < 1, got q = 1.0"),
+        ((-1, -2), 0.4, [1.0, 0.9], F(-1, 2), "need 0 <= q < 1, got q = -1/2"),
+        ((-1, -2), -0.4, [1.0, 0.9], 0.5, range_msg),
+        ((-1, -2), 0.4, out_of_range, 0.5, range_msg),
+        ((-1, -2), 0.4, [1.0], 0.5, "1 level parameters a_j for 2 particles"),
+        ((-1, -2), 0.4, [1.0, 0.9, 0.8], 0.5, "3 level parameters a_j for 2 particles"),
+        ((-2, -1), 0.4, [1.0, 0.9], 0.5, "particles must be strictly decreasing"),
+        ((-1, -1, -3), 0.4, [1.0, 0.9, 0.8], 0.5, "particles must be strictly decreasing"),
+    ]
+    for cfg, par, a, q, msg in cases:
+        for _ in range(2):  # a failed plan is not kept: the second call checks again
+            rng = random.Random(0)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match=re.escape(msg)):
+                step(cfg, par, a, q, rng)
+            assert rng.getstate() == state, (cfg, par, a, q)
+    # equal a_j of two types give two products, so two plans, each with the floats
+    # par * a_j of its a
+    beta, q = F(1, 10), F(1, 2)
+    plans = []
+    for a in ([7, 7], [7.0, 7.0]):
+        step((-1, -2), beta, a, q, random.Random(0))
+        plans.append(particles._step_plan(system, beta, q, *a))
+    assert [plan[1] for plan in plans] == [(0.7, 0.7), (0.7000000000000001,) * 2]
+    for plan in plans:
+        assert plan[0] == 0.5 and type(plan[0]) is float
+        if bernoulli:
+            assert plan[2] == tuple(x / (1 + x) for x in plan[1])
+    # the memo keeps its bound
+    assert particles._step_plan.cache_parameters()["maxsize"] == qnum.MEMO_SIZE
+    rng = random.Random(1)
+    for i in range(qnum.MEMO_SIZE + 5):
+        step((-1, -2), 0.3 + i / 1e5, [1.0, 0.9], 0.5, rng)
+        assert particles._step_plan.cache_info().currsize <= qnum.MEMO_SIZE

@@ -257,9 +257,9 @@ def test_scaled_arrays_are_reproducible_from_the_rng_state():
         assert all(len(v) == 50 and all(type(x) is float for x in v) for v in first.values())
 
 
-def test_seeded_scaled_arrays_do_not_depend_on_the_state_of_the_prefix():
+def test_seeded_scaled_arrays_do_not_depend_on_the_state_of_the_prefix(monkeypatch):
     args = (2, 2, [1.2, 0.8], [0.9, 1.1], 5e-3, 200)
-    qnum._log_qpoch_prefix.cache_clear()
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # a cold prefix
     cold = scaled_col_arrays(*args, random.Random(7))
     # other calls at the same q grow the shared log (q;q)_n prefix past what it held
     scaled_row_arrays(*args, random.Random(8))

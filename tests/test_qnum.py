@@ -464,18 +464,6 @@ def test_a_repeated_bad_log_q_pochhammer_inf_call_raises_each_time(a, q):
             qnum.log_q_pochhammer_inf(a, q)
 
 
-def test_the_per_q_prefix_memo_keeps_its_bound(monkeypatch):
-    assert qnum._log_qpoch_prefix.cache_parameters()["maxsize"] == qnum.Q_MEMO_SIZE
-    qnum._log_qpoch_prefix.cache_clear()
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # no shared sampler lends its prefix
-    samplers = [QSampler(0.5 + i / 100) for i in range(qnum.Q_MEMO_SIZE + 3)]
-    assert qnum._log_qpoch_prefix.cache_info().currsize == qnum.Q_MEMO_SIZE
-    # samplers built at one q share its prefix while the memo keeps it
-    assert QSampler(samplers[-1].q)._prefix is samplers[-1]._prefix
-    # an evicted q gets a new prefix; its old samplers keep theirs
-    assert QSampler(samplers[0].q)._prefix is not samplers[0]._prefix
-
-
 def test_the_shared_samplers_and_their_tables_keep_their_bounds(monkeypatch):
     monkeypatch.setattr(qnum, "_SAMPLERS", {})
     rng = random.Random(41)
@@ -499,18 +487,20 @@ def test_the_shared_samplers_and_their_tables_keep_their_bounds(monkeypatch):
 
 
 def test_a_new_sampler_reads_the_prefix_of_the_shared_sampler(monkeypatch):
-    # the prefix memo drops the least recently used q, the shared samplers the
-    # oldest: after shared draws at Q_MEMO_SIZE values of q and a sampler at
-    # one more, the memo has dropped q1 while its shared sampler lives on
-    qnum._log_qpoch_prefix.cache_clear()
+    # the shared sampler of q owns the prefix of q; every other sampler of q
+    # reads it, and makes the shared sampler first where there is none
     monkeypatch.setattr(qnum, "_SAMPLERS", {})
     rng = random.Random(2)
     qs = [0.5 + i / 100 for i in range(qnum.Q_MEMO_SIZE + 1)]
     for q in qs[:-1]:
         sample_q_geometric(0.3, q, rng)
-    QSampler(qs[-1])
-    assert qs[0] in qnum._SAMPLERS
-    assert QSampler(qs[0])._prefix is qnum._SAMPLERS[qs[0]]._prefix
+    first = QSampler(qs[0])
+    assert first._prefix is qnum._SAMPLERS[qs[0]]._prefix
+    assert QSampler(qs[-1])._prefix is qnum._SAMPLERS[qs[-1]]._prefix
+    # that shared sampler is one more than Q_MEMO_SIZE: the oldest, of q1, is
+    # dropped; a new sampler of q1 gets a new prefix, and the old one keeps its own
+    assert list(qnum._SAMPLERS) == qs[1:]
+    assert QSampler(qs[0])._prefix is not first._prefix
 
 
 def test_prefix_values_are_a_function_of_q_and_n_alone():
@@ -534,13 +524,13 @@ def test_prefix_values_are_a_function_of_q_and_n_alone():
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, math.exp(-1e-2), math.exp(-1e-3)])
-def test_scalar_and_array_log_qpoch_agree_bit_for_bit(q):
-    qnum._log_qpoch_prefix.cache_clear()
+def test_scalar_and_array_log_qpoch_agree_bit_for_bit(q, monkeypatch):
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # a cold prefix
     sampler = QSampler(q)
     cap = sampler._prefix.cap
     ns = sorted({0, 1, 2, 63, 64, 65, 200, cap // 2, cap, cap + 1, 3 * cap + 5})
     scalar = [sampler.log_qpoch(n) for n in ns]  # grows the prefix through the list
-    qnum._log_qpoch_prefix.cache_clear()
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})
     array = QSampler(q).log_qpoch_at(np.array(ns))  # a cold prefix grown through the array
     assert array.tolist() == scalar
     assert [QSampler(q).log_qpoch_at(n) for n in ns] == scalar
@@ -586,15 +576,14 @@ def test_q_geometric_table_covers_the_points_above_the_cut(q, alpha):
 ], ids=["phi_inverse_weight", "sample_q_geometric", "phi_sample"])
 def test_a_second_one_shot_call_at_the_same_q_grows_no_prefix(draw, monkeypatch):
     q = math.exp(-1e-3)
-    qnum._log_qpoch_prefix.cache_clear()
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # a shared sampler keeps the prefix it was made with
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # a cold prefix
     rng = random.Random(0)
     draw(q, rng)
-    prefix = qnum._log_qpoch_prefix(q)
+    prefix = qnum._shared_sampler(q)._prefix
     array, listed = prefix.array, len(prefix.values)
     assert array.size > 1 or listed > 1
     draw(q, rng)
-    assert qnum._log_qpoch_prefix(q) is prefix
+    assert qnum._shared_sampler(q)._prefix is prefix
     assert prefix.array is array and len(prefix.values) == listed
 
 
