@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import sub
+from operator import index, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .gt import (
@@ -548,61 +548,85 @@ def _v_strips_above(lam):
     return signatures_between(lam, [x + 1 for x in lam])
 
 
+def _psi_rows(v, ws, nb, q, exact):
+    """The rows psi_{(v, w)/(nb)} over w in ws for v, v + 1, ...: each entry from the
+    memoised psi (exact), or one psi call for the first and one-step ratios for the
+    rest: (1 - q^(nb - w)) / (1 - q^(v - w)) along w, (1 - q^(v - w)) / (1 - q^(v - nb)) to v."""
+    while exact:
+        yield [psi((v, w), (nb,), q) for w in ws]
+        v += 1
+    row = [psi((v, ws.start), (nb,), q)] if ws else []
+    for w in ws[:-1]:
+        row.append(row[-1] * (1 - q ** (nb - w)) / (1 - q ** (v - w)))
+    while True:
+        yield row
+        v += 1
+        c = 1 - q ** (v - nb)
+        row = [e * (1 - q ** (v - w)) / c for e, w in zip(row, ws)]
+
+
 def _push_block_chain(kind, lam, nu_bar, par, a_j, q):
     """The push-block weight of one level as a nearest-neighbour chain in nu_1..nu_j.
 
     With x = par a_j, x^|nu| psi_{nu/nu_bar} psi'_{nu/lam} (phi_{nu/lam} for the
-    usual kind) is x^(sum lo) prod_i node(i, nu_i) prod_i edge(i, nu_i, nu_{i+1})
-    (0-based i), each nu_i ranging over its own interval from lo_i.  node holds
-    x^(nu_i - lo_i), so no weight underflows, and the phi factor of nu_i; edge
-    is the psi (and psi') weight of the pair (nu_i, nu_{i+1}), whose product
-    over the pairs is psi_{nu/nu_bar} (psi'_{nu/lam}).
+    usual kind) is x^(sum lo) prod_i node_i(nu_i) prod_i E_i(nu_i, nu_{i+1})
+    (0-based i), each nu_i over its own interval from lo_i.  The node holds
+    x^(nu_i - lo_i), so no weight underflows, and the phi factor of nu_i, walked
+    from one phi_coef call by its ratio x (1 - q^(lam_{i-1} - v)) / (1 - q^(v + 1 -
+    lam_i)); E_i is the psi (`_psi_rows`) and psi' weight of the pair over nu_bar_i.
 
-    Returns (ranges, node, edge, back), where back[i][v - lo_i] sums the factors
-    of nu_i..nu_j given nu_i = v.  The usual kind is floating-mode only; its
-    unbounded nu_1 is cut once back[0][v] / (1 - x) is below 2^-50 of the sum.
+    Returns (ranges, nodes, rows, back, total): the values kept for each nu_i;
+    node_i(v), E_i(v, .) over ranges[i + 1] and the sum of the factors of
+    nu_i..nu_j given nu_i = v, each indexed by v - lo_i; and sum(back[0]).  The
+    usual kind is floating-mode only.  Past nu_i = v, back grows by at most
+    rho = x / ((1 - q^(v + 1 - lam_i)) (1 - q^(v + 1 - nu_bar_i))) a step, so nu_i
+    is cut at v once back rho / (1 - rho) is at most 2^-50 of the column so far.
+    A float sum past the float range raises OverflowError.
     """
     rule = _rule(kind)
     if not rule.push_block:
         raise ValueError(f"not a push-block kind: {kind!r}")
-    j = len(lam)
-    beta = rule.beta
+    j, beta = len(lam), rule.beta
     x = par * a_j
-    if not beta:
+    exact = beta and is_exact(x) and is_exact(q)
+    if not exact:
         x, q = float(x), float(q)
-        if not 0 <= x < 1:
+        if not (beta or 0 <= x < 1):
             raise ValueError(f"need 0 <= alpha a_j < 1, got {x}")
     lo, hi = _strip_bounds(beta, lam, nu_bar)
-
-    def node(i, v):
-        val = x ** (v - lo[i])
-        if beta:
-            return val
-        if i == 0:
-            return val * phi_coef((v,), lam[:1], q)
-        return val * phi_coef((lam[i - 1], v), lam[i - 1:i + 1], q)
-
-    def edge(i, v, w):
-        val = psi((v, w), nu_bar[i:i + 1], q)
-        return val * psi_prime((v, w), lam[i:i + 2], q) if beta else val
-
-    def column(i, v):
-        if i == j - 1:
-            return node(i, v)
-        return node(i, v) * sum(edge(i, v, w) * b for w, b in zip(ranges[i + 1], back[i + 1]))
-
-    ranges = [None if h == INF else range(l, h + 1) for l, h in zip(lo, hi)]
-    back = [None] * j
-    for i in range(j - 1, 0, -1):
-        back[i] = [column(i, v) for v in ranges[i]]
-    if beta:
-        back[0] = [column(0, v) for v in ranges[0]]
-    else:
-        back[0] = [column(0, lo[0])]
-        while back[0][-1] / (1 - x) >= 2.0 ** -50 * sum(back[0]) > 0:
-            back[0].append(column(0, lo[0] + len(back[0])))
-        ranges[0] = range(lo[0], lo[0] + len(back[0]))
-    return ranges, node, edge, back
+    nb = (*nu_bar, 0)
+    ranges, nodes, back = [None] * j, [[] for _ in lam], [[] for _ in lam]
+    rows = [[] for _ in nu_bar]
+    for i in range(j - 1, -1, -1):
+        pairs = _psi_rows(lo[i], ranges[i + 1], nb[i], q, exact) if i < j - 1 else None
+        v, total = lo[i], 0
+        seed = ((lam[i - 1], v), lam[i - 1:i + 1]) if i else ((v,), lam[:1])
+        node = x ** 0 if beta else phi_coef(*seed, q)
+        while v <= hi[i]:
+            col = node
+            if pairs:
+                row = next(pairs)
+                if beta and v == lam[i]:  # psi' of the pair
+                    row = [e * (1 - q ** (v - lam[i + 1])) if w == lam[i + 1] + 1 else e
+                           for e, w in zip(row, ranges[i + 1])]
+                rows[i].append(row)
+                col *= sum(map(mul, row, back[i + 1]))
+            nodes[i].append(node)
+            back[i].append(col)
+            total += col
+            if not exact and not math.isfinite(total):
+                raise OverflowError(f"{kind}: a weight above {lam} is past the float range at q = {q}")
+            if beta:
+                node *= x
+            else:
+                d = 1 - q ** (v + 1 - lam[i])
+                rho = x / d / (1 - q ** (v + 1 - nb[i]))
+                if col * rho <= 2.0 ** -50 * total * (1 - rho):
+                    break
+                node *= x * (1 - qpow(q, _pt(lam, i) - v)) / d
+            v += 1
+        ranges[i] = range(lo[i], lo[i] + len(back[i]))
+    return ranges, nodes, rows, back, total
 
 
 # Entries kept by the memos of the main-equation sweep.  The sweep runs nu
@@ -620,27 +644,29 @@ def push_block_prob(kind: str, lam, nu_bar, nu, par, a_j, q):
     """Conditional probability not depending on the lower starting state.
 
     The dual kind is exact (the normalizing sum is finite); the usual kind
-    cuts the sum over nu_1 (see `_push_block_chain`) and is floating-mode only.
+    cuts each nu_i (see `_push_block_chain`) and is floating-mode only: a
+    level past a cut, of probability at most about 2^-50, reads 0.0.
     """
     exact = is_exact(par) and is_exact(a_j) and is_exact(q)
     chain = _exact_push_block_chain if exact else _push_block_chain
-    _, node, edge, back = chain(kind, tuple(lam), tuple(nu_bar), par, a_j, q)
-    rule = _rule(kind)
-    if len(nu) != len(lam) or not rule.strip(lam, nu) or not interlaces_h(nu_bar, nu):
-        return q * 0 if rule.exact else 0.0
-    w = math.prod(node(i, v) for i, v in enumerate(nu))
-    w *= math.prod(edge(i, v, u) for i, (v, u) in enumerate(zip(nu, nu[1:])))
-    return w / sum(back[0])
+    ranges, nodes, rows, _, total = chain(kind, tuple(lam), tuple(nu_bar), par, a_j, q)
+    # within the bounds of `_strip_bounds`, nu is a strip above lam over nu_bar
+    if len(nu) != len(lam) or not all(map(range.__contains__, ranges, nu)):
+        return q * 0 if _rule(kind).exact else 0.0
+    ks = [v - r.start for v, r in zip(nu, ranges)]
+    w = math.prod(node[k] for node, k in zip(nodes, ks))
+    w *= math.prod(row[k][m] for row, k, m in zip(rows, ks, ks[1:]))
+    return w / total
 
 
 def _sample_push_block_level(kind, lam, nu_bar, par, a_j, q, rng):
-    """Draw nu_1 from the chain's backward sums, then each nu_{i+1} given nu_i."""
-    ranges, node, edge, back = _push_block_chain(kind, lam, nu_bar, par, a_j, q)
+    """Draw nu_1 from the chain's backward sums, then each nu_{i+1} given nu_i from its row."""
+    ranges, _, rows, back, _ = _push_block_chain(kind, lam, nu_bar, par, a_j, q)
     nu = []
     weights = back[0]
     for i, values in enumerate(ranges):
         if i:
-            weights = [edge(i - 1, nu[-1], w) * b for w, b in zip(values, back[i])]
+            weights = list(map(mul, rows[i - 1][nu[-1] - ranges[i - 1].start], back[i]))
         u = rng.random() * float(sum(weights))
         pick = None
         for v, w in zip(values, weights):
@@ -728,6 +754,14 @@ def classical_rsk_step(kind: str, arr: InterlacingArray, inputs: Sequence[int]) 
 _BERNOULLI_SUPPORT = frozenset((0, 1))
 
 
+def _naturals(inputs) -> bool:
+    """Whether every input is a Python or numpy int >= 0, in one pass."""
+    try:
+        return min(map(index, inputs)) >= 0
+    except TypeError:
+        return False
+
+
 def sample_inputs(spec: DynamicsSpec, rng) -> Tuple[int, ...]:
     """The independent per-level inputs V_1..V_N for one time step.
 
@@ -747,7 +781,7 @@ def sample_step(
 
     Raises ValueError if the spec has not one a_j, or `inputs` not one
     input, per level of `arr`, if an input is outside the support of the
-    input law (0 or 1 for a Bernoulli kind, >= 0 for a q-geometric one), or
+    input law (0 or 1 for a Bernoulli kind, an int >= 0 for a q-geometric one), or
     if a level update returns a level that does not interlace with the one
     below it.
     """
@@ -759,8 +793,8 @@ def sample_step(
         inputs = sample_inputs(spec, rng)
     elif len(inputs) != n:
         raise ValueError(f"{spec.kind} step: {len(inputs)} inputs for {n} levels")
-    elif not (_BERNOULLI_SUPPORT.issuperset(inputs) if rule.beta else min(inputs) >= 0):
-        raise ValueError(f"{spec.kind} step: need inputs {'in {0, 1}' if rule.beta else '>= 0'}, "
+    elif not (_BERNOULLI_SUPPORT.issuperset(inputs) if rule.beta else _naturals(inputs)):
+        raise ValueError(f"{spec.kind} step: need inputs {'in {0, 1}' if rule.beta else 'ints >= 0'}, "
                          f"got {tuple(inputs)}")
     nu_bar = (arr[0][0] + inputs[0],)
     out: List[Signature] = [nu_bar]

@@ -37,12 +37,14 @@ from qrsk.gt import (
     enumerate_arrays_with_top,
     enumerate_signatures,
     interlaces_h,
+    is_interlacing_array,
+    signatures_between,
     weight,
     zero_array,
 )
 from qrsk.identities import complementation
 from qrsk.qnum import INF, PhiParams, phi_weight, q_pochhammer
-from qrsk.whittaker import SpecParams, process_weight, psi, psi_prime
+from qrsk.whittaker import SpecParams, phi_coef, process_weight, psi, psi_prime
 
 Q = F(1, 2)
 BETA = F(1, 3)
@@ -525,6 +527,22 @@ def test_sample_step_rejects_inputs_outside_the_input_law(kind):
         assert len(sample_step(spec, zero_array(2), random.Random(0), inputs=inputs)) == 2
 
 
+@pytest.mark.parametrize("kind", [ROW_ALPHA, COL_ALPHA, PUSH_BLOCK_ALPHA])
+def test_sample_step_rejects_a_q_geometric_input_that_is_not_an_int(kind):
+    # RowAlpha took inputs (1.5, 0) from the zero 2-level array to ((1.5,), (1.5, 0.0))
+    np = pytest.importorskip("numpy")
+    spec = DynamicsSpec(kind, 0.5, 0.35, (1.0, 0.9))
+    for inputs in [(1.5, 0), (0, 0.5), (1.0, 0), (F(1), 0)]:
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="need inputs"):
+            sample_step(spec, zero_array(2), rng, inputs=inputs)
+        assert rng.getstate() == state
+    # a numpy int is an int
+    expected = sample_step(spec, zero_array(2), random.Random(0), inputs=(2, 1))
+    assert sample_step(spec, zero_array(2), random.Random(0), inputs=(np.int64(2), 1)) == expected
+
+
 def test_sample_step_rejects_a_count_that_differs_from_the_levels():
     # three a_j (or three inputs) for a two-level array: named, not an IndexError
     spec = DynamicsSpec(ROW_BETA, 0.5, 0.4, (1.0, 0.9, 0.8))
@@ -738,6 +756,91 @@ def test_push_block_beta_level_marginals_match_row_beta():
         va = sum((v - ma) ** 2 for v in a) / (len(a) - 1)
         vb = sum((v - mb) ** 2 for v in b) / (len(b) - 1)
         assert abs(ma - mb) <= 6 * math.sqrt(va / len(a) + vb / len(b)), (i, ma, mb)
+
+
+def test_push_block_alpha_level_marginals_match_row_alpha():
+    # from the zero array every alpha kind samples the same q-Whittaker process,
+    # so after 20 steps the parts of levels 2 and 3 have the same law under both
+    def levels(kind, seed):
+        spec = DynamicsSpec(kind, 0.5, 0.35, (1.0, 0.9, 0.8))
+        rng = random.Random(seed)
+        out = []
+        for _ in range(300):
+            arr = zero_array(3)
+            for _ in range(20):
+                arr = sample_step(spec, arr, rng)
+            out.append(arr[1] + arr[2])
+        return out
+
+    push, row = levels(PUSH_BLOCK_ALPHA, 31), levels(ROW_ALPHA, 32)
+    for i in range(5):
+        a, b = [nu[i] for nu in push], [nu[i] for nu in row]
+        ma, mb = sum(a) / len(a), sum(b) / len(b)
+        va = sum((v - ma) ** 2 for v in a) / (len(a) - 1)
+        vb = sum((v - mb) ** 2 for v in b) / (len(b) - 1)
+        assert abs(ma - mb) <= 6 * math.sqrt(va / len(a) + vb / len(b)), (i, ma, mb)
+
+
+def test_push_block_alpha_long_run_keeps_moving():
+    # by t = 1000 the gaps are far longer than the cut intervals of nu_2 and nu_3
+    spec = DynamicsSpec(PUSH_BLOCK_ALPHA, 0.5, 0.35, (1.0, 0.9, 0.8))
+    rng = random.Random(37)
+    arr = zero_array(3)
+    moved = set()
+    for t in range(1000):
+        new = sample_step(spec, arr, rng)
+        assert is_interlacing_array(new), (t, new)
+        if t >= 500:
+            moved |= {(j, i) for j in range(3) for i in range(j + 1) if new[j][i] != arr[j][i]}
+        arr = new
+    assert moved == {(j, i) for j in range(3) for i in range(j + 1)}
+    assert min(a - b for a, b in zip(arr[2], arr[2][1:])) > 60, arr
+
+
+# Squares with one interval of nu_2 or nu_3 of 61 or more values, far more
+# than its cut keeps, as (lam, nu_bar, x, q).
+_WIDE_SQUARES = [
+    ((200, 130), (190,), 0.35, 0.5),
+    ((200, 130), (195,), 0.5, 0.3),
+    ((300, 230, 160), (290, 170), 0.2, 0.5),
+    ((300, 230, 160), (240, 220), 0.2, 0.5),
+]
+
+
+@pytest.mark.parametrize("index", range(len(_WIDE_SQUARES)))
+def test_push_block_alpha_float_matches_brute_force_past_the_cuts(index):
+    # the brute force sums every nu_2 and nu_3 of their intervals and carries nu_1
+    # to x^(nu_1 - lo_1) < 2^-70, with the generic psi and phi_coef
+    lam, nu_bar, x, q = _WIDE_SQUARES[index]
+    lo, hi = dyn._strip_bounds(False, lam, nu_bar)
+    hi[0] = lo[0] + math.ceil(70 * math.log(2) / -math.log(x))
+    brute = {nu: x ** (weight(nu) - sum(lo)) * psi(nu, nu_bar, q) * phi_coef(nu, lam, q)
+             for nu in signatures_between(lo, hi)}
+    total = math.fsum(brute.values())
+    kept = dyn._push_block_chain(PUSH_BLOCK_ALPHA, lam, nu_bar, x, 1.0, q)[0]
+    wide = max(range(1, len(lam)), key=lambda i: hi[i] - lo[i])
+    assert hi[wide] - lo[wide] >= 60 and kept[wide].stop <= hi[wide]
+    dropped = math.fsum(w for nu, w in brute.items() if not all(map(range.__contains__, kept, nu)))
+    assert 0 < dropped <= 2.0 ** -48 * total
+    for nu, w in brute.items():
+        if w >= 2.0 ** -40 * total:
+            p = push_block_prob(PUSH_BLOCK_ALPHA, lam, nu_bar, nu, x, 1.0, q)
+            assert abs(p - w / total) <= 1e-12 * w / total, nu
+    # a level past the cut reads 0
+    past = (*lo[:wide], kept[wide].stop, *lo[wide + 1:])
+    assert brute[past] > 0 and push_block_prob(PUSH_BLOCK_ALPHA, lam, nu_bar, past, x, 1.0, q) == 0
+
+
+def test_push_block_levels_past_the_float_range_raise_overflow():
+    # at q = 0.999: psi seeds of 1e418 and 1e528, and a walk of x^nu_1 / (q;q)_nu_1
+    # from nu_1 = 0, whose seed is 1, that peaks near 1e562
+    rng = random.Random(0)
+    for kind in (PUSH_BLOCK_ALPHA, PUSH_BLOCK_BETA):
+        for lam, nu_bar in [((3000, 0), (1500,)), ((4000, 2000), (3000,))]:
+            with pytest.raises(OverflowError):
+                dyn._sample_push_block_level(kind, lam, nu_bar, 0.35, 1.0, 0.999, rng)
+    with pytest.raises(OverflowError, match="float range"):
+        dyn._sample_push_block_level(PUSH_BLOCK_ALPHA, (0, 0), (0,), 0.9, 1.0, 0.999, rng)
 
 
 @st.composite
