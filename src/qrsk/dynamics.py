@@ -734,12 +734,14 @@ def classical_level_update(kind: str, lam_bar, nu_bar, lam, vj: int) -> Signatur
 
 
 def classical_rsk_step(kind: str, arr: InterlacingArray, inputs: Sequence[int]) -> InterlacingArray:
-    """One step of the deterministic insertion with the given inputs V_1..V_N."""
+    """One step of the deterministic insertion with the given inputs V_1..V_N.
+
+    Raises ValueError unless there is one input per level, each in the
+    support of the input law, as `sample_step` does."""
     n = len(arr)
     if len(inputs) != n:
         raise ValueError("need one input per level")
-    if _rule(kind).beta and any(v not in (0, 1) for v in inputs):
-        raise ValueError("Bernoulli kinds need inputs in {0, 1}")
+    _check_inputs(kind, _rule(kind).beta, inputs)
     out: List[Signature] = [(arr[0][0] + inputs[0],)]
     for j in range(2, n + 1):
         out.append(classical_level_update(kind, arr[j - 2], out[j - 2], arr[j - 1], inputs[j - 1]))
@@ -752,14 +754,30 @@ def classical_rsk_step(kind: str, arr: InterlacingArray, inputs: Sequence[int]) 
 
 # The inputs a Bernoulli kind takes; a set, so that checking a step's inputs is one C call.
 _BERNOULLI_SUPPORT = frozenset((0, 1))
+# The type of the inputs that `sample_inputs` draws.
+_PYTHON_INT = frozenset((int,))
 
 
-def _naturals(inputs) -> bool:
-    """Whether every input is a Python or numpy int >= 0, in one pass."""
+def _check_inputs(kind: str, beta: bool, inputs) -> None:
+    """Raise ValueError unless every input is in the support of the input law:
+    0 or 1 for a Bernoulli kind, an int >= 0 for a q-geometric one.
+
+    Python and numpy ints count; bool does not, as in `qnum.is_exact`, nor
+    does a float or Fraction, even an integral one.  Inputs that are all
+    Python ints cost two C-level passes.
+    """
+    values = inputs
     try:
-        return min(map(index, inputs)) >= 0
+        if not _PYTHON_INT.issuperset(map(type, inputs)):
+            if bool in map(type, inputs):
+                raise TypeError("bool input")
+            values = list(map(index, inputs))  # TypeError for a float or Fraction
+        ok = _BERNOULLI_SUPPORT.issuperset(values) if beta else not values or min(values) >= 0
     except TypeError:
-        return False
+        ok = False
+    if not ok:
+        raise ValueError(f"{kind} step: need inputs {'in {0, 1}' if beta else 'ints >= 0'}, "
+                         f"got {tuple(inputs)}")
 
 
 def sample_inputs(spec: DynamicsSpec, rng) -> Tuple[int, ...]:
@@ -781,9 +799,9 @@ def sample_step(
 
     Raises ValueError if the spec has not one a_j, or `inputs` not one
     input, per level of `arr`, if an input is outside the support of the
-    input law (0 or 1 for a Bernoulli kind, an int >= 0 for a q-geometric one), or
-    if a level update returns a level that does not interlace with the one
-    below it.
+    input law (0 or 1 for a Bernoulli kind, an int >= 0 for a q-geometric
+    one; a bool or a float is not an int here), or if a level update
+    returns a level that does not interlace with the one below it.
     """
     n = len(arr)
     rule = KINDS[spec.kind]
@@ -793,9 +811,8 @@ def sample_step(
         inputs = sample_inputs(spec, rng)
     elif len(inputs) != n:
         raise ValueError(f"{spec.kind} step: {len(inputs)} inputs for {n} levels")
-    elif not (_BERNOULLI_SUPPORT.issuperset(inputs) if rule.beta else _naturals(inputs)):
-        raise ValueError(f"{spec.kind} step: need inputs {'in {0, 1}' if rule.beta else 'ints >= 0'}, "
-                         f"got {tuple(inputs)}")
+    else:
+        _check_inputs(spec.kind, rule.beta, inputs)
     nu_bar = (arr[0][0] + inputs[0],)
     out: List[Signature] = [nu_bar]
     for j, (lam_bar, lam, vj) in enumerate(zip(arr, arr[1:], inputs[1:]), start=2):

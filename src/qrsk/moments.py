@@ -26,11 +26,13 @@ result is an exact rational number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .particles import exact_trajectory_distribution
+from .particles import exact_trajectory_distribution, step_config
+from .qnum import INF, PhiParams, phi_weight, q_geometric_pmf
 
 
 class MomentDivergenceError(ArithmeticError):
@@ -217,10 +219,16 @@ def exact_qmoment(query: MomentQuery) -> Fraction:
         dist = exact_trajectory_distribution(
             "BernoulliPush", len(query.a), query.t, query.beta, query.a, q
         )
+    return _moment_sum(dist, query.n, q)
+
+
+def _moment_sum(dist, n, q):
+    """E prod_i q^(x_{n_i} + n_i) under `dist` ({configuration: probability}),
+    exact or float as q and the probabilities are."""
     total = q * 0
     for cfg, p in dist.items():
         w = p
-        for ni in query.n:
+        for ni in n:
             w *= q ** (cfg[ni - 1] + ni)
         total += w
     return total
@@ -234,10 +242,6 @@ def _geometric_qmoment_series(query: MomentQuery, rel_tol=1e-12) -> float:
     iff that ratio is < 1; otherwise MomentDivergenceError is raised.  The
     independent jumps are capped so the dropped tail is below rel_tol.
     """
-    import math
-
-    from .qnum import INF, PhiParams, phi_weight, q_geometric_pmf
-
     q = float(query.q)
     alpha = float(query.beta)
     a = [float(x) for x in query.a]
@@ -275,8 +279,6 @@ def _geometric_qmoment_series(query: MomentQuery, rel_tol=1e-12) -> float:
 
         yield from rec(0, list(cfg), 1.0)
 
-    from .particles import step_config
-
     dist = {step_config(n_parts): 1.0}
     for _ in range(query.t):
         new = {}
@@ -284,10 +286,4 @@ def _geometric_qmoment_series(query: MomentQuery, rel_tol=1e-12) -> float:
             for ncfg, tp in transitions(cfg):
                 new[ncfg] = new.get(ncfg, 0.0) + p * tp
         dist = new
-    total = 0.0
-    for cfg, p in dist.items():
-        w = p
-        for ni in query.n:
-            w *= q ** (cfg[ni - 1] + ni)
-        total += w
-    return total
+    return _moment_sum(dist, query.n, q)

@@ -555,43 +555,31 @@ class _LogQPochPrefix:
     before.  Either way every value is a function of q and n alone, whatever
     calls grew the prefix and in what order.
 
-    `values` holds the floats as a list, for scalar reads; `array` holds the
-    same floats as a read-only numpy array, for reads over a replica axis
-    (every sampler for q shares it).  The constructor makes neither with
-    numpy: a short prefix is a list, whose array is made from it on the
-    first read of `array`; a long one is built as the array, and the list is
-    filled from it when a scalar read passes its end.
+    `table` holds the floats in the one form their builder makes: a list for
+    a short prefix, a read-only numpy array for a long one once it has grown
+    past n = 0 (every sampler for q shares it).  Scalar reads (`at`) index
+    it; reads over a replica axis view it as an array.  The constructor
+    makes no array, so a short prefix never loads numpy.
     """
 
     def __init__(self, q: float):
         self.log_q = math.log(q) if q > 0 else -INF
         self.cap = math.ceil(_LOG_TAIL / self.log_q) if q > 0 else 0
-        self.values: List[float] = [0.0]
-        self._array = None
-
-    @property
-    def array(self) -> np.ndarray:
-        """The prefix as a read-only numpy array, made from `values` where
-        the list is longer (a short prefix)."""
-        array = self._array
-        if array is None or array.size < len(self.values):
-            array = self._array = np.array(self.values)
-            array.flags.writeable = False
-        return array
+        self.table: Union[List[float], np.ndarray] = [0.0]
 
     def grow(self, n) -> None:
         """Grow the prefix to min(n, cap): a short one to cap, a long one on to
         the end of the block that holds min(n, cap)."""
         n = min(n, self.cap)
         if self.cap <= _VECTOR_TERMS:
-            if n >= len(self.values):
+            if n >= len(self.table):
                 # the numpy blocks' sum, 0.0 + cumsum(log(1 - q^k)), term by term
                 total = 0.0
                 for k in range(1, self.cap + 1):
                     total += math.log(-math.expm1(k * self.log_q))
-                    self.values.append(total)
+                    self.table.append(total)
             return
-        blocks = [self.array]
+        blocks = [np.asarray(self.table)]
         end = blocks[0].size - 1
         if n <= end:
             return
@@ -600,24 +588,24 @@ class _LogQPochPrefix:
             k = np.arange(end + 1, stop + 1)
             blocks.append(blocks[-1][-1] + np.cumsum(np.log(-np.expm1(k * self.log_q))))
             end = stop
-        array = self._array = np.concatenate(blocks)
-        array.flags.writeable = False
+        table = self.table = np.concatenate(blocks)
+        table.flags.writeable = False
 
     def at(self, n) -> float:
-        """log (q;q)_n for an integer n >= 0 or n = INF, from the list."""
+        """log (q;q)_n for an integer n >= 0 or n = INF."""
         n = min(n, self.cap)
-        values = self.values
-        if n >= len(values):
+        if n >= len(self.table):
             self.grow(n)
-            if n >= len(values):  # a long prefix, grown as the array
-                values.extend(self._array[len(values):].tolist())
-        return values[n]
+        return float(self.table[n])
 
     def upto(self, stop: int) -> np.ndarray:
-        """log (q;q)_n for n = 0..stop-1: a slice of the array, padded with
-        its last value past cap."""
+        """log (q;q)_n for n = 0..stop-1 as a read-only array (a copy for a
+        short prefix), padded with its last value past cap."""
         self.grow(stop - 1)
-        array = self.array
+        array = self.table
+        if type(array) is list:
+            array = np.array(array)
+            array.flags.writeable = False
         if stop <= array.size:
             return array[:stop]
         return np.concatenate((array, np.full(stop - array.size, array[-1])))
@@ -631,15 +619,15 @@ class QSampler:
       of the sampler: the shared sampler of q (`_shared_sampler`) makes it,
       grown on demand (`_LogQPochPrefix`), and every other `QSampler(q)`
       reads that one, so a new sampler starts from the entries earlier ones
-      computed.  Scalar draws read it as a list, draws over a replica axis
-      as a numpy array.
+      computed.
     * Per q-geometric parameter alpha, one CDF table over the support
       points whose weight is at least 2^-60 times the modal weight, built
       once from the normaliser log (alpha;q)_inf (itself memoised), so a
       draw is one bisect.  A table of at most `_VECTOR_TERMS` points is
-      built as a list in plain Python, a longer one as a numpy array; a
-      scalar bisect reads the list and a batch the array, each made from
-      the other on the first draw that asks for it (`_QGeometricCdf`).
+      built as a list in plain Python, a longer one as a read-only numpy
+      array, and it is kept in that one form: a scalar draw bisects it and
+      a batch searches it, whichever form it has, so both read the same
+      floats.
     * Per inverse-regime (a, b, count), the mode and the weight there, where
       a `phi_sample` walk starts (`draw_phi_inverse`).
 
@@ -657,30 +645,26 @@ class QSampler:
         # `_shared` is for `_shared_sampler` alone: the sampler it makes owns the prefix of q
         self._prefix = _LogQPochPrefix(q) if _shared else _shared_sampler(q)._prefix
         self.log_q = self._prefix.log_q
-        self._log_qpoch = self._prefix.values
-        self._cdfs: Dict[float, _QGeometricCdf] = {}
+        self._cdfs: Dict[float, Tuple[int, Union[List[float], np.ndarray]]] = {}
         self._phi_starts: Dict[Tuple[int, float, int], Tuple[int, float]] = {}
 
     def log_qpoch(self, n) -> float:
         """log (q;q)_n for an integer n >= 0 or n = INF."""
-        table = self._log_qpoch
-        if n < len(table):
-            return table[n]
         return self._prefix.at(n)
 
     def log_qpoch_at(self, n):
-        """log (q;q)_n for an int or int array n >= 0, from the prefix's array.
+        """log (q;q)_n for an int or int array n >= 0, from the prefix viewed as an array.
 
         One clamp at cap, past which log (q;q)_n stays put, and one index; a
-        read past the end of the array grows the prefix and reads again.
+        read past the end of the prefix grows it and reads again.
         """
         prefix = self._prefix
         n = np.minimum(n, prefix.cap)
         try:
-            return prefix.array[n]
+            return np.asarray(prefix.table)[n]
         except IndexError:
             prefix.grow(int(np.max(n)))
-            return prefix.array[n]
+            return np.asarray(prefix.table)[n]
 
     def log_phi_inverse(self, a, b, c, s):
         """log phi_{q^{-1}, q^a, q^b}(s | c) at a support point s, q > 0.
@@ -774,23 +758,13 @@ class QSampler:
         The mass of the points the 2^-60 cut keeps must agree with the
         normaliser to 1e-9, or the table is not built.
         """
-        table = self._q_geometric_table(alpha)
-        if table.array is None:
-            table.array = np.array(table.values)
-        return table.lo, table.array
+        lo, cdf = self._q_geometric_table(alpha)
+        return lo, np.asarray(cdf)
 
-    def _q_geometric_cdf_list(self, alpha: float) -> Tuple[int, List[float]]:
-        """`q_geometric_cdf` as a list, for scalar bisects."""
-        table = self._cdfs.get(alpha)
-        if table is None:
-            table = self._q_geometric_table(alpha)
-        if table.values is None:
-            table.values = table.array.tolist()
-        return table.lo, table.values
-
-    def _q_geometric_table(self, alpha: float) -> _QGeometricCdf:
-        """The table of alpha, built on first use: in plain Python if it has
-        at most `_VECTOR_TERMS` points, else with numpy."""
+    def _q_geometric_table(self, alpha: float) -> Tuple[int, Union[List[float], np.ndarray]]:
+        """(lo, cdf) of alpha as it is kept, built on first use: a list in
+        plain Python if it has at most `_VECTOR_TERMS` points, else a
+        read-only numpy array."""
         table = self._cdfs.get(alpha)
         if table is not None:
             return table
@@ -806,10 +780,11 @@ class QSampler:
         if len(self._cdfs) >= MEMO_SIZE:
             self._cdfs.clear()
         if type(cdf) is list:
-            table = _QGeometricCdf(lo, [c / total for c in cdf], None)
+            cdf = [c / total for c in cdf]
         else:
-            table = _QGeometricCdf(lo, None, cdf / total)
-        self._cdfs[alpha] = table
+            cdf /= total
+            cdf.flags.writeable = False
+        table = self._cdfs[alpha] = lo, cdf
         return table
 
     def _log_w_mode(self, alpha: float, mode: int, log_alpha: float, lp_mode: float) -> float:
@@ -862,20 +837,6 @@ class QSampler:
         kept = np.flatnonzero(rel_w >= _LOG_TAIL)
         lo, hi = int(kept[0]), int(kept[-1])
         return lo, np.cumsum(np.exp(log_w_mode + rel_w[lo:hi + 1]))
-
-
-class _QGeometricCdf:
-    """One q-geometric CDF table: its first point `lo` and the cumulative
-    masses, as a list (`values`) for scalar bisects and as a numpy array
-    (`array`) for batch searches.  The builder makes one of the two; the
-    sampler makes the other from it when a draw first asks for it."""
-
-    __slots__ = ("lo", "values", "array")
-
-    def __init__(self, lo: int, values: Optional[List[float]], array: Optional[np.ndarray]):
-        self.lo = lo
-        self.values = values
-        self.array = array
 
 
 # The shared samplers, one per float q: a plain dict, so that a draw finds
@@ -1006,10 +967,12 @@ def sample_q_geometric(
     """Draw from pmf (alpha;q)_inf alpha^n/(q;q)_n; one `rng.random()` a draw.
 
     A draw is one bisect into the CDF table for alpha of `sampler`, or
-    without one of the shared sampler of q, built on first use.  The table
-    keeps every point above 2^-60 of the modal weight, about
+    without one of the shared sampler of q, built on first use and kept in
+    one form (a list, or a numpy array past `_VECTOR_TERMS` points).  The
+    table keeps every point above 2^-60 of the modal weight, about
     41.6 / (1 - alpha) of them past the mode, so alpha near 1 costs memory:
-    alpha = 1 - 1e-5 builds about 4.2M points (about 300 MB).
+    at q = 0.5, alpha = 1 - 1e-5 builds about 4.2M points and keeps 33 MB
+    (8 bytes a point), and the build peaks about 160 MB above that start.
 
     With `size`, `rng` is a numpy Generator and the result is an int64 array
     of `size` draws, the same table bisect for each of `rng.random(size)`.
@@ -1020,12 +983,12 @@ def sample_q_geometric(
         u = rng.random(size)
         if alpha == 0:
             return np.zeros(size, dtype=np.int64)
-        lo, cdf = _qsampler(q, sampler).q_geometric_cdf(alpha)
+        lo, cdf = _qsampler(q, sampler)._q_geometric_table(alpha)
         return lo + np.searchsorted(cdf, u, side="right")
     u = rng.random()
     if alpha == 0:
         return 0
-    lo, cdf = _qsampler(q, sampler)._q_geometric_cdf_list(alpha)
+    lo, cdf = _qsampler(q, sampler)._q_geometric_table(alpha)
     return lo + bisect_right(cdf, u)
 
 

@@ -101,38 +101,17 @@ def _psi_prime(lam: Signature, mu: Signature, q: Scalar) -> Scalar:
 
 
 def p_poly(lam: Sequence[int], a: Sequence[Scalar], q: Scalar, _cache=None) -> Scalar:
-    """q-Whittaker polynomial P_lam(a_1..a_N) by summation over GT patterns."""
-    lam = tuple(lam)
+    """q-Whittaker polynomial P_lam(a_1..a_N) by summation over GT patterns.
+
+    A chain sum (`_chain_sum`) of psi weights down the levels of the
+    pattern, lam padded to N = len(a) parts; `_cache` may be shared by calls
+    with the same a."""
     n = len(a)
-    one = q * 0 + 1
     if sum(1 for x in lam if x > 0) > n:
-        return one * 0
+        return q * 0
     if _cache is None:
         _cache = {}
-    return _p_poly_rec(lam, tuple(a), q, _cache)
-
-
-def _p_poly_rec(lam, a, q, cache):
-    n = len(a)
-    one = q * 0 + 1
-    lam = tuple(lam[:n]) if len(lam) > n else lam + (0,) * (n - len(lam))
-    if n == 0:
-        return one
-    key = (lam, n)
-    if key in cache:
-        return cache[key]
-    if n == 1:
-        val = one * a[0] ** lam[0]
-    else:
-        val = one * 0
-        for mu in enumerate_interlacing_below(lam):
-            val += (
-                psi(lam, mu, q)
-                * a[-1] ** (weight(lam) - weight(mu))
-                * _p_poly_rec(mu, a[:-1], q, cache)
-            )
-    cache[key] = val
-    return val
+    return _chain_sum(padded(lam, n)[:n], tuple(a), q, psi, enumerate_interlacing_below, _cache)
 
 
 def _chain_sum(lam, params, q, coef, strip_candidates, cache):

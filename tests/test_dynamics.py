@@ -402,6 +402,30 @@ def test_classical_rejects_bad_inputs():
         classical_rsk_step(ROW_BETA, zero_array(2), (2, 0))
 
 
+# Inputs outside the input law: RowAlpha took (-1, 0) to ((-1,), (0, 0)), ColBeta
+# raised TypeError on (1.0, 0), and sample_step took RowBeta's (1.0, True) to
+# ((1.0,), (1, 1)).  bool is not an int here, as in qnum.is_exact.
+_NOT_BERNOULLI = [(1.0, 0), (1.0, True), (True, 0), (0, False), (F(1), 0), (0, 2), (-1, 0)]
+_NOT_Q_GEOMETRIC = [(-1, 0), (0, -2), (True, 0), (2, False), (1.0, 0), (F(2), 0), (0.5, 0)]
+
+
+@pytest.mark.parametrize("kind", sorted(dyn.KINDS))
+def test_sample_step_and_classical_rsk_step_share_one_input_check(kind):
+    bad = _NOT_BERNOULLI if kind in BETA_KINDS else _NOT_Q_GEOMETRIC
+    spec = DynamicsSpec(kind, 0.0, 0.4, (0.9, 0.9))
+    for inputs in bad:
+        with pytest.raises(ValueError, match=f"{kind} step: need inputs"):
+            sample_step(spec, zero_array(2), random.Random(0), inputs=inputs)
+        if kind in RSK_KINDS:
+            with pytest.raises(ValueError, match=f"{kind} step: need inputs"):
+                classical_rsk_step(kind, zero_array(2), inputs)
+    good = [(1, 0), (0, 1), (1, 1)] + ([] if kind in BETA_KINDS else [(3, 2)])
+    for inputs in good:
+        got = sample_step(spec, zero_array(2), random.Random(0), inputs=inputs)
+        if kind in RSK_KINDS:
+            assert got == classical_rsk_step(kind, zero_array(2), inputs)
+
+
 def test_sampler_equals_classical_at_q0():
     rnd = random.Random(11)
     for kind in RSK_KINDS:

@@ -510,17 +510,18 @@ def test_prefix_values_are_a_function_of_q_and_n_alone():
         stepwise.grow(100)
         stepwise.grow(20_000)
         at_once.grow(20_000)
-        for n in (7, 100, 101, 4_000, 20_000):  # scalar reads grow the list, in another order
+        for n in (7, 100, 101, 4_000, 20_000):  # scalar reads grow the prefix, in another order
             scalar.at(n)
         n = 20_001
-        assert stepwise.array[:n].tobytes() == at_once.array[:n].tobytes() == scalar.array[:n].tobytes()
-        assert scalar.values[:n] == stepwise.array[:n].tolist()
+        tables = [np.asarray(prefix.table)[:n] for prefix in (stepwise, at_once, scalar)]
+        assert tables[0].tobytes() == tables[1].tobytes() == tables[2].tobytes()
+        assert [scalar.at(k) for k in range(len(tables[0]))] == tables[0].tolist()
         with pytest.raises(ValueError):  # shared by every sampler for q: read-only
             at_once.upto(10)[3] = 0.0
         # and they are log (q;q)_n, constant past the cap
         for n in (1, 64, 65, 1_000, 20_000):
             oracle = math.fsum(math.log1p(-q ** k) for k in range(1, n + 1))
-            assert at_once.array[min(n, at_once.cap)] == pytest.approx(oracle, rel=1e-12, abs=1e-12), (q, n)
+            assert at_once.at(n) == pytest.approx(oracle, rel=1e-12, abs=1e-12), (q, n)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, math.exp(-1e-2), math.exp(-1e-3)])
@@ -551,8 +552,8 @@ def test_q_geometric_table_covers_the_points_above_the_cut(q, alpha):
     sampler = QSampler(q)
     lo, cdf = sampler.q_geometric_cdf(alpha)
     hi = lo + cdf.size - 1
-    # a table of at most 64 points is built as a list, in plain Python
-    assert (sampler._cdfs[alpha].values is not None) == (cdf.size <= 64)
+    # a table of at most 64 points is built and kept as a list, in plain Python
+    assert (type(sampler._cdfs[alpha][1]) is list) == (cdf.size <= 64)
     # log pmf(n) - log pmf(mode) from an fsum oracle of log (q;q)_n
     mode = qnum._q_geometric_mode(alpha, q)
     logs = [0.0] + [math.log1p(-q ** k) for k in range(1, hi + 2)]
@@ -580,11 +581,49 @@ def test_a_second_one_shot_call_at_the_same_q_grows_no_prefix(draw, monkeypatch)
     rng = random.Random(0)
     draw(q, rng)
     prefix = qnum._shared_sampler(q)._prefix
-    array, listed = prefix.array, len(prefix.values)
-    assert array.size > 1 or listed > 1
+    table, size = prefix.table, len(prefix.table)
+    assert size > 1
     draw(q, rng)
     assert qnum._shared_sampler(q)._prefix is prefix
-    assert prefix.array is array and len(prefix.values) == listed
+    assert prefix.table is table and len(table) == size
+
+
+def _read_only_array(x) -> bool:
+    return isinstance(x, np.ndarray) and not x.flags.writeable
+
+
+def test_each_q_geometric_table_is_kept_in_one_form():
+    sampler = QSampler(0.5)
+    rng = random.Random(3)
+    # 4146 points: built as an array, which scalar draws and a batch both read
+    long_alpha = 0.99
+    scalar = [sample_q_geometric(long_alpha, 0.5, rng, sampler) for _ in range(20)]
+    lo, cdf = sampler._cdfs[long_alpha]
+    assert _read_only_array(cdf) and cdf.size == 4146
+    batch = sample_q_geometric(long_alpha, 0.5, np.random.default_rng(3), sampler, size=50)
+    assert sampler._cdfs[long_alpha][1] is cdf and sampler.q_geometric_cdf(long_alpha)[1] is cdf
+    assert min(scalar) >= lo and batch.min() >= lo
+    # 41 points: built as a list, which stays a list after a batch
+    short_alpha = 0.35
+    sample_q_geometric(short_alpha, 0.5, rng, sampler)
+    sample_q_geometric(short_alpha, 0.5, np.random.default_rng(3), sampler, size=50)
+    assert type(sampler._cdfs[short_alpha][1]) is list
+    assert set(sampler._cdfs) == {long_alpha, short_alpha}
+
+
+def test_a_long_prefix_read_by_scalars_is_one_array(monkeypatch):
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # a cold prefix
+    sampler = QSampler(0.9)
+    prefix = sampler._prefix
+    assert prefix.cap > 64 and prefix.table == [0.0]
+    values = [sampler.log_qpoch(n) for n in (3, 65, 200, INF)]
+    assert _read_only_array(prefix.table) and len(prefix.table) == prefix.cap + 1
+    assert all(type(v) is float for v in values)
+    assert values == [prefix.table[n] for n in (3, 65, 200, prefix.cap)]
+    # a short prefix is one list
+    short = qnum._LogQPochPrefix(0.5)
+    short.at(10)
+    assert type(short.table) is list and len(short.table) == short.cap + 1
 
 
 class _GivenUniforms:
