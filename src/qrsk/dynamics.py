@@ -19,10 +19,10 @@ The push-block kinds share one chain recursion over the parts of the new level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import index, mul, sub
-from typing import List, Optional, Sequence, Tuple
+from operator import index, le, mul, sub
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .gt import (
     InterlacingArray,
@@ -38,10 +38,12 @@ from .gt import (
 from .qnum import (
     INF,
     PhiParams,
+    Scalar,
     ZeroMassError,
     check_step_params,
     is_array,
     is_exact,
+    memoised,
     phi_sample,
     phi_weight,
     q_pochhammer,
@@ -156,22 +158,40 @@ class DynamicsSpec:
 
 @dataclass(frozen=True)
 class LevelUpdateContext:
-    """The data conditioning one level update: old level j, move at level j-1."""
+    """The data conditioning one level update: old level j, move at level j-1.
+    The three levels are kept as tuples, so the replay memos can key on them."""
 
     lam_bar: Signature
     nu_bar: Signature
     lam: Signature
+    # beta -> the bounds and input base of `reach`; a sweep asks once per nu
+    _reach: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "lam_bar", tuple(self.lam_bar))
+        object.__setattr__(self, "nu_bar", tuple(self.nu_bar))
+        object.__setattr__(self, "lam", tuple(self.lam))
         j = len(self.lam)
         if len(self.lam_bar) != j - 1 or len(self.nu_bar) != j - 1:
             raise ValueError("lower level must be one shorter than the upper")
         if not interlaces_h(self.lam_bar, self.lam):
             raise ValueError("lam_bar must interlace below lam")
 
-    @property
-    def j(self) -> int:
-        return len(self.lam)
+    def reach(self, beta: bool) -> Tuple[list, list, int]:
+        """(lo, hi, base) for the nu that move lam by a strip (vertical if beta, else
+        horizontal) and interlace above nu_bar: those of length j with lo_i <= nu_i <=
+        hi_i (`_strip_bounds`), each with the input V = |nu| - base.  Raises ValueError
+        unless lam_bar -> nu_bar is such a strip."""
+        got = self._reach.get(beta)
+        if got is None:
+            strip = interlaces_v if beta else interlaces_h
+            if not strip(self.lam_bar, self.nu_bar):
+                raise ValueError(
+                    f"lower transition {self.lam_bar} -> {self.nu_bar}: not {strip.__name__}")
+            lo, hi = _strip_bounds(beta, self.lam, self.nu_bar)
+            base = weight(self.lam) + weight(self.nu_bar) - weight(self.lam_bar)
+            got = self._reach[beta] = lo, hi, base
+        return got
 
 
 def _pt(sig: Sequence[int], i: int):
@@ -186,22 +206,13 @@ def _moves(before: Sequence[int], after: Sequence[int]) -> Tuple[int, ...]:
 
 def _strip_bounds(beta: bool, lam, nu_bar) -> Tuple[list, list]:
     """Bounds lo_i <= nu_i <= hi_i (0-based i) of the nu that move lam by a strip
-    (vertical if beta, else horizontal) and interlace above nu_bar.  Every
-    weakly decreasing nu within them is one; hi_0 is INF for a horizontal strip."""
+    (vertical if beta, else horizontal) and interlace above nu_bar.  Every nu
+    within them is one (the bounds make it weakly decreasing); hi_0 is INF for
+    a horizontal strip."""
     j = len(lam)
     lo = [max(lam[i], part(nu_bar, i + 1)) for i in range(j)]
     hi = [min(lam[i] + 1 if beta else _pt(lam, i), _pt(nu_bar, i)) for i in range(j)]
     return lo, hi
-
-
-def _upper_moves(ctx: LevelUpdateContext, nu: Signature, strip) -> Optional[Tuple[int, ...]]:
-    """The moves nu - lam of an insertion whose levels move by `strip`s, or None where
-    nu is out of reach.  Raises ValueError if the lower move is not such a strip."""
-    if not strip(ctx.lam_bar, ctx.nu_bar):
-        raise ValueError(f"lower transition {ctx.lam_bar} -> {ctx.nu_bar}: not {strip.__name__}")
-    if len(nu) != ctx.j or not strip(ctx.lam, nu) or not interlaces_h(ctx.nu_bar, nu):
-        return None
-    return _moves(ctx.lam, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -221,41 +232,56 @@ def _choose(law, first, step, nu, delta, rng, target):
     return first, 0
 
 
-def _phi_choices(p: PhiParams, k, up_to, rng, sampler):
-    """Choices of n - s for a split s of law p over n = p.y boxes, with their weights: one
-    drawn, of weight 1, or, replaying (no rng), n - s = k (each of 0..k if up_to) where
-    its weight is nonzero."""
+def _phi_choices(q, a, b, n, k, up_to, rng, sampler):
+    """Choices of n - s for a split s of n boxes under the law `PhiParams.inverse(q, a, b,
+    n)`, with their weights: one drawn, of weight 1, or, replaying (no rng), n - s = k
+    (each of 0..k if up_to) where its weight is nonzero, from `_replayed_phi_choices`."""
     if rng is not None:
         # by keyword: the traced benchmark replays each positional None as its rng
-        return ((p.y - phi_sample(p, rng, sampler=sampler), 1),)
-    out = []
-    for t in range(0 if up_to else max(k, 0), min(k, p.y) + 1):
-        w = phi_weight(p, p.y - t)
-        if w:
-            out.append((t, w))
-    return out
+        return ((n - phi_sample(PhiParams.inverse(q, a, b, n), rng, sampler=sampler), 1),)
+    return _replayed_phi_choices(q, a, b, n, k, up_to)
 
 
-def _replay(walk, ctx: LevelUpdateContext, nu, q, strip, v_max):
+# The replay memos, `qnum.MEMO_SIZE` entries each.  A replayed walk (no rng) asks for
+# the same choice laws, which do not depend on the target nu, for every nu over one
+# (lam_bar, nu_bar, lam); these memos hold them.  `main_equation_squares`, and so
+# every sweep, empties them when it starts, so each sweep builds its own laws from the
+# weights.  A drawing walk reads no memo.
+@memoised
+def _replayed_phi_choices(q, a, b, n, k, up_to) -> tuple:
+    """The replayed choices of `_phi_choices`; the law's parameters are checked on a miss."""
+    p = PhiParams.inverse(q, a, b, n)
+    return tuple((t, w) for t in range(0 if up_to else max(k, 0), min(k, n) + 1)
+                 if (w := phi_weight(p, n - t)))
+
+
+def _replay(walk, ctx: LevelUpdateContext, nu, q, beta, v_max):
     """The input V that nu implies, and the weight of the walk's choices that give nu
-    with it: 0 where nu is out of reach or V is not in 0..v_max."""
+    with it: 0 where nu is out of reach (`LevelUpdateContext.reach`) or V is not in
+    0..v_max."""
     nu = tuple(nu)
-    mv = _upper_moves(ctx, nu, strip)
-    v = None if mv is None else sum(mv) - (weight(ctx.nu_bar) - weight(ctx.lam_bar))
-    if v is None or not 0 <= v <= v_max:
+    lo, hi, base = ctx.reach(beta)
+    if len(nu) != len(lo) or not (all(map(le, lo, nu)) and all(map(le, nu, hi))):
+        return None, 0
+    v = sum(nu) - base
+    if not 0 <= v <= v_max:
         return v, 0
     return v, walk(ctx.lam_bar, ctx.nu_bar, ctx.lam, v, q, None, target=nu)
 
 
-def _bernoulli_input(walk, ctx: LevelUpdateContext, nu, x, q):
-    """U_j of a Bernoulli kind: its replayed walk times the input law x^V / (1 + x)."""
-    v, w = _replay(walk, ctx, nu, q, interlaces_v, 1)
-    return w * (x if v else 1) / (1 + x) if w else q * 0
+def _bernoulli_input(walk, ctx: LevelUpdateContext, nu, par, a_j, q):
+    """U_j of a Bernoulli kind: its replayed walk times the input law x^V / (1 + x),
+    x = par a_j."""
+    v, w = _replay(walk, ctx, nu, q, True, 1)
+    if not w:
+        return q * 0
+    x = par * a_j
+    return w * (x if v else 1) / (1 + x)
 
 
 def _q_geometric_input(walk, ctx: LevelUpdateContext, nu, q):
     """Normalised U_j of a q-geometric kind: its replayed walk over (q;q)_V."""
-    v, w = _replay(walk, ctx, nu, q, interlaces_h, INF)
+    v, w = _replay(walk, ctx, nu, q, False, INF)
     return w / q_pochhammer(q, q, v) if w else q * 0
 
 
@@ -312,6 +338,9 @@ def _island_law(k, m, nu_bar, lam, q) -> list:
     return _first_success([_f_factor(k, nu_bar, lam, q)] + gs)
 
 
+_replayed_island_law = memoised(_island_law)
+
+
 def _sample_row_beta_level(lam_bar, nu_bar, lam, vj, q, rng, target=None):
     """The walk: the input vj moves lam_1; then every particle lam_k..lam_{m+1} of each
     island [k, m] of moved lower particles moves but one, the island law's stayer."""
@@ -321,7 +350,8 @@ def _sample_row_beta_level(lam_bar, nu_bar, lam, vj, q, rng, target=None):
     for (k, m) in _islands(lam_bar, nu_bar):
         stay = 1  # with vj = 1, lam_1 took the input, and the rest of its island moves with it
         if vj != 1 or k != 1:
-            stay, ws = _choose(_island_law(k, m, nu_bar, lam, q), k, 1, nu, 0, rng, target)
+            law = (_island_law if target is None else _replayed_island_law)(k, m, nu_bar, lam, q)
+            stay, ws = _choose(law, k, 1, nu, 0, rng, target)
             w *= ws
         for i in range(k, m + 2):
             if i != stay:
@@ -331,7 +361,7 @@ def _sample_row_beta_level(lam_bar, nu_bar, lam, vj, q, rng, target=None):
 
 def row_beta_prob(ctx: LevelUpdateContext, nu: Signature, beta, a_j, q):
     """Conditional probability of lam -> nu under the Bernoulli row insertion."""
-    return _bernoulli_input(_sample_row_beta_level, ctx, nu, beta * a_j, q)
+    return _bernoulli_input(_sample_row_beta_level, ctx, nu, beta, a_j, q)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +388,10 @@ def _donation_law(m, j, nu_bar, lam, q) -> list:
     return _first_success([_gp_factor(i, nu_bar, lam, q) for i in range(j, m + 1, -1)])
 
 
+_replayed_pair_law = memoised(_pair_law)
+_replayed_donation_law = memoised(_donation_law)
+
+
 def _moved_pairs(lam_bar: Sequence[int], nu_bar: Sequence[int]) -> List[Tuple[int, int]]:
     """Consecutive indices (r, k) whose lower particles moved, nu_bar_k = lam_bar_k + 1,
     from r = 0 (1-based)."""
@@ -378,20 +412,26 @@ def _sample_col_beta_level(lam_bar, nu_bar, lam, vj, q, rng, target=None):
     w = 1
     m = 0
     for (r, k) in _moved_pairs(lam_bar, nu_bar):
-        mover, wm = _choose(_pair_law(r, k, nu_bar, lam, q), k, -1, nu, 1, rng, target)
+        law = (_pair_law if target is None else _replayed_pair_law)(r, k, nu_bar, lam, q)
+        mover, wm = _choose(law, k, -1, nu, 1, rng, target)
         nu[mover - 1] += 1
         w *= wm
         m = k
     if vj == 1:
-        mover, wm = _choose(_donation_law(m, j, nu_bar, lam, q), j, -1, nu, 1, rng, target)
+        law = (_donation_law if target is None else _replayed_donation_law)(m, j, nu_bar, lam, q)
+        mover, wm = _choose(law, j, -1, nu, 1, rng, target)
         nu[mover - 1] += 1
         w *= wm
     return tuple(nu) if target is None else (w if tuple(nu) == target else 0)
 
 
+_REPLAY_MEMOS = (_replayed_phi_choices, _replayed_island_law, _replayed_pair_law,
+                 _replayed_donation_law)
+
+
 def col_beta_prob(ctx: LevelUpdateContext, nu: Signature, beta, a_j, q):
     """Conditional probability of lam -> nu under the Bernoulli column insertion."""
-    return _bernoulli_input(_sample_col_beta_level, ctx, nu, beta * a_j, q)
+    return _bernoulli_input(_sample_col_beta_level, ctx, nu, beta, a_j, q)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +461,9 @@ def _sample_row_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None, targ
         passed = 0  # c_i - W_i, to lam_{i+1}
         if _draws(c[i - 1]):
             b = INF if i == 1 else lam_bar[i - 2] - lam_bar[i - 1]
-            p = PhiParams.inverse(q, lam[i - 1] - lam_bar[i - 1], b, c[i - 1])
             forced = None if target is None else c[i - 1] - (target[i - 1] - nu[i - 1])
-            choice = _phi_choices(p, forced, False, rng, sampler)
+            choice = _phi_choices(q, lam[i - 1] - lam_bar[i - 1], b, c[i - 1], forced, False,
+                                  rng, sampler)
             passed, ws = choice[0] if choice else (0, 0)
             w *= ws
         nu[i - 1] = nu[i - 1] + c[i - 1] - passed
@@ -498,21 +538,19 @@ def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None, targ
         for remaining, fund, w in paths:
             xs = ((0, 1),)
             if _draws(remaining):
-                px = PhiParams.inverse(q, gap, INF, remaining)
-                xs = _phi_choices(px, move, i > 1, rng, sampler)
+                xs = _phi_choices(q, gap, INF, remaining, move, i > 1, rng, sampler)
             for x, wx in xs:
                 left = None if move is None else move - x  # replaying: what Y_i and Z_i add
                 h, ys = 0, ((0, 1),)  # particle 1 has no lower-left neighbour to push it
                 if i > 1:
                     h = gap - x
-                    py = PhiParams.inverse(q, ell, lam_bar[p - 1] - lam_bar[p], h)
-                    ys = _phi_choices(py, left, True, rng, sampler)
+                    b = lam_bar[p - 1] - lam_bar[p]
+                    ys = _phi_choices(q, ell, b, h, left, True, rng, sampler)
                 for y, wy in ys:
                     zs = ((0, 1),)
                     if _draws(fund):
-                        pz = PhiParams.inverse(q, fund, INF, h - y)
                         z_left = None if left is None else left - y
-                        zs = _phi_choices(pz, z_left, False, rng, sampler)
+                        zs = _phi_choices(q, fund, INF, h - y, z_left, False, rng, sampler)
                     for z, wz in zs:
                         nu[p] = lam[p] + x + y + z
                         if target is None or nu[p] == target[p]:
@@ -903,14 +941,26 @@ def _lam_bar_candidates(kind_is_beta: bool, lam, nu_bar):
     yield from signatures_between(lowers, uppers)
 
 
+class _Square(NamedTuple):
+    """The side of the main equation free of nu, over one (lam, nu_bar)."""
+
+    terms: tuple  # (context, coefficient) per lower starting state lam_bar
+    coef_sum: Optional[Scalar]  # push-block kinds, whose law is free of lam_bar: their sum
+    x: Scalar  # par a_j
+    q: Scalar  # q, a float for PushBlockAlpha
+    rhs_factor: Optional[Scalar]  # the right side's divisor 1 + x (Bernoulli), or factor (x; q)_inf
+    zero: Scalar
+
+
 @lru_cache(maxsize=SQUARE_MEMO_SIZE, typed=True)
-def _square_terms(kind: str, lam, nu_bar, par, a_j, q) -> tuple:
+def _square_terms(kind: str, lam, nu_bar, par, a_j, q) -> _Square:
     """The nu-free side of the main equation on the squares over (lam, nu_bar).
 
     One (context, coefficient) pair per lower starting state lam_bar whose
     coefficient psi_{lam/lam_bar} b_{nu_bar/lam_bar} is nonzero, with b the
     lower branching weight (psi' or phi), times x^(|nu_bar| - |lam_bar|) for
-    the kinds that are not normalised.
+    the kinds that are not normalised; and the scalars that
+    `main_equation_residual` would otherwise rebuild for every nu.
     """
     rule = KINDS[kind]
     x = par * a_j
@@ -929,7 +979,13 @@ def _square_terms(kind: str, lam, nu_bar, par, a_j, q) -> tuple:
         if not rule.normalised:
             coef *= x ** (weight(nu_bar) - weight(lam_bar))
         terms.append((LevelUpdateContext(lam_bar, nu_bar, lam), coef))
-    return tuple(terms)
+    rhs_factor = None
+    if rule.beta:
+        rhs_factor = 1 + x
+    elif not rule.normalised:
+        rhs_factor = q_pochhammer_inf(x, q)
+    coef_sum = sum(coef for _, coef in terms) if rule.push_block else None
+    return _Square(tuple(terms), coef_sum, x, q, rhs_factor, q * 0)
 
 
 MAIN_EQ_FLOAT_TOL = 1e-9  # the largest |residual| a floating-mode main equation may leave
@@ -944,29 +1000,33 @@ def main_equation_residual(kind: str, lam, nu, nu_bar, par, a_j, q, alpha_float=
     insertions enter as they are, the weights of the other kinds with x^(-V).
     The terms free of nu come from `_square_terms`, a memo of a few entries:
     call with nu innermost, as `main_equation_squares` does.
+
+    `alpha_float` is not read.  It stays because callers pass it by
+    position: the fault-injection fake of the benchmark's self-test does.
     """
     rule = _rule(kind)
-    terms = _square_terms(kind, tuple(lam), tuple(nu_bar), par, a_j, q)
-    x = par * a_j
-    if not rule.exact:
-        x, q = float(x), float(q)
+    sq = _square_terms(kind, tuple(lam), tuple(nu_bar), par, a_j, q)
+    x, q = sq.x, sq.q
     # the lower-level branching weight: psi' (Bernoulli input) or phi (q-geometric)
     branching = psi_prime if rule.beta else phi_coef
     rhs = psi(nu, nu_bar, q) * branching(nu, lam, q)
     if rule.beta:
-        rhs = rhs / (1 + x)
+        rhs = rhs / sq.rhs_factor
     elif not rule.normalised:
-        rhs = rhs * q_pochhammer_inf(x, q)
-    lhs = q * 0
+        rhs = rhs * sq.rhs_factor
+    lhs = sq.zero
     if rule.push_block:
         # the push-block law does not depend on the lower starting state lam_bar
-        if terms:
-            lhs = rule.level_weight(terms[0][0], nu, par, a_j, q) * sum(coef for _, coef in terms)
+        if sq.terms:
+            lhs = rule.level_weight(sq.terms[0][0], nu, par, a_j, q) * sq.coef_sum
     else:
-        for ctx, coef in terms:
+        parts = []
+        for ctx, coef in sq.terms:
             u = rule.level_weight(ctx, nu, par, a_j, q)
             if u != 0:
-                lhs += u * coef
+                parts.append(u * coef)
+        if parts:  # the first term starts the sum: no addition to zero
+            lhs = sum(parts[1:], parts[0])
     v = weight(nu) - weight(lam)
     if v and not rule.normalised:
         lhs = lhs / x ** v
@@ -977,9 +1037,13 @@ def main_equation_squares(kind: str, j: int, max_part: int, par, a_j, q):
     """Yield (lam, nu, nu_bar, residual) on every admissible square at level j, parts <= max_part.
 
     The residual is `main_equation_residual`'s.  The squares run with nu
-    innermost, so each (lam, nu_bar) builds its terms free of nu once.
+    innermost, so each (lam, nu_bar) builds its terms free of nu once.  The
+    replay memos are emptied when the first square is asked for: each sweep
+    builds the choice laws of its walks from the weights.
     """
     rule = _rule(kind)
+    for memo in _REPLAY_MEMOS:
+        memo.cache_clear()
     for lam in enumerate_signatures(max_part, j):
         # nu_bar_i lies between nu_{i+1} >= lam_{i+1} and nu_i, at most the strip's reach and max_part
         reach = [min(lam[i] + 1 if rule.beta else _pt(lam, i), max_part) for i in range(j - 1)]

@@ -300,8 +300,20 @@ def qbinom_triple_sum(q, A, B, C, ell, r) -> Fraction:
 
 
 def q_geometric_pmf(alpha: Scalar, q: Scalar, n: int) -> float:
-    """pmf (alpha;q)_inf alpha^n / (q;q)_n of the q-geometric distribution."""
-    return q_pochhammer_inf(alpha, q) * alpha ** n / q_pochhammer(q, q, n)
+    """pmf (alpha;q)_inf alpha^n / (q;q)_n of the q-geometric distribution.
+
+    Where (q;q)_n underflows to 0.0, or is too small for the quotient to be
+    finite, the pmf is taken in log form, with log (q;q)_n from the prefix
+    of the shared sampler of q: at q = 0.999, n = 1000, alpha = 0.3 it is
+    about 2.4e-130.  Elsewhere it is the plain quotient.
+    """
+    den = q_pochhammer(q, q, n)
+    if den:
+        p = q_pochhammer_inf(alpha, q) * alpha ** n / den
+        if p != INF:
+            return p
+    log_alpha = math.log(alpha) if alpha else -INF
+    return math.exp(log_q_pochhammer_inf(alpha, q) + n * log_alpha - _shared_sampler(q).log_qpoch(n))
 
 
 # ---------------------------------------------------------------------------
@@ -653,20 +665,33 @@ class QSampler:
         return self._prefix.at(n)
 
     def log_qpoch_at(self, n):
-        """log (q;q)_n for an int or int array n >= 0, from the prefix viewed as an array.
+        """log (q;q)_n for an int or int array n >= 0, from the prefix viewed as an array."""
+        return self.prefix_reader()(n)
 
-        One clamp at cap, past which log (q;q)_n stays put, and one index; a
-        read past the end of the prefix grows it and reads again.
+    def prefix_reader(self) -> Callable:
+        """A reader of log (q;q)_n over int arrays n >= 0, for one batch.
+
+        It views the prefix as an array once, so a short (list) prefix is
+        converted once per batch, not once per read.  A read is one clamp at
+        cap, past which log (q;q)_n stays put, and one index; a read past the
+        end of the prefix grows it, views it again and reads again.
         """
         prefix = self._prefix
-        n = np.minimum(n, prefix.cap)
-        try:
-            return np.asarray(prefix.table)[n]
-        except IndexError:
-            prefix.grow(int(np.max(n)))
-            return np.asarray(prefix.table)[n]
+        table = np.asarray(prefix.table)
 
-    def log_phi_inverse(self, a, b, c, s):
+        def read(n):
+            nonlocal table
+            n = np.minimum(n, prefix.cap)
+            try:
+                return table[n]
+            except IndexError:
+                prefix.grow(int(np.max(n)))
+                table = np.asarray(prefix.table)
+                return table[n]
+
+        return read
+
+    def log_phi_inverse(self, a, b, c, s, lp=None):
         """log phi_{q^{-1}, q^a, q^b}(s | c) at a support point s, q > 0.
 
         The closed form is
@@ -676,9 +701,10 @@ class QSampler:
 
         whose four b factors cancel at b = inf.  Integers give a float; int
         arrays, broadcast against each other, give an array (b = INF or an
-        array).
+        array).  A batch passes its `prefix_reader` as lp.
         """
-        lp = self.log_qpoch_at if is_array(s) else self.log_qpoch
+        if lp is None:
+            lp = self.prefix_reader() if is_array(s) else self.log_qpoch
         d = a - c + s
         # the terms free of s are summed apart: over a replica axis they are
         # one value per replica
@@ -713,12 +739,13 @@ class QSampler:
         mode; the window ends are checked against that cut and widened where
         they are not below it, so nothing above the cut is left out.
         """
+        lp = self.prefix_reader()
         mode = _phi_inverse_modes(self.q, a, b, c, lo, hi)
-        log_w_mode = self.log_phi_inverse(a, b, c, mode)
+        log_w_mode = self.log_phi_inverse(a, b, c, mode, lp)
         _check_mass(np.exp(log_w_mode).min(initial=1.0), "the weight at its mode")
         reach = math.isqrt(math.ceil(_LOG_TAIL / self.log_q)) + 2
-        left = self._window_edge(a, b, c, mode, lo, log_w_mode, -reach)
-        right = self._window_edge(a, b, c, mode, hi, log_w_mode, reach)
+        left = self._window_edge(a, b, c, mode, lo, log_w_mode, -reach, lp)
+        right = self._window_edge(a, b, c, mode, hi, log_w_mode, reach, lp)
         width = int((right - left).max(initial=0)) + 1
         rows = max(1, _BLOCK_CELLS // width)
         out = np.empty_like(mode)
@@ -732,7 +759,7 @@ class QSampler:
             # points past a row's right end repeat it; their CDF runs on above
             # the row's total, so no uniform lands on them
             s = rows_of(left) + np.minimum(np.arange(width), last)
-            cdf = self.log_phi_inverse(rows_of(a), rows_of(b), rows_of(c), s)
+            cdf = self.log_phi_inverse(rows_of(a), rows_of(b), rows_of(c), s, lp)
             cdf -= rows_of(log_w_mode)
             np.exp(cdf, out=cdf)
             np.cumsum(cdf, axis=1, out=cdf)
@@ -740,14 +767,14 @@ class QSampler:
             out[blk] = left[blk] + (cdf < rows_of(u) * total).sum(axis=1)
         return out
 
-    def _window_edge(self, a, b, c, mode, edge, log_w_mode, reach: int) -> np.ndarray:
+    def _window_edge(self, a, b, c, mode, edge, log_w_mode, reach: int, lp) -> np.ndarray:
         """mode + reach, moved back to the support edge where it passes it and
         widened until its weight is below 2^-60 of the modal weight."""
         clamp = np.minimum if reach > 0 else np.maximum
         reach = np.full(mode.shape, reach)
         while True:
             end = clamp(mode + reach, edge)
-            short = (end != edge) & (self.log_phi_inverse(a, b, c, end) - log_w_mode >= _LOG_TAIL)
+            short = (end != edge) & (self.log_phi_inverse(a, b, c, end, lp) - log_w_mode >= _LOG_TAIL)
             if not short.any():
                 return end
             reach[short] *= 2

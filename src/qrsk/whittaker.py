@@ -21,7 +21,7 @@ from .gt import (
     signatures_between,
     weight,
 )
-from .qnum import Scalar, exact_div, memoised, q_binomial, q_pochhammer, q_pochhammer_inf
+from .qnum import INF, Scalar, exact_div, memoised, q_binomial, q_pochhammer, q_pochhammer_inf
 
 
 def _branching(weight, lam, mu, q):
@@ -74,9 +74,13 @@ def _phi_coef(lam: Signature, mu: Signature, q: Scalar) -> Scalar:
         return one * 0
     n = len(lam)
     lam, mu = padded(lam, n + 1), padded(mu, n + 1)
-    w = exact_div(one, q_pochhammer(q, q, lam[0] - mu[0]))
+    den = q_pochhammer(q, q, lam[0] - mu[0])
+    # a float (q;q)_m past the float range underflows to 0.0
+    w = exact_div(one, den) if den or not isinstance(q, float) else INF
     for upper, lower, l in zip(mu, mu[1:], lam[1:]):
         w *= q_binomial(upper - lower, upper - l, q)
+    if w == INF:  # every q-binomial factor is >= 1
+        raise OverflowError(f"phi_coef of {lam}/{mu} at q = {q} is past the float range")
     return w
 
 

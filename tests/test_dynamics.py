@@ -1043,3 +1043,118 @@ def test_q_geometric_evaluators_sum_to_one_per_input_exactly(kind):
                 totals[v] += w
         for v, total in totals.items():
             assert total * q_pochhammer(q, q, v) == 1, (kind, lam_bar, nu_bar, lam, v)
+
+
+REPLAY_MEMO_NAMES = ("_replayed_phi_choices", "_replayed_island_law", "_replayed_pair_law",
+                     "_replayed_donation_law")
+REPLAY_MEMOS = tuple(getattr(dyn, name) for name in REPLAY_MEMO_NAMES)
+
+
+@pytest.mark.parametrize("kind", [ROW_ALPHA, COL_ALPHA])
+def test_a_repeated_exact_sweep_still_calls_phi_weight(kind, monkeypatch):
+    # each sweep builds its own choice laws, so a second sweep over the same squares
+    # calls phi_weight again: the benchmark records its exact phi_weight calls from a sweep
+    calls = []
+
+    def counting(p, s):
+        calls.append(s)
+        return phi_weight(p, s)
+
+    monkeypatch.setattr(dyn, "phi_weight", counting)
+    for run in range(2):
+        calls.clear()
+        assert main_equation_sweep(kind, 3, 2, F(1, 5), F(1), F(1, 2)) > 0
+        assert calls, (kind, run)
+
+
+def test_replay_memos_are_empty_when_a_sweep_starts_and_keep_their_bound(monkeypatch):
+    assert all(m.cache_parameters() == {"maxsize": qnum.MEMO_SIZE, "typed": True}
+               for m in REPLAY_MEMOS)
+    # fill every memo with replays outside a sweep
+    ctx = LevelUpdateContext((2, 1), (3, 2), (3, 2, 0))
+    for nu in level_candidates(ROW_BETA, ctx.lam, ctx.nu_bar, 1):
+        row_beta_prob(ctx, nu, F(1, 3), 1, Q)
+        col_beta_prob(ctx, nu, F(1, 3), 1, Q)
+    row_alpha_v(LevelUpdateContext((2, 1), (3, 1), (3, 1, 0)), (4, 2, 0), Q)
+    assert all(m.cache_info().currsize for m in REPLAY_MEMOS)
+    residual = dyn.main_equation_residual
+    at_first_square = []
+
+    def watching(*args):
+        if not at_first_square:
+            at_first_square.extend(m.cache_info().currsize for m in REPLAY_MEMOS)
+        return residual(*args)
+
+    monkeypatch.setattr(dyn, "main_equation_residual", watching)
+    for kind in (ROW_BETA, COL_BETA, ROW_ALPHA, COL_ALPHA):
+        at_first_square.clear()
+        assert main_equation_sweep(kind, 4, 3, F(1, 3), F(1), Q) > 0
+        assert at_first_square == [0] * len(REPLAY_MEMOS), kind
+        assert all(m.cache_info().currsize <= qnum.MEMO_SIZE for m in REPLAY_MEMOS)
+
+
+def test_drawn_steps_read_no_replay_memo():
+    for m in REPLAY_MEMOS:
+        m.cache_clear()
+    rng = random.Random(3)
+    for kind in RSK_KINDS:
+        spec = DynamicsSpec(kind, 0.5, 0.4 if kind in BETA_KINDS else 0.35, (1.0, 0.9, 0.8))
+        arr = zero_array(3)
+        for _ in range(30):
+            arr = sample_step(spec, arr, rng)
+    assert [m.cache_info() for m in REPLAY_MEMOS] == [(0, 0, qnum.MEMO_SIZE, 0)] * len(REPLAY_MEMOS)
+
+
+def _bits(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+def test_float_replays_equal_their_unmemoised_values(monkeypatch):
+    squares = [((2, 1), (3, 1), (3, 1, 0)), ((3, 1), (3, 2), (3, 2, 1)), ((1, 0), (2, 1), (2, 1, 0)),
+               ((2, 2), (3, 2), (4, 2, 1))]
+    evaluators = (
+        (row_alpha_prob, False), (col_alpha_prob, False), (row_beta_prob, True), (col_beta_prob, True),
+    )
+    memoised = {}
+    for m in REPLAY_MEMOS:
+        m.cache_clear()
+    for _ in range(2):  # the second pass reads the memos
+        for lam_bar, nu_bar, lam in squares:
+            ctx = LevelUpdateContext(lam_bar, nu_bar, lam)
+            for fn, beta in evaluators:
+                for nu in level_candidates(COL_BETA if beta else COL_ALPHA, lam, nu_bar, 2):
+                    memoised[fn.__name__, lam_bar, nu_bar, lam, nu] = fn(ctx, nu, 0.35, 0.9, 0.6)
+    assert all(m.cache_info().hits for m in REPLAY_MEMOS)
+    for name, memo in zip(REPLAY_MEMO_NAMES, REPLAY_MEMOS):
+        monkeypatch.setattr(dyn, name, memo.__wrapped__)
+    for (name, lam_bar, nu_bar, lam, nu), value in memoised.items():
+        fn = getattr(dyn, name)
+        plain = fn(LevelUpdateContext(lam_bar, nu_bar, lam), nu, 0.35, 0.9, 0.6)
+        assert _bits(plain) == _bits(value), (name, lam_bar, nu_bar, lam, nu)
+    # q = 0.5 and q = 1/2 are equal, with equal hashes: the memo keys on the type of q
+    # too, so an exact replay after a float one still gets Fractions
+    monkeypatch.undo()
+    ctx = LevelUpdateContext((2, 1), (3, 1), (3, 1, 0))
+    row_alpha_v(ctx, (4, 2, 0), 0.5)
+    assert type(row_alpha_v(ctx, (4, 2, 0), Q)) is F
+
+
+def test_level_weights_are_zero_off_the_strips_and_reject_a_lower_move_that_is_not_one():
+    q = F(1, 3)
+    for kind in RSK_KINDS:
+        rule = dyn.KINDS[kind]
+        strip = rule.strip
+        for lam in enumerate_signatures(3, 3):
+            for lam_bar in enumerate_signatures(3, 2):
+                if not interlaces_h(lam_bar, lam):
+                    continue
+                for nu_bar in enumerate_signatures(4, 2):
+                    ctx = LevelUpdateContext(list(lam_bar), list(nu_bar), list(lam))
+                    nus = [(lam[0] + 2, *lam[1:]), (5, 4, 0), (3, 3, 3), (1, 2, 0), (4, 3)]
+                    if not strip(lam_bar, nu_bar):
+                        with pytest.raises(ValueError, match="lower transition"):
+                            rule.level_weight(ctx, nus[0], F(1, 4), 1, q)
+                        continue
+                    for nu in nus:
+                        if len(nu) != 3 or not (strip(lam, nu) and interlaces_h(nu_bar, nu)):
+                            assert rule.level_weight(ctx, nu, F(1, 4), 1, q) == 0, (kind, ctx, nu)

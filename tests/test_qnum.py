@@ -827,3 +827,37 @@ def test_vectorised_phi_inverse_modes_equal_the_scalar_modes():
             a, b, c, lo, hi = (np.array(col) for col in zip(*rows))
             modes = qnum._phi_inverse_modes(q, a, INF if b_inf else b, c, lo, hi)
             assert modes.tolist() == expected, (q, b_inf)
+
+
+def test_q_geometric_pmf_where_q_q_n_underflows():
+    # (q;q)_1000 underflows to 0.0 at q = 0.999: the pmf comes from logs
+    q, alpha, n = 0.999, 0.3, 1000
+    assert q_pochhammer(q, q, n) == 0.0
+    log_pmf = math.fsum([math.log1p(-alpha * q ** k) for k in range(60_000)]
+                        + [n * math.log(alpha)] + [-math.log1p(-q ** i) for i in range(1, n + 1)])
+    assert q_geometric_pmf(alpha, q, n) == pytest.approx(math.exp(log_pmf), rel=1e-9)
+    assert q_geometric_pmf(alpha, q, n) == pytest.approx(2.377e-130, rel=1e-3)
+    # a plain quotient that is a float keeps its bits
+    for n in (0, 10, 300):
+        plain = q_pochhammer_inf(alpha, q) * alpha ** n / q_pochhammer(q, q, n)
+        assert q_geometric_pmf(alpha, q, n) == plain
+
+
+def test_a_batch_views_a_short_prefix_as_an_array_once(monkeypatch):
+    calls = []
+    asarray = np.asarray
+
+    def counting(x, *args, **kwargs):
+        if isinstance(x, list):
+            calls.append(len(x))
+        return asarray(x, *args, **kwargs)
+
+    sampler = QSampler(0.5)
+    sampler.log_qpoch(10)  # a short prefix: a list, grown to its cap
+    monkeypatch.setattr(qnum.np, "asarray", counting)
+    c = np.array([3, 7, 12, 5] * 25)
+    a = c + np.array([0, 2, 5, 1] * 25)
+    for b in (INF, a + c):
+        calls.clear()
+        phi_sample(PhiParams.inverse(0.5, a, b, c), np.random.default_rng(4), sampler)
+        assert len(calls) == 1, b

@@ -382,3 +382,19 @@ def test_memoised_weights_equal_their_originals(case):
             expected = cached.__wrapped__(tuple(a), tuple(b), q)
             for _ in range(2):  # a miss, then a hit
                 assert fn(a, b, q) == expected, (fn.__name__, a, b, q)
+
+
+@pytest.mark.parametrize("m", [3000, 2000, 324])
+def test_float_phi_coef_past_the_float_range_raises_overflow(m):
+    # at q = 0.999, (q;q)_m underflows to 0.0 for m = 2000 and 3000, and is subnormal
+    # for m = 324, where its reciprocal is past the float range
+    with pytest.raises(OverflowError, match="float range"):
+        phi_coef((m,), (0,), 0.999)
+    with pytest.raises(OverflowError, match="float range"):
+        phi_coef((m + 3, 2), (3,), 0.999)  # a q-binomial factor >= 1 cannot bring it back
+
+
+def test_float_phi_coef_in_the_float_range_is_the_plain_quotient():
+    # (q;q)_323 is subnormal too, but its reciprocal is still a float
+    for m in (10, 322, 323):
+        assert phi_coef((m,), (0,), 0.999) == 1 / q_pochhammer(0.999, 0.999, m)
