@@ -44,7 +44,7 @@ from .qnum import (
     is_array,
     is_exact,
     memoised,
-    phi_sample,
+    phi_inverse_draw,
     phi_weight,
     q_pochhammer,
     q_pochhammer_inf,
@@ -99,8 +99,8 @@ class KindRule:
         """How a level and its update interlace: vertical (beta) or horizontal strips."""
         return interlaces_v if self.beta else interlaces_h
 
-    def sample_level(self, spec, j, lam_bar, nu_bar, lam, vj, rng) -> Signature:
-        fn = globals()[self.sampler]
+    def sample_level(self, spec, j, lam_bar, nu_bar, lam, vj, rng, fn=None) -> Signature:
+        fn = fn or globals()[self.sampler]
         if self.push is None:
             return fn(self.name, lam, nu_bar, spec.step_param, spec.a[j - 1], spec.q, rng)
         return fn(lam_bar, nu_bar, lam, vj, spec.q, rng)
@@ -219,26 +219,22 @@ def _strip_bounds(beta: bool, lam, nu_bar) -> Tuple[list, list]:
 # the insertion walks' choices, and their replay against a target level
 # ---------------------------------------------------------------------------
 
-def _choose(law, first, step, nu, delta, rng, target):
-    """One first-success choice among the particles first, first + step, ..., in the order
-    of `law`.  Drawn, it has weight 1; replayed, it is the first of them, p, with
-    target_p = nu_p + delta."""
-    if target is None:
-        return first + step * _pick(law, rng.random()), 1
-    for s, w in enumerate(law):
+def _choose(law, first, step, nu, delta, target, w):
+    """The replayed first-success choice among the particles first, first + step, ..., in the
+    order of `law`: the first, p, with target_p = nu_p + delta, and w times its weight."""
+    for s, ws in enumerate(law):
         p = first + step * s
         if target[p - 1] == nu[p - 1] + delta:
-            return p, w
+            return p, w * ws
     return first, 0
 
 
 def _phi_choices(q, a, b, n, k, up_to, rng, sampler):
-    """Choices of n - s for a split s of n boxes under the law `PhiParams.inverse(q, a, b,
-    n)`, with their weights: one drawn, of weight 1, or, replaying (no rng), n - s = k
-    (each of 0..k if up_to) where its weight is nonzero, from `_replayed_phi_choices`."""
+    """Choices of n - s for a split s of n boxes under the law `PhiParams.inverse(q, a, b, n)`,
+    with their weights: one drawn by `phi_inverse_draw`, of weight 1, or, replaying (no rng),
+    n - s = k (each of 0..k if up_to) where its weight is nonzero (`_replayed_phi_choices`)."""
     if rng is not None:
-        # by keyword: the traced benchmark replays each positional None as its rng
-        return ((n - phi_sample(PhiParams.inverse(q, a, b, n), rng, sampler=sampler), 1),)
+        return ((n - phi_inverse_draw(q, a, b, n, rng, sampler), 1),)
     return _replayed_phi_choices(q, a, b, n, k, up_to)
 
 
@@ -300,15 +296,16 @@ def _first_success(ps) -> list:
     return weights
 
 
-def _pick(weights, u) -> int:
-    """The first index whose cumulative float weight reaches u (the last if none does).
-    A float plus a Fraction weight is the sum of the two floats."""
-    acc = 0.0
-    for s, w in enumerate(weights):
-        acc += w
+def _first_success_pick(ps, u) -> int:
+    """The first index whose cumulative float weight in `_first_success(ps)` reaches u, the
+    last if none does: one pass that stops there, with the law's float operations in order."""
+    acc, rest, s = 0.0, 1, -1
+    for s, p in enumerate(ps):
+        acc += rest * p
         if u <= acc:
             return s
-    return len(weights) - 1
+        rest = rest * (1 - p)
+    return s + 1
 
 
 def _g_factor(i, nu_bar, lam, q):  # parts i <= len(nu_bar); a finite e, so q ** e is qpow(q, e)
@@ -332,13 +329,14 @@ def _islands(lam_bar: Sequence[int], nu_bar: Sequence[int]) -> List[Tuple[int, i
     return runs
 
 
-def _island_law(k, m, nu_bar, lam, q) -> list:
-    """Law of the one particle of island [k, m] that stays: lam_k, lam_{k+1}, ..., lam_{m+1}."""
-    gs = [_g_factor(i, nu_bar, lam, q) for i in range(k + 1, m + 1)]
-    return _first_success([_f_factor(k, nu_bar, lam, q)] + gs)
+def _island_trials(k, m, nu_bar, lam, q):
+    """Trials of the one particle of island [k, m] that stays: lam_k, lam_{k+1}, ..., lam_{m+1}."""
+    yield _f_factor(k, nu_bar, lam, q)
+    for i in range(k + 1, m + 1):
+        yield _g_factor(i, nu_bar, lam, q)
 
 
-_replayed_island_law = memoised(_island_law)
+_replayed_island_law = memoised(lambda *args: _first_success(_island_trials(*args)))
 
 
 def _sample_row_beta_level(lam_bar, nu_bar, lam, vj, q, rng, target=None):
@@ -348,11 +346,12 @@ def _sample_row_beta_level(lam_bar, nu_bar, lam, vj, q, rng, target=None):
     nu[0] += vj
     w = 1
     for (k, m) in _islands(lam_bar, nu_bar):
-        stay = 1  # with vj = 1, lam_1 took the input, and the rest of its island moves with it
-        if vj != 1 or k != 1:
-            law = (_island_law if target is None else _replayed_island_law)(k, m, nu_bar, lam, q)
-            stay, ws = _choose(law, k, 1, nu, 0, rng, target)
-            w *= ws
+        if vj == 1 and k == 1:
+            stay = 1  # lam_1 took the input, and the rest of its island moves with it
+        elif target is None:
+            stay = k + _first_success_pick(_island_trials(k, m, nu_bar, lam, q), rng.random())
+        else:
+            stay, w = _choose(_replayed_island_law(k, m, nu_bar, lam, q), k, 1, nu, 0, target, w)
         for i in range(k, m + 2):
             if i != stay:
                 nu[i - 1] += 1
@@ -376,20 +375,22 @@ def _fp_factor(k, nu_bar, lam, q):
     return _gp_factor(k, nu_bar, lam, q) / (1 - q ** (nu_bar[k - 2] - nu_bar[k - 1] + 1))
 
 
-def _pair_law(r, k, nu_bar, lam, q) -> list:
-    """Law of the particle moved by the pair (r, k) of moved lower particles:
-    lam_k, lam_{k-1}, ..., lam_{r+1}."""
-    gps = [_gp_factor(i, nu_bar, lam, q) for i in range(k - 1, r + 1, -1)]
-    return _first_success([_fp_factor(k, nu_bar, lam, q)] + gps if r + 1 < k else [])
+def _pair_trials(r, k, nu_bar, lam, q):
+    """Trials of the particle the pair (r, k) of moved lower particles moves: lam_k, ..., lam_{r+1}."""
+    if r + 1 < k:
+        yield _fp_factor(k, nu_bar, lam, q)
+        for i in range(k - 1, r + 1, -1):
+            yield _gp_factor(i, nu_bar, lam, q)
 
 
-def _donation_law(m, j, nu_bar, lam, q) -> list:
-    """Law of the particle the independent impulse moves: lam_j, lam_{j-1}, ..., lam_{m+1}."""
-    return _first_success([_gp_factor(i, nu_bar, lam, q) for i in range(j, m + 1, -1)])
+def _donation_trials(m, j, nu_bar, lam, q):
+    """Trials of the particle the independent impulse moves: lam_j, lam_{j-1}, ..., lam_{m+1}."""
+    for i in range(j, m + 1, -1):
+        yield _gp_factor(i, nu_bar, lam, q)
 
 
-_replayed_pair_law = memoised(_pair_law)
-_replayed_donation_law = memoised(_donation_law)
+_replayed_pair_law = memoised(lambda *args: _first_success(_pair_trials(*args)))
+_replayed_donation_law = memoised(lambda *args: _first_success(_donation_trials(*args)))
 
 
 def _moved_pairs(lam_bar: Sequence[int], nu_bar: Sequence[int]) -> List[Tuple[int, int]]:
@@ -412,16 +413,18 @@ def _sample_col_beta_level(lam_bar, nu_bar, lam, vj, q, rng, target=None):
     w = 1
     m = 0
     for (r, k) in _moved_pairs(lam_bar, nu_bar):
-        law = (_pair_law if target is None else _replayed_pair_law)(r, k, nu_bar, lam, q)
-        mover, wm = _choose(law, k, -1, nu, 1, rng, target)
+        if target is None:
+            mover = k - _first_success_pick(_pair_trials(r, k, nu_bar, lam, q), rng.random())
+        else:
+            mover, w = _choose(_replayed_pair_law(r, k, nu_bar, lam, q), k, -1, nu, 1, target, w)
         nu[mover - 1] += 1
-        w *= wm
         m = k
     if vj == 1:
-        law = (_donation_law if target is None else _replayed_donation_law)(m, j, nu_bar, lam, q)
-        mover, wm = _choose(law, j, -1, nu, 1, rng, target)
+        if target is None:
+            mover = j - _first_success_pick(_donation_trials(m, j, nu_bar, lam, q), rng.random())
+        else:
+            mover, w = _choose(_replayed_donation_law(m, j, nu_bar, lam, q), j, -1, nu, 1, target, w)
         nu[mover - 1] += 1
-        w *= wm
     return tuple(nu) if target is None else (w if tuple(nu) == target else 0)
 
 
@@ -449,7 +452,7 @@ def _sample_row_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None, targ
     lam_i and the rest to lam_{i+1}, with W_i of law phi(lam_i - lam_bar_i, b_i; c_i).
 
     Drawn, the parts and vj are ints, or int64 arrays over replicas with `rng` a numpy
-    Generator.  `sampler` is an optional `QSampler` for q, passed on to `phi_sample`.
+    Generator.  `sampler` is an optional `QSampler` for q, passed on to its phi draws.
     """
     j = len(lam)
     c = _moves(lam_bar, nu_bar)
@@ -523,7 +526,7 @@ def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None, targ
     path of choices: the one drawn, or every replay whose parts so far are the target's.
 
     Drawn, the parts and vj are ints, or int64 arrays over replicas with `rng` a numpy
-    Generator.  `sampler` is an optional `QSampler` for q, passed on to `phi_sample`.
+    Generator.  `sampler` is an optional `QSampler` for q, passed on to its phi draws.
     """
     j = len(lam)
     c = _moves(lam_bar, nu_bar)
@@ -833,13 +836,13 @@ def sample_inputs(spec: DynamicsSpec, rng) -> Tuple[int, ...]:
 def sample_step(
     spec: DynamicsSpec, arr: InterlacingArray, rng, inputs: Optional[Sequence[int]] = None
 ) -> InterlacingArray:
-    """One time step of the multivariate dynamics.
+    """One time step of the multivariate dynamics.  Every level is drawn by the kind's level
+    sampler, looked up by name once per step, so a double installed before the step serves it.
 
-    Raises ValueError if the spec has not one a_j, or `inputs` not one
-    input, per level of `arr`, if an input is outside the support of the
-    input law (0 or 1 for a Bernoulli kind, an int >= 0 for a q-geometric
-    one; a bool or a float is not an int here), or if a level update
-    returns a level that does not interlace with the one below it.
+    Raises ValueError if the spec has not one a_j, or `inputs` not one input, per level of
+    `arr`, if an input is outside the support of the input law (0 or 1 for a Bernoulli kind,
+    an int >= 0 for a q-geometric one; a bool or a float is not an int here), or if a level
+    update returns a level that does not interlace with the one below it.
     """
     n = len(arr)
     rule = KINDS[spec.kind]
@@ -851,10 +854,11 @@ def sample_step(
         raise ValueError(f"{spec.kind} step: {len(inputs)} inputs for {n} levels")
     else:
         _check_inputs(spec.kind, rule.beta, inputs)
+    fn = globals()[rule.sampler]
     nu_bar = (arr[0][0] + inputs[0],)
     out: List[Signature] = [nu_bar]
     for j, (lam_bar, lam, vj) in enumerate(zip(arr, arr[1:], inputs[1:]), start=2):
-        new = rule.sample_level(spec, j, lam_bar, nu_bar, lam, vj, rng)
+        new = rule.sample_level(spec, j, lam_bar, nu_bar, lam, vj, rng, fn)
         # interlaces_h(nu_bar, new) for a new of length j: new_1 >= nu_bar_1 >= ... >= new_j >= 0
         ok = len(new) == j and new[-1] >= 0
         if ok:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from .qnum import INF, PhiParams, check_step_params, memoised, phi_sample, sample_q_geometric
+from .qnum import (INF, PhiParams, check_step_params, memoised, phi_inverse_draw, phi_sample,
+                   sample_q_geometric)
 
 ParticleConfig = Tuple[int, ...]
 
@@ -121,7 +122,7 @@ def geometric_qpush_step(cfg, alpha, a, q, rng) -> ParticleConfig:
             c = cfg[j - 1] - x[j - 1]  # left displacement of the neighbor
             if c > 0:
                 gap = cfg[j - 1] - cfg[j] - 1
-                w = phi_sample(PhiParams.inverse(q, gap, INF, c), rng)
+                w = phi_inverse_draw(q, gap, INF, c, rng)
         x[j] -= v + w
     return tuple(x)
 

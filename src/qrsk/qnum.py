@@ -302,15 +302,15 @@ def qbinom_triple_sum(q, A, B, C, ell, r) -> Fraction:
 def q_geometric_pmf(alpha: Scalar, q: Scalar, n: int) -> float:
     """pmf (alpha;q)_inf alpha^n / (q;q)_n of the q-geometric distribution.
 
-    Where (q;q)_n underflows to 0.0, or is too small for the quotient to be
-    finite, the pmf is taken in log form, with log (q;q)_n from the prefix
-    of the shared sampler of q: at q = 0.999, n = 1000, alpha = 0.3 it is
-    about 2.4e-130.  Elsewhere it is the plain quotient.
+    Where (q;q)_n underflows to 0.0 or is too small for a finite quotient, or
+    the numerator underflows at alpha > 0, the pmf is taken in log form, with
+    log (q;q)_n from the prefix of the shared sampler of q: at q = 0.999, n =
+    1000, alpha = 0.3 it is about 2.4e-130.  Elsewhere it is the plain quotient.
     """
     den = q_pochhammer(q, q, n)
     if den:
         p = q_pochhammer_inf(alpha, q) * alpha ** n / den
-        if p != INF:
+        if p != INF and (p or not alpha):
             return p
     log_alpha = math.log(alpha) if alpha else -INF
     return math.exp(log_q_pochhammer_inf(alpha, q) + n * log_alpha - _shared_sampler(q).log_qpoch(n))
@@ -490,6 +490,19 @@ def phi_sample(p: PhiParams, rng, sampler: Optional[QSampler] = None):
         return 0
     mode, w_mode = _phi_direct_mode(q, xi, eta, y)
     return _chop_down(u, mode, 0, y, w_mode, partial(_phi_direct_ratio, q, xi, eta, y))
+
+
+def phi_inverse_draw(q, a: int, b, y: int, rng, sampler: Optional[QSampler] = None):
+    """`phi_sample(PhiParams.inverse(q, a, b, y), rng, sampler)`, b an int or INF; where the
+    support is one point (ints a, y), it takes its uniform and returns it, making neither call."""
+    if not (type(y) is type(a) is int and 0 <= q < 1 and 0 <= a <= b and y <= b):
+        # arrays, numpy ints, bad parameters (by keyword: a traced replay reads a positional None as rng)
+        return phi_sample(PhiParams.inverse(q, a, b, y), rng, sampler=sampler)
+    lo = y - a if y > a else 0
+    if lo == (y if b == INF or y <= b - a else b - a):
+        rng.random()
+        return lo
+    return phi_sample(PhiParams(q, y, None, None, a, b), rng, sampler=sampler)
 
 
 def _phi_direct_ratio(q: float, xi: float, eta: float, y, s):

@@ -56,6 +56,8 @@ def _psi(lam: Signature, mu: Signature, q: Scalar) -> Scalar:
     w = one
     for upper, lower, m in zip(lam, lam[1:], padded(mu, n)):
         w *= q_binomial(upper - lower, upper - m, q)
+    if w == INF:  # every q-binomial factor is >= 1
+        raise OverflowError(f"psi of {lam}/{mu} at q = {q} is past the float range")
     return w
 
 

@@ -40,7 +40,16 @@ def test_verify_main_eq_reports_cases_by_kind(capsys):
     assert report["cases"] == sum(expected.values())
 
 
-def test_verify_main_eq_corrupted_is_caught(capsys, monkeypatch):
+@pytest.fixture
+def empty_replay_memos_after():
+    """Empty the replay memos of `dynamics` when the test ends: laws that a patched law
+    builder made must not serve a later replay in the same process."""
+    yield
+    for memo in dyn._REPLAY_MEMOS:
+        memo.cache_clear()
+
+
+def test_verify_main_eq_corrupted_is_caught(capsys, monkeypatch, empty_replay_memos_after):
     # negative control: break one island factor and expect a named failure
     orig = dyn._f_factor
 
@@ -53,6 +62,22 @@ def test_verify_main_eq_corrupted_is_caught(capsys, monkeypatch):
     report = json.loads(out)
     assert report["failures"], "the corrupted factor must produce failures"
     assert "lam" in report["failures"][0]
+
+
+def test_a_replay_after_the_corrupted_run_equals_its_unmemoised_value(monkeypatch):
+    # runs right after the corrupted run: a RowBeta replay at main-eq's first tuple, on
+    # squares whose island laws that run built with the broken factor
+    q, beta, a_j = Fraction(1, 2), Fraction(1, 3), Fraction(1)
+    squares = [((0,), (1,), (1, 0)), ((0,), (1,), (0, 0))]
+    memoised = {}
+    for lam_bar, nu_bar, lam in squares:
+        ctx = dyn.LevelUpdateContext(lam_bar, nu_bar, lam)
+        for nu in dyn.level_candidates(dyn.ROW_BETA, lam, nu_bar, 1):
+            memoised[lam_bar, nu_bar, lam, nu] = dyn.row_beta_prob(ctx, nu, beta, a_j, q)
+    monkeypatch.setattr(dyn, "_replayed_island_law", dyn._replayed_island_law.__wrapped__)
+    for (lam_bar, nu_bar, lam, nu), value in memoised.items():
+        ctx = dyn.LevelUpdateContext(lam_bar, nu_bar, lam)
+        assert dyn.row_beta_prob(ctx, nu, beta, a_j, q) == value, (lam_bar, nu_bar, lam, nu)
 
 
 def test_verify_other_suites_quick(capsys):

@@ -998,6 +998,81 @@ def test_seeded_sample_step_runs_are_unchanged(kind, n):
     assert arr == _GOLDEN_FINAL_ARRAYS[kind, n]
 
 
+# The next rng draw after each run of `_GOLDEN_FINAL_ARRAYS`, recorded before drawn
+# walks stopped building the choice laws they do not read: a walk that takes one
+# uniform more or less than before shows here even where the final array is the same.
+_GOLDEN_NEXT_UNIFORMS = {
+    (ROW_ALPHA, 3): 0.404634752779525,
+    (ROW_ALPHA, 5): 0.4948346596316866,
+    (COL_ALPHA, 3): 0.2649082293673829,
+    (COL_ALPHA, 5): 0.9373482739481236,
+    (ROW_BETA, 3): 0.8044263514766548,
+    (ROW_BETA, 5): 0.9264976390683088,
+    (COL_BETA, 3): 0.4508178810851585,
+    (COL_BETA, 5): 0.3433002887151405,
+    (PUSH_BLOCK_ALPHA, 3): 0.192770270601616,
+    (PUSH_BLOCK_ALPHA, 5): 0.8849118204532898,
+    (PUSH_BLOCK_BETA, 3): 0.6464757588703725,
+    (PUSH_BLOCK_BETA, 5): 0.4018504574816676,
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(_GOLDEN_FINAL_ARRAYS))
+def test_seeded_sample_step_runs_take_the_recorded_uniforms(kind, n):
+    rule = dyn.KINDS[kind]
+    a = tuple(1.0 - 0.1 * i for i in range(n))
+    spec = DynamicsSpec(kind, 0.5, 0.4 if rule.beta else 0.35, a)
+    rng = random.Random(1000 * n + len(kind))
+    arr = zero_array(n)
+    for _ in range(60 if rule.push_block else 300):
+        arr = sample_step(spec, arr, rng)
+    assert (arr, rng.random()) == (_GOLDEN_FINAL_ARRAYS[kind, n], _GOLDEN_NEXT_UNIFORMS[kind, n])
+
+
+def _pick(weights, u):
+    """The first index whose cumulative float weight reaches u, the last if none does:
+    how a drawn walk picked from a whole first-success law before it picked lazily."""
+    acc = 0.0
+    for s, w in enumerate(weights):
+        acc += w
+        if u <= acc:
+            return s
+    return len(weights) - 1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.floats(0, 1), max_size=8),
+                 st.lists(st.fractions(0, 1, max_denominator=20), max_size=8)),
+       st.one_of(st.floats(0, 1, exclude_max=True), st.just(1.0), st.just(1.5)))
+def test_lazy_first_success_pick_is_the_pick_from_the_whole_law(ps, u):
+    # u = 1.5 lies above all the mass: both pick the last index, the sure trial
+    read = []
+
+    def trials():
+        for p in ps:
+            read.append(p)
+            yield p
+
+    s = dyn._first_success_pick(trials(), u)
+    assert s == _pick(dyn._first_success(ps), u)
+    assert len(read) == min(s + 1, len(ps))  # the pass stops at the pick
+
+
+def test_drawn_beta_walks_build_no_first_success_law(monkeypatch):
+    # a drawn RowBeta or ColBeta walk picks from its trial probabilities lazily
+    def no_law(ps):
+        raise AssertionError("a drawn walk built a whole first-success law")
+
+    monkeypatch.setattr(dyn, "_first_success", no_law)
+    rng = random.Random(5)
+    for kind in (ROW_BETA, COL_BETA):
+        spec = DynamicsSpec(kind, 0.5, 0.4, (1.0, 0.9, 0.8, 0.7))
+        arr = zero_array(4)
+        for _ in range(40):
+            arr = sample_step(spec, arr, rng)
+        assert arr[-1][0] > 0, kind
+
+
 def test_seeded_scaled_arrays_are_unchanged():
     # the per-(j, k) sums over 50 replicas of the integer parts behind the log ratios
     from qrsk.polymers import scaled_col_arrays, scaled_row_arrays

@@ -835,12 +835,89 @@ def test_q_geometric_pmf_where_q_q_n_underflows():
     assert q_pochhammer(q, q, n) == 0.0
     log_pmf = math.fsum([math.log1p(-alpha * q ** k) for k in range(60_000)]
                         + [n * math.log(alpha)] + [-math.log1p(-q ** i) for i in range(1, n + 1)])
-    assert q_geometric_pmf(alpha, q, n) == pytest.approx(math.exp(log_pmf), rel=1e-9)
-    assert q_geometric_pmf(alpha, q, n) == pytest.approx(2.377e-130, rel=1e-3)
+    assert q_geometric_pmf(alpha, q, n) == pytest.approx(math.exp(log_pmf), rel=1e-9, abs=0)
+    assert q_geometric_pmf(alpha, q, n) == pytest.approx(2.377e-130, rel=1e-3, abs=0)
     # a plain quotient that is a float keeps its bits
     for n in (0, 10, 300):
         plain = q_pochhammer_inf(alpha, q) * alpha ** n / q_pochhammer(q, q, n)
         assert q_geometric_pmf(alpha, q, n) == plain
+
+
+def test_q_geometric_pmf_where_its_numerator_underflows():
+    # (alpha;q)_inf alpha^n underflows to 0.0 while (q;q)_n does not: the pmf comes from logs
+    q, alpha = 0.998, 0.3
+    for n, approx in ((500, 2.24e-66), (787, 2.31e-175), (900, 2.09e-224)):
+        assert q_pochhammer_inf(alpha, q) * alpha ** n == 0.0 and q_pochhammer(q, q, n) > 0
+        log_pmf = math.fsum([math.log1p(-alpha * q ** k) for k in range(30_000)]
+                            + [n * math.log(alpha)] + [-math.log1p(-q ** i) for i in range(1, n + 1)])
+        # math.isclose: pytest.approx would also take 0.0 for these, within its abs=1e-12
+        assert math.isclose(q_geometric_pmf(alpha, q, n), math.exp(log_pmf), rel_tol=1e-9)
+        assert math.isclose(q_geometric_pmf(alpha, q, n), approx, rel_tol=1e-2)
+    # a zero alpha keeps its point mass at 0
+    assert [q_geometric_pmf(0.0, q, n) for n in (0, 1, 500)] == [1.0, 0.0, 0.0]
+
+
+class _CountingUniforms(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.taken = 0
+
+    def random(self):
+        self.taken += 1
+        return super().random()
+
+
+@pytest.mark.parametrize("q, a, b, y, point", [
+    (0.5, 3, INF, 0, 0),  # no boxes to split
+    (0.5, 0, INF, 4, 4),  # no room: every box passes
+    (0.5, 2, 2, 2, 0),    # b - a = 0
+    (0.5, 1, 5, 5, 4),    # y = b
+    (0.0, 0, INF, 3, 3),
+])
+def test_a_one_point_phi_draw_takes_one_uniform_and_no_phi_sample_call(q, a, b, y, point,
+                                                                     monkeypatch):
+    assert list(phi_support(PhiParams.inverse(q, a, b, y))) == [point]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a one-point draw built a PhiParams or called phi_sample")
+
+    monkeypatch.setattr(qnum, "phi_sample", forbidden)
+    monkeypatch.setattr(qnum, "PhiParams", forbidden)
+    rng = _CountingUniforms(3)
+    assert qnum.phi_inverse_draw(q, a, b, y, rng) == point
+    assert rng.taken == 1
+    monkeypatch.undo()
+    # phi_sample takes the same one uniform and returns the same point
+    mine, theirs = random.Random(9), random.Random(9)
+    assert qnum.phi_inverse_draw(q, a, b, y, mine) == phi_sample(PhiParams.inverse(q, a, b, y), theirs)
+    assert mine.random() == theirs.random()
+
+
+@pytest.mark.parametrize("q, a, b, y", [
+    (1.0, 0, INF, 0), (-0.5, 0, INF, 0), (0.5, -1, INF, 0), (0.5, 3, 2, 0), (0.5, 0, 2, 3),
+])
+def test_a_phi_draw_with_bad_parameters_raises_before_taking_a_uniform(q, a, b, y):
+    with pytest.raises(ValueError) as expected:
+        PhiParams.inverse(q, a, b, y)
+    rng = _CountingUniforms(0)
+    with pytest.raises(ValueError) as got:
+        qnum.phi_inverse_draw(q, a, b, y, rng)
+    assert str(got.value) == str(expected.value)
+    assert rng.taken == 0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from([0.0, 0.3, 0.5, 0.9]), st.integers(0, 6), st.integers(0, 6),
+       st.integers(0, 8), st.integers(0, 2 ** 32))
+def test_phi_inverse_draw_is_the_phi_sample_draw(q, a, b_gap, y, seed):
+    # every point of every support, and the rng left in the same state
+    b = INF if b_gap == 6 else a + b_gap
+    if y > b:
+        return
+    mine, theirs = random.Random(seed), random.Random(seed)
+    drawn = qnum.phi_inverse_draw(q, a, b, y, mine)
+    assert drawn == phi_sample(PhiParams.inverse(q, a, b, y), theirs)
+    assert mine.random() == theirs.random()
 
 
 def test_a_batch_views_a_short_prefix_as_an_array_once(monkeypatch):

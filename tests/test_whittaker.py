@@ -398,3 +398,23 @@ def test_float_phi_coef_in_the_float_range_is_the_plain_quotient():
     # (q;q)_323 is subnormal too, but its reciprocal is still a float
     for m in (10, 322, 323):
         assert phi_coef((m,), (0,), 0.999) == 1 / q_pochhammer(0.999, 0.999, m)
+
+
+def test_float_psi_past_the_float_range_raises_overflow():
+    # each q-binomial factor is a float, but their product (log10 about 356.7) is not
+    lam, mu, q = (2271, 917, 473), (1201, 632), 0.999
+    factors = [qnum.q_binomial(2271 - 917, 2271 - 1201, q), qnum.q_binomial(917 - 473, 917 - 632, q),
+               qnum.q_binomial(473, 473, q)]
+    assert all(f < float("inf") for f in factors)
+    with pytest.raises(OverflowError, match="float range"):
+        psi(lam, mu, q)
+
+
+def test_float_psi_in_the_float_range_is_the_plain_product():
+    q = 0.999  # the first two are about 2.5e297 and 4.0e270
+    for lam, mu in [((2271, 917, 473), (2100, 632)), ((2271, 917, 473), (1201, 900)), ((5, 3, 1), (4, 2))]:
+        padded_lam = (*lam, 0)
+        plain = 1.0
+        for upper, lower, m in zip(padded_lam, padded_lam[1:], (*mu, 0)):
+            plain *= qnum.q_binomial(upper - lower, upper - m, q)
+        assert psi(lam, mu, q) == plain
