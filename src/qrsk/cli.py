@@ -240,6 +240,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_polymer_limit(args) -> int:
+    if args.levels < 1 or args.steps < 1 or args.replicas < 1:
+        print("need --levels, --steps and --replicas >= 1", file=sys.stderr)
+        return 2
+    eps = [float(e) for e in args.eps]
+    if not all(e > 0 for e in eps):
+        print(f"need every --eps > 0, got {', '.join(args.eps)}", file=sys.stderr)
+        return 2
     rng = random.Random(args.seed)
     n = args.levels
     thetas = [float(x) for x in (args.theta or ["1.0"] * n)]
@@ -255,7 +262,7 @@ def cmd_polymer_limit(args) -> int:
         args.steps,
         thetas,
         theta_hats,
-        [float(e) for e in args.eps],
+        eps,
         args.replicas,
         rng,
         raw_samples=raw,

@@ -8,7 +8,7 @@ classical (q = 0) insertion to which it degenerates.
 
 Each insertion kind's level update is one walk over its hidden choices, in
 the order they are drawn: `_sample_<kind>_level(lam_bar, nu_bar, lam, vj, q,
-rng, ..., target=None)`.  Given an rng, it draws the choices and returns the
+rng, target=None)`.  Given an rng, it draws the choices and returns the
 new level.  Given a target nu instead, it takes the choice that nu forces at
 each step (at ColAlpha, every free X_i and Y_i in turn) and returns the
 product of the choices' weights, summed over the paths that replay nu.  Its
@@ -109,11 +109,13 @@ class KindRule:
         fn = globals()[self.weight]
         if self.push_block:  # free of the lower starting state
             return fn(self.name, ctx.lam, ctx.nu_bar, nu, par, a_j, q)
-        return fn(ctx, nu, par, a_j, q)
+        if self.beta:
+            return fn(ctx, nu, par, a_j, q)
+        return fn(ctx, nu, q)  # normalised: free of par a_j
 
 
 KINDS = {rule.name: rule for rule in [
-    KindRule(ROW_ALPHA, False, "_sample_row_alpha_level", "_row_alpha_u",
+    KindRule(ROW_ALPHA, False, "_sample_row_alpha_level", "row_alpha_v",
              push=False, descending=True, input_first=False),
     KindRule(COL_ALPHA, False, "_sample_col_alpha_level", "col_alpha_v",
              push=True, descending=True, input_first=True),
@@ -229,12 +231,12 @@ def _choose(law, first, step, nu, delta, target, w):
     return first, 0
 
 
-def _phi_choices(q, a, b, n, k, up_to, rng, sampler):
+def _phi_choices(q, a, b, n, k, up_to, rng):
     """Choices of n - s for a split s of n boxes under the law `PhiParams.inverse(q, a, b, n)`,
     with their weights: one drawn by `phi_inverse_draw`, of weight 1, or, replaying (no rng),
     n - s = k (each of 0..k if up_to) where its weight is nonzero (`_replayed_phi_choices`)."""
     if rng is not None:
-        return ((n - phi_inverse_draw(q, a, b, n, rng, sampler), 1),)
+        return ((n - phi_inverse_draw(q, a, b, n, rng), 1),)
     return _replayed_phi_choices(q, a, b, n, k, up_to)
 
 
@@ -447,12 +449,12 @@ def _draws(count) -> bool:
     return is_array(count) or count != 0
 
 
-def _sample_row_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None, target=None):
+def _sample_row_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, target=None):
     """The walk: the input vj at the left, then each lower move c_i split, W_i boxes to
     lam_i and the rest to lam_{i+1}, with W_i of law phi(lam_i - lam_bar_i, b_i; c_i).
 
     Drawn, the parts and vj are ints, or int64 arrays over replicas with `rng` a numpy
-    Generator.  `sampler` is an optional `QSampler` for q, passed on to its phi draws.
+    Generator.
     """
     j = len(lam)
     c = _moves(lam_bar, nu_bar)
@@ -465,8 +467,7 @@ def _sample_row_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None, targ
         if _draws(c[i - 1]):
             b = INF if i == 1 else lam_bar[i - 2] - lam_bar[i - 1]
             forced = None if target is None else c[i - 1] - (target[i - 1] - nu[i - 1])
-            choice = _phi_choices(q, lam[i - 1] - lam_bar[i - 1], b, c[i - 1], forced, False,
-                                  rng, sampler)
+            choice = _phi_choices(q, lam[i - 1] - lam_bar[i - 1], b, c[i - 1], forced, False, rng)
             passed, ws = choice[0] if choice else (0, 0)
             w *= ws
         nu[i - 1] = nu[i - 1] + c[i - 1] - passed
@@ -482,11 +483,6 @@ def row_alpha_v(ctx: LevelUpdateContext, nu: Signature, q):
     function of q alone and is what the main-equation kernel consumes.
     """
     return _q_geometric_input(_sample_row_alpha_level, ctx, nu, q)
-
-
-def _row_alpha_u(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
-    """`row_alpha_v` with the arguments of the other insertion weights (it is free of alpha a_j)."""
-    return row_alpha_v(ctx, nu, q)
 
 
 def _with_input_law(ctx: LevelUpdateContext, nu: Signature, w, alpha, a_j, q):
@@ -521,12 +517,12 @@ def _col_alpha_gap(lam_bar, lam, i) -> int:
     return lam_bar[len(lam) - i - 1] - lam[len(lam) - i]
 
 
-def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None, target=None):
+def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, target=None):
     """The walk: the splits of the section comment, particle by particle, on each open
     path of choices: the one drawn, or every replay whose parts so far are the target's.
 
     Drawn, the parts and vj are ints, or int64 arrays over replicas with `rng` a numpy
-    Generator.  `sampler` is an optional `QSampler` for q, passed on to its phi draws.
+    Generator.
     """
     j = len(lam)
     c = _moves(lam_bar, nu_bar)
@@ -541,19 +537,19 @@ def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None, targ
         for remaining, fund, w in paths:
             xs = ((0, 1),)
             if _draws(remaining):
-                xs = _phi_choices(q, gap, INF, remaining, move, i > 1, rng, sampler)
+                xs = _phi_choices(q, gap, INF, remaining, move, i > 1, rng)
             for x, wx in xs:
                 left = None if move is None else move - x  # replaying: what Y_i and Z_i add
                 h, ys = 0, ((0, 1),)  # particle 1 has no lower-left neighbour to push it
                 if i > 1:
                     h = gap - x
                     b = lam_bar[p - 1] - lam_bar[p]
-                    ys = _phi_choices(q, ell, b, h, left, True, rng, sampler)
+                    ys = _phi_choices(q, ell, b, h, left, True, rng)
                 for y, wy in ys:
                     zs = ((0, 1),)
                     if _draws(fund):
                         z_left = None if left is None else left - y
-                        zs = _phi_choices(q, fund, INF, h - y, z_left, False, rng, sampler)
+                        zs = _phi_choices(q, fund, INF, h - y, z_left, False, rng)
                     for z, wz in zs:
                         nu[p] = lam[p] + x + y + z
                         if target is None or nu[p] == target[p]:
@@ -567,7 +563,7 @@ def _sample_col_alpha_level(lam_bar, nu_bar, lam, vj, q, rng, sampler=None, targ
     return tuple(nu) if target is None else total
 
 
-def col_alpha_v(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
+def col_alpha_v(ctx: LevelUpdateContext, nu: Signature, q):
     """Normalized conditional weight of the q-geometric column insertion.
 
     Its replayed walk over (q;q)_V for the input V.  This strips the factor
@@ -578,7 +574,7 @@ def col_alpha_v(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
 
 def col_alpha_prob(ctx: LevelUpdateContext, nu: Signature, alpha, a_j, q):
     """Conditional probability (floating mode)."""
-    return _with_input_law(ctx, nu, col_alpha_v(ctx, nu, alpha, a_j, q), alpha, a_j, q)
+    return _with_input_law(ctx, nu, col_alpha_v(ctx, nu, q), alpha, a_j, q)
 
 
 # ---------------------------------------------------------------------------

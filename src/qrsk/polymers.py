@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .dynamics import COL_ALPHA, ROW_ALPHA, _sample_col_alpha_level, _sample_row_alpha_level
-from .qnum import QSampler, np, sample_q_geometric
+from .qnum import _shared_sampler, np, sample_q_geometric
 
 RealWord = List[float]
 RealArray = List[RealWord]
@@ -339,29 +339,28 @@ def _scaled_replicas(level, n, t, thetas, theta_hats, eps, replicas, rng):
     q = e^-eps, alpha_s = e^(-theta_hat_s eps), a_j = e^(-theta_j eps); `level`
     is the shared level update of the kind.  All replicas step together:
     each part of the array is an int64 array over replicas, and every draw
-    comes from a numpy generator seeded from `rng` (one 64-bit draw).  One
-    `QSampler` serves the whole call, so each q-geometric table is built
-    once per (alpha_s, a_j).  The log (q;q)_n prefix it reads and the
-    normalisers log (alpha;q)_inf of its tables outlive the call, in the
-    shared sampler of q and a memo of `qnum`; their values depend on q, n
-    and alpha alone, so the same `rng` state gives the same arrays whatever
-    ran before.
+    comes from a numpy generator seeded from `rng` (one 64-bit draw).  The
+    draws read the shared sampler of q, so each q-geometric table is built
+    once per (alpha_s, a_j) in the call.  The log (q;q)_n prefix and the
+    normalisers log (alpha;q)_inf of the tables outlive the call; their
+    values depend on q, n and alpha alone, so the same `rng` state gives the
+    same arrays whatever ran before.
     """
     q = math.exp(-eps)
     a = [math.exp(-thetas[j] * eps) for j in range(n)]
     alphas = [math.exp(-theta_hats[s] * eps) for s in range(t)]
-    # a sampler of the call's own, not the shared one of q: the traced
-    # benchmark records the log (alpha;q)_inf calls that table builds make,
-    # in the process that has just run these replicas, and tables shared
-    # across calls would already be built and make none
-    sampler = QSampler(q)
+    # every call builds its q-geometric tables again, so that the traced
+    # benchmark, which records in the process that has just run these
+    # replicas, sees the log (alpha;q)_inf calls that table builds make;
+    # this goes once its probes record in a fresh interpreter (ROADMAP item 1)
+    _shared_sampler(q)._cdfs.clear()
     gen = np.random.default_rng(rng.getrandbits(64))
     arr = [tuple(np.zeros(replicas, dtype=np.int64) for _ in range(j)) for j in range(1, n + 1)]
     for alpha in alphas:
-        v = [sample_q_geometric(alpha * aj, q, gen, sampler, size=replicas) for aj in a]
+        v = [sample_q_geometric(alpha * aj, q, gen, size=replicas) for aj in a]
         out = [(arr[0][0] + v[0],)]
         for j in range(2, n + 1):
-            out.append(level(arr[j - 2], out[j - 2], arr[j - 1], v[j - 1], q, gen, sampler))
+            out.append(level(arr[j - 2], out[j - 2], arr[j - 1], v[j - 1], q, gen))
         arr = out
     return arr
 

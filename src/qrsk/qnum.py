@@ -456,14 +456,14 @@ def _phi_inverse_ratio(q, a, b, c, r):
     return q ** (a + 2 * r + 1 - c) * num / den
 
 
-def phi_sample(p: PhiParams, rng, sampler: Optional[QSampler] = None):
+def phi_sample(p: PhiParams, rng):
     """Draw from the weight; floating realization, one `rng.random()` a draw.
 
     Inverse regime: a chop-down walk from the mode over the closed-form
     weights, so a draw costs O(1) plus O(1) per visited support point, however
     large the count and the exponents (as in the scaling experiments); the
-    log (q;q)_n values and the mode of each (a, b, count) come from `sampler`,
-    or without one from the shared sampler of q.  Direct regime: the same walk
+    log (q;q)_n values and the mode of each (a, b, count) come from the
+    shared sampler of q.  Direct regime: the same walk
     from the mode, whose weight is taken in log space (`_phi_direct_mode`).
     A weight with no mass left in floating point raises `ZeroMassError`.
 
@@ -473,7 +473,7 @@ def phi_sample(p: PhiParams, rng, sampler: Optional[QSampler] = None):
     (`QSampler.draw_phi_inverse_batch`).
     """
     if is_array(p.y) or is_array(p.a):
-        return _phi_sample_batch(p, rng, sampler)
+        return _phi_sample_batch(p, rng)
     u = rng.random()
     q, y, xi, eta, a, b = p
     if a is not None:
@@ -484,7 +484,7 @@ def phi_sample(p: PhiParams, rng, sampler: Optional[QSampler] = None):
             raise ValueError("empty support")
         if q == 0 or lo == hi:
             return lo
-        return _qsampler(q, sampler).draw_phi_inverse(a, b, y, lo, hi, u)
+        return _shared_sampler(q).draw_phi_inverse(a, b, y, lo, hi, u)
     q, xi, eta = float(q), float(xi), float(eta)
     if xi == 0:
         return 0
@@ -492,17 +492,17 @@ def phi_sample(p: PhiParams, rng, sampler: Optional[QSampler] = None):
     return _chop_down(u, mode, 0, y, w_mode, partial(_phi_direct_ratio, q, xi, eta, y))
 
 
-def phi_inverse_draw(q, a: int, b, y: int, rng, sampler: Optional[QSampler] = None):
-    """`phi_sample(PhiParams.inverse(q, a, b, y), rng, sampler)`, b an int or INF; where the
+def phi_inverse_draw(q, a: int, b, y: int, rng):
+    """`phi_sample(PhiParams.inverse(q, a, b, y), rng)`, b an int or INF; where the
     support is one point (ints a, y), it takes its uniform and returns it, making neither call."""
     if not (type(y) is type(a) is int and 0 <= q < 1 and 0 <= a <= b and y <= b):
-        # arrays, numpy ints, bad parameters (by keyword: a traced replay reads a positional None as rng)
-        return phi_sample(PhiParams.inverse(q, a, b, y), rng, sampler=sampler)
+        # arrays, numpy ints, bad parameters
+        return phi_sample(PhiParams.inverse(q, a, b, y), rng)
     lo = y - a if y > a else 0
     if lo == (y if b == INF or y <= b - a else b - a):
         rng.random()
         return lo
-    return phi_sample(PhiParams(q, y, None, None, a, b), rng, sampler=sampler)
+    return phi_sample(PhiParams(q, y, None, None, a, b), rng)
 
 
 def _phi_direct_ratio(q: float, xi: float, eta: float, y, s):
@@ -546,7 +546,7 @@ def _phi_direct_mode(q: float, xi: float, eta: float, y) -> Tuple[int, float]:
     return lo, math.exp(log_w)
 
 
-def _phi_sample_batch(p: PhiParams, rng, sampler: Optional[QSampler]) -> np.ndarray:
+def _phi_sample_batch(p: PhiParams, rng) -> np.ndarray:
     if not p.is_inverse:
         raise TypeError("phi_sample takes replica arrays in the inverse regime only")
     a, c = np.broadcast_arrays(p.a, p.y)
@@ -557,7 +557,7 @@ def _phi_sample_batch(p: PhiParams, rng, sampler: Optional[QSampler]) -> np.ndar
     u = rng.random(c.shape)
     if p.q == 0 or np.array_equal(lo, hi):  # every support is the one point lo
         return lo
-    return _qsampler(p.q, sampler).draw_phi_inverse_batch(a, p.b, c, lo, hi, u)
+    return _shared_sampler(p.q).draw_phi_inverse_batch(a, p.b, c, lo, hi, u)
 
 
 def _check_mass(w: float, what) -> None:
@@ -582,7 +582,7 @@ class _LogQPochPrefix:
 
     `table` holds the floats in the one form their builder makes: a list for
     a short prefix, a read-only numpy array for a long one once it has grown
-    past n = 0 (every sampler for q shares it).  Scalar reads (`at`) index
+    past n = 0 (every draw at q reads it).  Scalar reads (`at`) index
     it; reads over a replica axis view it as an array.  The constructor
     makes no array, so a short prefix never loads numpy.
     """
@@ -639,12 +639,9 @@ class _LogQPochPrefix:
 class QSampler:
     """Floating-mode sampling tables for one q, each built on first use.
 
-    * The prefix log (q;q)_n, n = 0, 1, ...; with it every inverse-regime
-      phi weight costs O(1) (`log_phi_inverse`).  It is a property of q, not
-      of the sampler: the shared sampler of q (`_shared_sampler`) makes it,
-      grown on demand (`_LogQPochPrefix`), and every other `QSampler(q)`
-      reads that one, so a new sampler starts from the entries earlier ones
-      computed.
+    * The prefix log (q;q)_n, n = 0, 1, ..., grown on demand
+      (`_LogQPochPrefix`); with it every inverse-regime phi weight costs
+      O(1) (`log_phi_inverse`).
     * Per q-geometric parameter alpha, one CDF table over the support
       points whose weight is at least 2^-60 times the modal weight, built
       once from the normaliser log (alpha;q)_inf (itself memoised), so a
@@ -656,19 +653,17 @@ class QSampler:
     * Per inverse-regime (a, b, count), the mode and the weight there, where
       a `phi_sample` walk starts (`draw_phi_inverse`).
 
-    The last two belong to the sampler, up to `MEMO_SIZE` entries of each,
-    after which each starts again from empty.  Every draw given no sampler
-    reads the one shared sampler of q (`_shared_sampler`); pass one of your
-    own only to keep its tables apart.
+    The last two keep up to `MEMO_SIZE` entries each, after which each
+    starts again from empty.  Every float draw reads the one sampler of q
+    that `_shared_sampler` keeps.
     """
 
-    def __init__(self, q, _shared: bool = False):
+    def __init__(self, q):
         q = float(q)
         if not 0 <= q < 1:
             raise ValueError("QSampler needs 0 <= q < 1")
         self.q = q
-        # `_shared` is for `_shared_sampler` alone: the sampler it makes owns the prefix of q
-        self._prefix = _LogQPochPrefix(q) if _shared else _shared_sampler(q)._prefix
+        self._prefix = _LogQPochPrefix(q)
         self.log_q = self._prefix.log_q
         self._cdfs: Dict[float, Tuple[int, Union[List[float], np.ndarray]]] = {}
         self._phi_starts: Dict[Tuple[int, float, int], Tuple[int, float]] = {}
@@ -676,10 +671,6 @@ class QSampler:
     def log_qpoch(self, n) -> float:
         """log (q;q)_n for an integer n >= 0 or n = INF."""
         return self._prefix.at(n)
-
-    def log_qpoch_at(self, n):
-        """log (q;q)_n for an int or int array n >= 0, from the prefix viewed as an array."""
-        return self.prefix_reader()(n)
 
     def prefix_reader(self) -> Callable:
         """A reader of log (q;q)_n over int arrays n >= 0, for one batch.
@@ -880,34 +871,24 @@ class QSampler:
 
 
 # The shared samplers, one per float q: a plain dict, so that a draw finds
-# its sampler with one subscript, which costs less than checking a sampler
-# it was given.
+# its sampler with one subscript.
 _SAMPLERS: Dict[float, QSampler] = {}
 
 
 def _shared_sampler(q) -> QSampler:
-    """The `QSampler` of q that draws and float phi weights given none read, and
-    that owns the log (q;q)_n prefix of q, made on first use; past `Q_MEMO_SIZE`
-    values of q the one made first is dropped."""
-    q = float(q)
+    """The `QSampler` of float(q), which every float draw and float phi weight
+    reads, made on first use; past `Q_MEMO_SIZE` values of q the one made first
+    is dropped."""
+    try:
+        return _SAMPLERS[q]
+    except KeyError:  # a new q, or a Fraction whose float is a key
+        q = float(q)
     if q not in _SAMPLERS:
-        new = QSampler(q, _shared=True)  # raises unless 0 <= q < 1
+        new = QSampler(q)  # raises unless 0 <= q < 1
         if len(_SAMPLERS) >= Q_MEMO_SIZE:
             del _SAMPLERS[next(iter(_SAMPLERS))]
         _SAMPLERS[q] = new
     return _SAMPLERS[q]
-
-
-def _qsampler(q, sampler: Optional[QSampler]) -> QSampler:
-    """`sampler` after checking that it is for q, or the shared sampler of q."""
-    if sampler is None:
-        try:
-            return _SAMPLERS[q]
-        except KeyError:
-            return _shared_sampler(q)
-    if sampler.q != float(q):
-        raise ValueError(f"sampler is for q = {sampler.q}, not {float(q)}")
-    return sampler
 
 
 def _phi_inverse_mode(q: float, a: int, b, c: int, lo: int, hi: int) -> int:
@@ -1001,14 +982,12 @@ def check_step_params(pars, a, alpha: bool) -> None:
                                  f"got {name} = {par}, a_j = {aj}")
 
 
-def sample_q_geometric(
-    alpha: float, q: float, rng, sampler: Optional[QSampler] = None, size: Optional[int] = None
-):
+def sample_q_geometric(alpha: float, q: float, rng, size: Optional[int] = None):
     """Draw from pmf (alpha;q)_inf alpha^n/(q;q)_n; one `rng.random()` a draw.
 
-    A draw is one bisect into the CDF table for alpha of `sampler`, or
-    without one of the shared sampler of q, built on first use and kept in
-    one form (a list, or a numpy array past `_VECTOR_TERMS` points).  The
+    A draw is one bisect into the CDF table for alpha of the shared sampler
+    of q, built on first use and kept in one form (a list, or a numpy array
+    past `_VECTOR_TERMS` points).  The
     table keeps every point above 2^-60 of the modal weight, about
     41.6 / (1 - alpha) of them past the mode, so alpha near 1 costs memory:
     at q = 0.5, alpha = 1 - 1e-5 builds about 4.2M points and keeps 33 MB
@@ -1023,12 +1002,12 @@ def sample_q_geometric(
         u = rng.random(size)
         if alpha == 0:
             return np.zeros(size, dtype=np.int64)
-        lo, cdf = _qsampler(q, sampler)._q_geometric_table(alpha)
+        lo, cdf = _shared_sampler(q)._q_geometric_table(alpha)
         return lo + np.searchsorted(cdf, u, side="right")
     u = rng.random()
     if alpha == 0:
         return 0
-    lo, cdf = _qsampler(q, sampler)._q_geometric_table(alpha)
+    lo, cdf = _shared_sampler(q)._q_geometric_table(alpha)
     return lo + bisect_right(cdf, u)
 
 

@@ -313,6 +313,23 @@ def test_polymer_limit_report_records_the_version(tmp_path, capsys):
     assert rep["version"] == qrsk.__version__ and rep["seed"] == 5
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--levels", "0", "need --levels, --steps and --replicas >= 1"),
+    ("--steps", "0", "need --levels, --steps and --replicas >= 1"),
+    ("--replicas", "0", "need --levels, --steps and --replicas >= 1"),
+    ("--eps", "0", "need every --eps > 0, got 0.02, 0"),
+], ids=["levels", "steps", "replicas", "eps"])
+def test_polymer_limit_checks_its_sizes_before_any_work(flag, value, message, tmp_path, capsys):
+    # --levels 0 and --replicas 0 raised IndexError, --steps 0 reported no
+    # results, and --eps 0 failed in the sampler of q = 1
+    out = tmp_path / "r.json"
+    args = ["polymer-limit", "--eps", "0.02", "--replicas", "20", "--out", str(out), flag, value]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_rejects_a_negative_step_parameter(tmp_path, capsys):
     # beta a_j < 0 ran a frozen trajectory (every input 0), and beta a_j = -1 divided by zero
     out = ["--out", str(tmp_path / "run")]

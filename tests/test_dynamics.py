@@ -144,9 +144,9 @@ def test_col_alpha_complementary_cases():
     ctx = LevelUpdateContext(lam_bar, nu_bar, lam)
     # leftmost blocked by lam_bar_2 = 1: single impulse donates to position 2?
     # position 3 has gap = lam_bar_2 - lam_3 = 1, so it can absorb one unit
-    p = dyn.col_alpha_v(ctx, (2, 2, 1), F(1, 3), F(1), qf)
+    p = dyn.col_alpha_v(ctx, (2, 2, 1), qf)
     assert p > 0
-    assert dyn.col_alpha_v(ctx, (2, 2, 0), F(1, 3), F(1), qf) > 0
+    assert dyn.col_alpha_v(ctx, (2, 2, 0), qf) > 0
 
 
 def test_main_equation_hand_example():
@@ -313,7 +313,7 @@ def test_rsk_type_property():
                 elif kind == ROW_ALPHA:
                     p = row_alpha_v(ctx, nu, q)
                 else:
-                    p = dyn.col_alpha_v(ctx, nu, F(1, 3), F(1), q)
+                    p = dyn.col_alpha_v(ctx, nu, q)
                 assert p == 0, (kind, lam, nu, lam_bar, nu_bar)
 
 
@@ -1113,8 +1113,7 @@ def test_q_geometric_evaluators_sum_to_one_per_input_exactly(kind):
         for nu in level_candidates(kind, lam, nu_bar, 3):
             v = (weight(nu) - weight(lam)) - (weight(nu_bar) - weight(lam_bar))
             if v in totals:
-                w = row_alpha_v(ctx, nu, q) if kind == ROW_ALPHA else dyn.col_alpha_v(
-                    ctx, nu, F(1, 5), F(1), q)
+                w = row_alpha_v(ctx, nu, q) if kind == ROW_ALPHA else dyn.col_alpha_v(ctx, nu, q)
                 totals[v] += w
         for v, total in totals.items():
             assert total * q_pochhammer(q, q, v) == 1, (kind, lam_bar, nu_bar, lam, v)

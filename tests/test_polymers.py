@@ -28,7 +28,7 @@ from qrsk.polymers import (
     transfer_matrix_check,
     transfer_product_check,
 )
-from qrsk.qnum import QSampler, sample_q_geometric
+from qrsk.qnum import sample_q_geometric
 
 
 def rand_words(rng, n, t):
@@ -263,8 +263,33 @@ def test_seeded_scaled_arrays_do_not_depend_on_the_state_of_the_prefix(monkeypat
     cold = scaled_col_arrays(*args, random.Random(7))
     # other calls at the same q grow the shared log (q;q)_n prefix past what it held
     scaled_row_arrays(*args, random.Random(8))
-    QSampler(math.exp(-5e-3)).log_qpoch(qnum.INF)
+    qnum._shared_sampler(math.exp(-5e-3)).log_qpoch(qnum.INF)
     assert scaled_col_arrays(*args, random.Random(7)) == cold
+
+
+@pytest.mark.parametrize("fn", [scaled_row_arrays, scaled_col_arrays])
+def test_each_scaled_arrays_call_builds_the_tables_of_its_parameters(fn, monkeypatch):
+    # the traced polymer-limit benchmark records the log (alpha;q)_inf calls
+    # that table builds make, in the process that has just run the replicas:
+    # each call builds the q-geometric tables of its alpha_s a_j again, in the
+    # shared sampler of q, and keeps no other table of q
+    th, thh, eps = [1.2, 0.8], [0.9, 1.1], 1e-2
+    q = math.exp(-eps)
+    alphas = sorted(math.exp(-h * eps) * math.exp(-t * eps) for h in thh for t in th)
+    sample_q_geometric(0.5, q, random.Random(0))  # a table of q that no call needs
+    built = []
+    log_q_pochhammer_inf = qnum.log_q_pochhammer_inf
+
+    def counting(alpha, q_):
+        built.append(alpha)
+        return log_q_pochhammer_inf(alpha, q_)
+
+    monkeypatch.setattr(qnum, "log_q_pochhammer_inf", counting)
+    first = fn(2, 2, th, thh, eps, 50, random.Random(4))
+    assert sorted(qnum._SAMPLERS[q]._cdfs) == alphas and sorted(built) == alphas
+    built.clear()
+    assert fn(2, 2, th, thh, eps, 50, random.Random(4)) == first
+    assert sorted(qnum._SAMPLERS[q]._cdfs) == alphas and sorted(built) == alphas
 
 
 def _scalar_replicas(level, n, t, thetas, theta_hats, eps, replicas, rng):
@@ -272,15 +297,14 @@ def _scalar_replicas(level, n, t, thetas, theta_hats, eps, replicas, rng):
     q = math.exp(-eps)
     a = [math.exp(-thetas[j] * eps) for j in range(n)]
     alphas = [math.exp(-theta_hats[s] * eps) for s in range(t)]
-    sampler = QSampler(q)
     finals = []
     for _ in range(replicas):
         arr = zero_array(n)
         for alpha in alphas:
-            out = [(arr[0][0] + sample_q_geometric(alpha * a[0], q, rng, sampler),)]
+            out = [(arr[0][0] + sample_q_geometric(alpha * a[0], q, rng),)]
             for j in range(2, n + 1):
-                vj = sample_q_geometric(alpha * a[j - 1], q, rng, sampler)
-                out.append(level(arr[j - 2], out[j - 2], arr[j - 1], vj, q, rng, sampler))
+                vj = sample_q_geometric(alpha * a[j - 1], q, rng)
+                out.append(level(arr[j - 2], out[j - 2], arr[j - 1], vj, q, rng))
             arr = out
         finals.append(arr)
     return finals

@@ -256,16 +256,17 @@ def q_geometric_mean_var(alpha, q):
 
 
 @pytest.mark.parametrize("eps", [2e-3, 5e-4])
-def test_q_geometric_mean_where_the_weights_underflow(eps):
+def test_q_geometric_mean_where_the_weights_underflow(eps, monkeypatch):
     # log (alpha;q)_inf is below -745 here, so pmf(0) = (alpha;q)_inf, where a
     # walk from n = 0 would start, underflows to 0.0 in floating point
     q, alpha = math.exp(-eps), math.exp(-2.1 * eps)
     assert qnum.log_q_pochhammer_inf(alpha, q) < -745
     mean, var = q_geometric_mean_var(alpha, q)
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # fresh tables
     rng = random.Random(17)
-    for draws, sampler in ((4000, QSampler(q)), (150, None)):
-        xs = [sample_q_geometric(alpha, q, rng, sampler) for _ in range(draws)]
-        assert abs(sum(xs) / draws - mean) <= SIGMAS * math.sqrt(var / draws), (eps, sampler)
+    for draws in (4000, 150):
+        xs = [sample_q_geometric(alpha, q, rng) for _ in range(draws)]
+        assert abs(sum(xs) / draws - mean) <= SIGMAS * math.sqrt(var / draws), (eps, draws)
 
 
 def _exact_ratio_pmf(qe, a, b, c):
@@ -282,7 +283,7 @@ def _exact_ratio_pmf(qe, a, b, c):
 
 
 @pytest.mark.parametrize("a, b, c", [(600, INF, 600), (520, 1500, 700)])
-def test_phi_inverse_float_matches_exact_pmf_at_large_c(a, b, c):
+def test_phi_inverse_float_matches_exact_pmf_at_large_c(a, b, c, monkeypatch):
     qe = F(999, 1000)
     qf = float(qe)
     exact = _exact_ratio_pmf(qe, a, b, c)
@@ -291,11 +292,11 @@ def test_phi_inverse_float_matches_exact_pmf_at_large_c(a, b, c):
     for s, pr in exact.items():
         if pr > 1e-12:
             assert phi_weight(pf, s) == pytest.approx(pr, rel=1e-9), s
-    # the sampler, bin by bin and in the mean
+    # the draws, bin by bin and in the mean
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # fresh tables
     rng = random.Random(23)
     n = 20_000
-    sampler = QSampler(qf)
-    draws = [phi_sample(pf, rng, sampler) for _ in range(n)]
+    draws = [phi_sample(pf, rng) for _ in range(n)]
     counts = {}
     for s in draws:
         counts[s] = counts.get(s, 0) + 1
@@ -306,9 +307,9 @@ def test_phi_inverse_float_matches_exact_pmf_at_large_c(a, b, c):
     mean = sum(s * pr for s, pr in exact.items())
     var = sum((s - mean) ** 2 * pr for s, pr in exact.items())
     assert abs(sum(draws) / n - mean) <= SIGMAS * math.sqrt(var / n)
-    # the one-shot draw (no sampler) has the same law
-    one_shot = [phi_sample(pf, rng) for _ in range(300)]
-    assert abs(sum(one_shot) / 300 - mean) <= SIGMAS * math.sqrt(var / 300)
+    # and 300 draws from the warm tables have the same law
+    again = [phi_sample(pf, rng) for _ in range(300)]
+    assert abs(sum(again) / 300 - mean) <= SIGMAS * math.sqrt(var / 300)
 
 
 def test_phi_inverse_float_closed_form_and_mode_against_exact():
@@ -328,20 +329,23 @@ def test_phi_inverse_float_closed_form_and_mode_against_exact():
         assert ws[mode - sup[0]] == max(ws), (q, a, b, c)
 
 
-def test_a_sampler_keeps_a_bounded_set_of_walk_starts_that_change_no_draw():
+def test_a_sampler_keeps_a_bounded_set_of_walk_starts_that_change_no_draw(monkeypatch):
     # each draw's start (the mode and its weight) is kept per (a, b, c) and reused;
     # a draw through a warm sampler is the draw of a fresh one, and the kept
     # starts stop growing at MEMO_SIZE
     q = 0.7
-    warm = QSampler(q)
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})
+    warm = qnum._shared_sampler(q)
     rnd = random.Random(37)
     # supports of two points or more; b = a + c + 1 or inf: one (a, c), weights far apart
     triples = [(a, b, c) for a in range(1, 41) for c in range(1, 15) for b in (INF, a + c + 1)]
     for a, b, c in triples[:qnum.MEMO_SIZE + 50] * 2:
         p = PhiParams.inverse(q, a, b, c)
         seed = rnd.random()
-        drawn = phi_sample(p, random.Random(seed), warm)
-        assert drawn == phi_sample(p, random.Random(seed), QSampler(q)), (a, b, c)
+        drawn = phi_sample(p, random.Random(seed))
+        with monkeypatch.context() as fresh:
+            fresh.setattr(qnum, "_SAMPLERS", {})
+            assert drawn == phi_sample(p, random.Random(seed)), (a, b, c)
         mode, w_mode = warm._phi_starts[a, b, c]
         assert w_mode == math.exp(warm.log_phi_inverse(a, b, c, mode))
         assert len(warm._phi_starts) <= qnum.MEMO_SIZE
@@ -388,8 +392,6 @@ def test_q_geometric_table_is_per_sampler_and_agrees_with_the_walk():
     for n in range(6):
         lower = cdf[n - 1] if n else 0.0
         assert cdf[n] - lower == pytest.approx(q_geometric_pmf(alpha, q, n), rel=1e-12)
-    with pytest.raises(ValueError):
-        sample_q_geometric(alpha, 0.25, random.Random(0), s1)
 
 
 MEMOISED = (qnum.q_binomial, qnum.q_pochhammer, qnum._phi_inverse_weight, qnum.log_q_pochhammer_inf)
@@ -473,10 +475,10 @@ def test_the_shared_samplers_and_their_tables_keep_their_bounds(monkeypatch):
         assert len(qnum._SAMPLERS) <= qnum.Q_MEMO_SIZE
     # the last Q_MEMO_SIZE values of q keep their samplers
     assert list(qnum._SAMPLERS) == qs[-qnum.Q_MEMO_SIZE:]
-    # one sampler of q for every draw given none, whatever the type of q
+    # one sampler of q for every draw, whatever the type of q
     q = 0.5
     sampler = qnum._shared_sampler(q)
-    assert qnum._shared_sampler(F(1, 2)) is sampler and qnum._qsampler(q, None) is sampler
+    assert qnum._shared_sampler(F(1, 2)) is sampler
     phi_sample(PhiParams.inverse(q, 2, INF, 3), rng)
     assert (2, INF, 3) in sampler._phi_starts
     # each sampler keeps at most MEMO_SIZE tables of each kind
@@ -484,23 +486,6 @@ def test_the_shared_samplers_and_their_tables_keep_their_bounds(monkeypatch):
         sample_q_geometric(0.1 + i / 2e4, q, rng)
         assert len(sampler._cdfs) <= qnum.MEMO_SIZE
     assert sampler._cdfs and qnum._shared_sampler(q) is sampler
-
-
-def test_a_new_sampler_reads_the_prefix_of_the_shared_sampler(monkeypatch):
-    # the shared sampler of q owns the prefix of q; every other sampler of q
-    # reads it, and makes the shared sampler first where there is none
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})
-    rng = random.Random(2)
-    qs = [0.5 + i / 100 for i in range(qnum.Q_MEMO_SIZE + 1)]
-    for q in qs[:-1]:
-        sample_q_geometric(0.3, q, rng)
-    first = QSampler(qs[0])
-    assert first._prefix is qnum._SAMPLERS[qs[0]]._prefix
-    assert QSampler(qs[-1])._prefix is qnum._SAMPLERS[qs[-1]]._prefix
-    # that shared sampler is one more than Q_MEMO_SIZE: the oldest, of q1, is
-    # dropped; a new sampler of q1 gets a new prefix, and the old one keeps its own
-    assert list(qnum._SAMPLERS) == qs[1:]
-    assert QSampler(qs[0])._prefix is not first._prefix
 
 
 def test_prefix_values_are_a_function_of_q_and_n_alone():
@@ -516,7 +501,7 @@ def test_prefix_values_are_a_function_of_q_and_n_alone():
         tables = [np.asarray(prefix.table)[:n] for prefix in (stepwise, at_once, scalar)]
         assert tables[0].tobytes() == tables[1].tobytes() == tables[2].tobytes()
         assert [scalar.at(k) for k in range(len(tables[0]))] == tables[0].tolist()
-        with pytest.raises(ValueError):  # shared by every sampler for q: read-only
+        with pytest.raises(ValueError):  # read by every draw at q: read-only
             at_once.upto(10)[3] = 0.0
         # and they are log (q;q)_n, constant past the cap
         for n in (1, 64, 65, 1_000, 20_000):
@@ -525,16 +510,14 @@ def test_prefix_values_are_a_function_of_q_and_n_alone():
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, math.exp(-1e-2), math.exp(-1e-3)])
-def test_scalar_and_array_log_qpoch_agree_bit_for_bit(q, monkeypatch):
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # a cold prefix
-    sampler = QSampler(q)
+def test_scalar_and_array_log_qpoch_agree_bit_for_bit(q):
+    sampler = QSampler(q)  # a sampler owns its prefix: this one starts cold
     cap = sampler._prefix.cap
     ns = sorted({0, 1, 2, 63, 64, 65, 200, cap // 2, cap, cap + 1, 3 * cap + 5})
     scalar = [sampler.log_qpoch(n) for n in ns]  # grows the prefix through the list
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})
-    array = QSampler(q).log_qpoch_at(np.array(ns))  # a cold prefix grown through the array
+    array = QSampler(q).prefix_reader()(np.array(ns))  # a cold prefix grown through the array
     assert array.tolist() == scalar
-    assert [QSampler(q).log_qpoch_at(n) for n in ns] == scalar
+    assert [QSampler(q).prefix_reader()(n) for n in ns] == scalar
     assert sampler.log_qpoch(INF) == scalar[ns.index(cap)]
 
 
@@ -592,28 +575,28 @@ def _read_only_array(x) -> bool:
     return isinstance(x, np.ndarray) and not x.flags.writeable
 
 
-def test_each_q_geometric_table_is_kept_in_one_form():
-    sampler = QSampler(0.5)
+def test_each_q_geometric_table_is_kept_in_one_form(monkeypatch):
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})
+    sampler = qnum._shared_sampler(0.5)
     rng = random.Random(3)
     # 4146 points: built as an array, which scalar draws and a batch both read
     long_alpha = 0.99
-    scalar = [sample_q_geometric(long_alpha, 0.5, rng, sampler) for _ in range(20)]
+    scalar = [sample_q_geometric(long_alpha, 0.5, rng) for _ in range(20)]
     lo, cdf = sampler._cdfs[long_alpha]
     assert _read_only_array(cdf) and cdf.size == 4146
-    batch = sample_q_geometric(long_alpha, 0.5, np.random.default_rng(3), sampler, size=50)
+    batch = sample_q_geometric(long_alpha, 0.5, np.random.default_rng(3), size=50)
     assert sampler._cdfs[long_alpha][1] is cdf and sampler.q_geometric_cdf(long_alpha)[1] is cdf
     assert min(scalar) >= lo and batch.min() >= lo
     # 41 points: built as a list, which stays a list after a batch
     short_alpha = 0.35
-    sample_q_geometric(short_alpha, 0.5, rng, sampler)
-    sample_q_geometric(short_alpha, 0.5, np.random.default_rng(3), sampler, size=50)
+    sample_q_geometric(short_alpha, 0.5, rng)
+    sample_q_geometric(short_alpha, 0.5, np.random.default_rng(3), size=50)
     assert type(sampler._cdfs[short_alpha][1]) is list
     assert set(sampler._cdfs) == {long_alpha, short_alpha}
 
 
-def test_a_long_prefix_read_by_scalars_is_one_array(monkeypatch):
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # a cold prefix
-    sampler = QSampler(0.9)
+def test_a_long_prefix_read_by_scalars_is_one_array():
+    sampler = QSampler(0.9)  # a cold prefix
     prefix = sampler._prefix
     assert prefix.cap > 64 and prefix.table == [0.0]
     values = [sampler.log_qpoch(n) for n in (3, 65, 200, INF)]
@@ -644,17 +627,18 @@ class _GivenUniforms:
 @pytest.mark.parametrize("alpha, q", [
     (0.4, 0.5), (0.0, 0.5), (math.exp(-2e-2), math.exp(-1e-2)), (math.exp(-2.1e-3), math.exp(-1e-3)),
 ])
-def test_batch_q_geometric_draws_equal_the_scalar_table_draws(alpha, q):
-    sampler = QSampler(q)
+def test_batch_q_geometric_draws_equal_the_scalar_table_draws(alpha, q, monkeypatch):
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})
+    sampler = qnum._shared_sampler(q)
     u = np.random.default_rng(5).random(3000)
-    batch = sample_q_geometric(alpha, q, np.random.default_rng(5), sampler, size=u.size)
+    batch = sample_q_geometric(alpha, q, np.random.default_rng(5), size=u.size)
     if alpha:
         # uniforms on the table's own points test the side of each bisect
         lo, cdf = sampler.q_geometric_cdf(alpha)
         u = np.concatenate((u, cdf[:-1:max(1, cdf.size // 50)]))
         batch = np.concatenate((batch, sample_q_geometric(
-            alpha, q, _GivenUniforms(u[3000:]), sampler, size=u.size - 3000)))
-    scalar = [sample_q_geometric(alpha, q, _GivenUniforms([x]), sampler) for x in u]
+            alpha, q, _GivenUniforms(u[3000:]), size=u.size - 3000)))
+    scalar = [sample_q_geometric(alpha, q, _GivenUniforms([x])) for x in u]
     assert batch.dtype == np.int64 and batch.tolist() == scalar
 
 
@@ -737,7 +721,7 @@ def test_batch_phi_inverse_draw_is_the_inverse_cdf():
     for (qe, b_inf), rows in groups.items():
         a, b, c, u, expected = (np.array(col) for col in zip(*rows))
         p = PhiParams.inverse(float(qe), a, INF if b_inf else b, c)
-        draws = phi_sample(p, _GivenUniforms(u), QSampler(float(qe)))
+        draws = phi_sample(p, _GivenUniforms(u))
         assert draws.dtype == np.int64
         wrong = np.flatnonzero(draws != expected)
         assert wrong.size == 0, [rows[i] + (int(draws[i]),) for i in wrong[:5]]
@@ -780,7 +764,7 @@ def test_one_point_batch_phi_returns_its_support_after_drawing_its_uniforms(monk
     c = np.array([0, 2, 5, 1, 9])
     for a, b in ((np.zeros(5, dtype=np.int64), INF), (c + 3, c + 3)):
         rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-        draws = phi_sample(PhiParams.inverse(0.9, a, b, c), rng, QSampler(0.9))
+        draws = phi_sample(PhiParams.inverse(0.9, a, b, c), rng)
         assert draws.tolist() == np.maximum(0, c - a).tolist()
         twin.random(c.size)
         assert rng.bit_generator.state == twin.bit_generator.state
@@ -929,12 +913,12 @@ def test_a_batch_views_a_short_prefix_as_an_array_once(monkeypatch):
             calls.append(len(x))
         return asarray(x, *args, **kwargs)
 
-    sampler = QSampler(0.5)
-    sampler.log_qpoch(10)  # a short prefix: a list, grown to its cap
+    monkeypatch.setattr(qnum, "_SAMPLERS", {})
+    qnum._shared_sampler(0.5).log_qpoch(10)  # a short prefix: a list, grown to its cap
     monkeypatch.setattr(qnum.np, "asarray", counting)
     c = np.array([3, 7, 12, 5] * 25)
     a = c + np.array([0, 2, 5, 1] * 25)
     for b in (INF, a + c):
         calls.clear()
-        phi_sample(PhiParams.inverse(0.5, a, b, c), np.random.default_rng(4), sampler)
+        phi_sample(PhiParams.inverse(0.5, a, b, c), np.random.default_rng(4))
         assert len(calls) == 1, b
