@@ -53,8 +53,6 @@ from .polymers import (
     grsk_col_insert,
     grsk_row_insert,
     lgv_partition,
-    sample_gamma,
-    sample_inverse_gamma,
     scaling_limit_experiment,
     transfer_matrix_check,
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import re
 import sys
@@ -253,6 +254,12 @@ def cmd_polymer_limit(args) -> int:
     theta_hats = [float(x) for x in (args.theta_hat or ["1.0"] * args.steps)]
     if len(thetas) != n or len(theta_hats) != args.steps:
         print("need one --theta per level and one --theta-hat per step", file=sys.stderr)
+        return 2
+    # the polymer weights are Gamma(theta_j + theta-hat_s), and the dynamics draw
+    # q-geometric inputs of parameter e^(-(theta_j + theta-hat_s) eps) < 1
+    if not all(math.isfinite(th + th_hat) and th + th_hat > 0 for th in thetas for th_hat in theta_hats):
+        print(f"need every --theta + --theta-hat finite and > 0, got --theta {', '.join(map(str, thetas))}"
+              f" and --theta-hat {', '.join(map(str, theta_hats))}", file=sys.stderr)
         return 2
     kind = dynamics.ROW_ALPHA if args.kind == "row" else dynamics.COL_ALPHA
     raw = [] if args.csv else None

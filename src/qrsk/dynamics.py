@@ -820,8 +820,8 @@ def _check_inputs(kind: str, beta: bool, inputs) -> None:
 def sample_inputs(spec: DynamicsSpec, rng) -> Tuple[int, ...]:
     """The independent per-level inputs V_1..V_N for one time step.
 
-    Alpha kinds draw from the q-geometric tables of the shared sampler of q,
-    so the table of each alpha a_j is built once per q.
+    Alpha kinds draw from the memoised q-geometric tables of `qnum`, so the
+    table of each (alpha a_j, q) is built once.
     """
     if KINDS[spec.kind].beta:  # the spec checked its kind
         return tuple([1 if rng.random() < p else 0 for p in spec.input_params])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .dynamics import COL_ALPHA, ROW_ALPHA, _sample_col_alpha_level, _sample_row_alpha_level
-from .qnum import _shared_sampler, np, sample_q_geometric
+from .qnum import _q_geometric_table, np, sample_q_geometric
 
 RealWord = List[float]
 RealArray = List[RealWord]
@@ -321,17 +321,8 @@ def transfer_product_check(words: Sequence[Sequence[float]], rel_tol: float = 1e
 
 
 # ---------------------------------------------------------------------------
-# Gamma sampling and the scaling-limit experiments
+# The scaling-limit experiments
 # ---------------------------------------------------------------------------
-
-def sample_gamma(theta: float, rng) -> float:
-    """Gamma(theta), scale 1."""
-    return rng.gammavariate(theta, 1.0)
-
-
-def sample_inverse_gamma(theta: float, rng) -> float:
-    return 1.0 / rng.gammavariate(theta, 1.0)
-
 
 def _scaled_replicas(level, n, t, thetas, theta_hats, eps, replicas, rng):
     """Final array of `replicas` runs of t steps of a q-geometric insertion dynamics.
@@ -340,11 +331,11 @@ def _scaled_replicas(level, n, t, thetas, theta_hats, eps, replicas, rng):
     is the shared level update of the kind.  All replicas step together:
     each part of the array is an int64 array over replicas, and every draw
     comes from a numpy generator seeded from `rng` (one 64-bit draw).  The
-    draws read the shared sampler of q, so each q-geometric table is built
-    once per (alpha_s, a_j) in the call.  The log (q;q)_n prefix and the
-    normalisers log (alpha;q)_inf of the tables outlive the call; their
-    values depend on q, n and alpha alone, so the same `rng` state gives the
-    same arrays whatever ran before.
+    draws read the memoised sampling tables of `qnum`: each q-geometric table
+    is built once per (alpha_s a_j, q) in the call.  The log (q;q)_n prefix
+    and the normalisers log (alpha;q)_inf of the tables outlive the call;
+    their values depend on q, n and alpha alone, so the same `rng` state
+    gives the same arrays whatever ran before.
     """
     q = math.exp(-eps)
     a = [math.exp(-thetas[j] * eps) for j in range(n)]
@@ -353,7 +344,7 @@ def _scaled_replicas(level, n, t, thetas, theta_hats, eps, replicas, rng):
     # benchmark, which records in the process that has just run these
     # replicas, sees the log (alpha;q)_inf calls that table builds make;
     # this goes once its probes record in a fresh interpreter (ROADMAP item 1)
-    _shared_sampler(q)._cdfs.clear()
+    _q_geometric_table.cache_clear()
     gen = np.random.default_rng(rng.getrandbits(64))
     arr = [tuple(np.zeros(replicas, dtype=np.int64) for _ in range(j)) for j in range(1, n + 1)]
     for alpha in alphas:

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 Scalar = Union[Fraction, float, int]
 
@@ -43,12 +43,11 @@ _RESCALE_BELOW = 2.0 ** -_RESCALE_BITS
 # Entries kept by each memo on a pure weight (`memoised`).  The memos pay off
 # within one sweep of the exact verifier, which reuses a few hundred distinct
 # arguments per function, and in float sampling wherever a run repeats its
-# parameters (one log (alpha;q)_inf per q-geometric table, say); the bound
+# parameters (a q-geometric table per (alpha, q), say); the bound
 # keeps a run whose float arguments never repeat from growing them without
 # limit.
 MEMO_SIZE = 1024
-# Values of q whose shared samplers, each with the log (q;q)_n prefix of its
-# q, are kept.
+# Values of q whose log (q;q)_n prefixes are kept (`_log_qpoch_prefix`).
 Q_MEMO_SIZE = 8
 
 # Memoise a pure weight on its (hashable) arguments.  The key includes each
@@ -304,7 +303,7 @@ def q_geometric_pmf(alpha: Scalar, q: Scalar, n: int) -> float:
 
     Where (q;q)_n underflows to 0.0 or is too small for a finite quotient, or
     the numerator underflows at alpha > 0, the pmf is taken in log form, with
-    log (q;q)_n from the prefix of the shared sampler of q: at q = 0.999, n =
+    log (q;q)_n from the memoised prefix of q: at q = 0.999, n =
     1000, alpha = 0.3 it is about 2.4e-130.  Elsewhere it is the plain quotient.
     """
     den = q_pochhammer(q, q, n)
@@ -313,7 +312,7 @@ def q_geometric_pmf(alpha: Scalar, q: Scalar, n: int) -> float:
         if p != INF and (p or not alpha):
             return p
     log_alpha = math.log(alpha) if alpha else -INF
-    return math.exp(log_q_pochhammer_inf(alpha, q) + n * log_alpha - _shared_sampler(q).log_qpoch(n))
+    return math.exp(log_q_pochhammer_inf(alpha, q) + n * log_alpha - _prefix_reader(q)(n))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +422,7 @@ def _phi_inverse_weight(q, a, b, c, s):
     At b = inf the last two factors are (q;q)_a / (q;q)_d.  Zero outside the
     support s in [max(0, c-a), min(c, b-a)].  At q = 0 the distribution is the
     point mass at max(c-a, 0).  Floating q uses the closed form of
-    `QSampler.log_phi_inverse`.
+    `log_phi_inverse`.
     """
     zero = q * 0
     d = a - c + s
@@ -432,7 +431,7 @@ def _phi_inverse_weight(q, a, b, c, s):
     if q == 0:
         return zero + 1 if s == max(c - a, 0) else zero
     if isinstance(q, float):
-        return math.exp(_shared_sampler(q).log_phi_inverse(a, b, c, s))
+        return math.exp(log_phi_inverse(q, a, b, c, s))
     if b == INF:
         top = qpow(q, s * d) * q_binomial(c, s, q) * q_pochhammer(q, q, a)
         return exact_div(top, q_pochhammer(q, q, d))
@@ -462,15 +461,15 @@ def phi_sample(p: PhiParams, rng):
     Inverse regime: a chop-down walk from the mode over the closed-form
     weights, so a draw costs O(1) plus O(1) per visited support point, however
     large the count and the exponents (as in the scaling experiments); the
-    log (q;q)_n values and the mode of each (a, b, count) come from the
-    shared sampler of q.  Direct regime: the same walk
+    log (q;q)_n values and the mode of each (a, b, count) are memoised
+    (`_log_qpoch_prefix`, `_phi_inverse_start`).  Direct regime: the same walk
     from the mode, whose weight is taken in log space (`_phi_direct_mode`).
     A weight with no mass left in floating point raises `ZeroMassError`.
 
     Inverse-regime parameters with int64 arrays (one entry per replica) take
     one `rng.random(size)` from a numpy Generator and return an int64 array:
     each draw is the inverse CDF of its weight over a window around the mode
-    (`QSampler.draw_phi_inverse_batch`).
+    (`_phi_inverse_batch_draw`).
     """
     if is_array(p.y) or is_array(p.a):
         return _phi_sample_batch(p, rng)
@@ -484,7 +483,8 @@ def phi_sample(p: PhiParams, rng):
             raise ValueError("empty support")
         if q == 0 or lo == hi:
             return lo
-        return _shared_sampler(q).draw_phi_inverse(a, b, y, lo, hi, u)
+        mode, w_mode = _phi_inverse_start(q, a, b, y)
+        return _chop_down(u, mode, lo, hi, w_mode, lambda r: _phi_inverse_ratio(q, a, b, y, r))
     q, xi, eta = float(q), float(xi), float(eta)
     if xi == 0:
         return 0
@@ -557,7 +557,7 @@ def _phi_sample_batch(p: PhiParams, rng) -> np.ndarray:
     u = rng.random(c.shape)
     if p.q == 0 or np.array_equal(lo, hi):  # every support is the one point lo
         return lo
-    return _shared_sampler(p.q).draw_phi_inverse_batch(a, p.b, c, lo, hi, u)
+    return _phi_inverse_batch_draw(float(p.q), a, p.b, c, lo, hi, u)
 
 
 def _check_mass(w: float, what) -> None:
@@ -569,326 +569,221 @@ def _check_mass(w: float, what) -> None:
 # floating-mode sampling tables
 # ---------------------------------------------------------------------------
 
-class _LogQPochPrefix:
-    """log (q;q)_n for n = 0, 1, ..., cap, for one q, grown on demand.
+@lru_cache(maxsize=Q_MEMO_SIZE)
+def _log_qpoch_prefix(q) -> Union[List[float], np.ndarray]:
+    """log (q;q)_n for n = 0, 1, ..., cap, for one q.
 
     Past cap, log(1 - q^n) > -2^-60 and log (q;q)_n stops changing.  A
     prefix of at most `_VECTOR_TERMS` terms (cap <= 64, so q up to about
-    0.52) is one plain-Python cumulative sum, built on the first read past
-    n = 0.  A longer one grows in numpy blocks with fixed ends 64, 128, 256,
-    ... and cap, each a cumulative sum from the last value of the block
-    before.  Either way every value is a function of q and n alone, whatever
-    calls grew the prefix and in what order.
-
-    `table` holds the floats in the one form their builder makes: a list for
-    a short prefix, a read-only numpy array for a long one once it has grown
-    past n = 0 (every draw at q reads it).  Scalar reads (`at`) index
-    it; reads over a replica axis view it as an array.  The constructor
-    makes no array, so a short prefix never loads numpy.
+    0.52) is one plain-Python cumulative sum, kept as a list, so it costs no
+    numpy import.  A longer one is summed in numpy blocks with fixed ends 64,
+    128, 256, ... and cap, each a cumulative sum from the last value of the
+    block before, and kept as a read-only array.  The block ends fix every
+    value's bits: one cumulative sum over the whole prefix would move most of
+    them.  The memo is untyped: q = 1/2 and q = 0.5 share one prefix.
     """
-
-    def __init__(self, q: float):
-        self.log_q = math.log(q) if q > 0 else -INF
-        self.cap = math.ceil(_LOG_TAIL / self.log_q) if q > 0 else 0
-        self.table: Union[List[float], np.ndarray] = [0.0]
-
-    def grow(self, n) -> None:
-        """Grow the prefix to min(n, cap): a short one to cap, a long one on to
-        the end of the block that holds min(n, cap)."""
-        n = min(n, self.cap)
-        if self.cap <= _VECTOR_TERMS:
-            if n >= len(self.table):
-                # the numpy blocks' sum, 0.0 + cumsum(log(1 - q^k)), term by term
-                total = 0.0
-                for k in range(1, self.cap + 1):
-                    total += math.log(-math.expm1(k * self.log_q))
-                    self.table.append(total)
-            return
-        blocks = [np.asarray(self.table)]
-        end = blocks[0].size - 1
-        if n <= end:
-            return
-        while end < n:
-            stop = min(max(2 * end, _VECTOR_TERMS), self.cap)
-            k = np.arange(end + 1, stop + 1)
-            blocks.append(blocks[-1][-1] + np.cumsum(np.log(-np.expm1(k * self.log_q))))
-            end = stop
-        table = self.table = np.concatenate(blocks)
-        table.flags.writeable = False
-
-    def at(self, n) -> float:
-        """log (q;q)_n for an integer n >= 0 or n = INF."""
-        n = min(n, self.cap)
-        if n >= len(self.table):
-            self.grow(n)
-        return float(self.table[n])
-
-    def upto(self, stop: int) -> np.ndarray:
-        """log (q;q)_n for n = 0..stop-1 as a read-only array (a copy for a
-        short prefix), padded with its last value past cap."""
-        self.grow(stop - 1)
-        array = self.table
-        if type(array) is list:
-            array = np.array(array)
-            array.flags.writeable = False
-        if stop <= array.size:
-            return array[:stop]
-        return np.concatenate((array, np.full(stop - array.size, array[-1])))
+    q = float(q)
+    if not 0 <= q < 1:
+        raise ValueError("the log (q;q)_n prefix needs 0 <= q < 1")
+    log_q = math.log(q) if q else -INF
+    cap = math.ceil(_LOG_TAIL / log_q)
+    if cap <= _VECTOR_TERMS:
+        # the numpy blocks' sum, 0.0 + cumsum(log(1 - q^k)), term by term
+        return list(accumulate((math.log(-math.expm1(k * log_q)) for k in range(1, cap + 1)), initial=0.0))
+    blocks = [np.zeros(1)]
+    end = 0
+    while end < cap:
+        stop = min(max(2 * end, _VECTOR_TERMS), cap)
+        k = np.arange(end + 1, stop + 1)
+        blocks.append(blocks[-1][-1] + np.cumsum(np.log(-np.expm1(k * log_q))))
+        end = stop
+    table = np.concatenate(blocks)
+    table.flags.writeable = False
+    return table
 
 
-class QSampler:
-    """Floating-mode sampling tables for one q, each built on first use.
+def _prefix_reader(q) -> Callable:
+    """A reader of log (q;q)_n, as a float, for an int n >= 0 or n = INF, from
+    the prefix of q: one clamp at the cap, past which log (q;q)_n stays put,
+    and one index."""
+    table = _log_qpoch_prefix(q)
+    cap = len(table) - 1
+    return lambda n: float(table[min(n, cap)])
 
-    * The prefix log (q;q)_n, n = 0, 1, ..., grown on demand
-      (`_LogQPochPrefix`); with it every inverse-regime phi weight costs
-      O(1) (`log_phi_inverse`).
-    * Per q-geometric parameter alpha, one CDF table over the support
-      points whose weight is at least 2^-60 times the modal weight, built
-      once from the normaliser log (alpha;q)_inf (itself memoised), so a
-      draw is one bisect.  A table of at most `_VECTOR_TERMS` points is
-      built as a list in plain Python, a longer one as a read-only numpy
-      array, and it is kept in that one form: a scalar draw bisects it and
-      a batch searches it, whichever form it has, so both read the same
-      floats.
-    * Per inverse-regime (a, b, count), the mode and the weight there, where
-      a `phi_sample` walk starts (`draw_phi_inverse`).
 
-    The last two keep up to `MEMO_SIZE` entries each, after which each
-    starts again from empty.  Every float draw reads the one sampler of q
-    that `_shared_sampler` keeps.
+def _batch_prefix_reader(q) -> Callable:
+    """`_prefix_reader` over int arrays n >= 0, for one batch.  It views the
+    prefix as an array once, so a short (list) prefix is converted once per
+    batch, not once per read."""
+    table = np.asarray(_log_qpoch_prefix(q))
+    cap = table.size - 1
+    return lambda n: table[np.minimum(n, cap)]
+
+
+def log_phi_inverse(q, a, b, c, s, lp=None):
+    """log phi_{q^{-1}, q^a, q^b}(s | c) at a support point s, q > 0.
+
+    The closed form is
+
+        q^{s(a-c+s)} (q;q)_a (q;q)_c (q;q)_{b-a} (q;q)_{b-c}
+        / [(q;q)_b (q;q)_s (q;q)_{c-s} (q;q)_{a-c+s} (q;q)_{b-a-s}],
+
+    whose four b factors cancel at b = inf.  Integers give a float; int
+    arrays, broadcast against each other, give an array (b = INF or an
+    array).  A batch passes its `_batch_prefix_reader` as lp.
     """
+    if lp is None:
+        lp = (_batch_prefix_reader if is_array(s) else _prefix_reader)(q)
+    d = a - c + s
+    # the terms free of s are summed apart: over a replica axis they are
+    # one value per replica
+    v = s * d * math.log(q) - lp(s) - lp(c - s) - lp(d) + (lp(a) + lp(c))
+    if _finite(b):
+        v = v + (lp(b - a) + lp(b - c) - lp(b)) - lp(b - a - s)
+    return v
 
-    def __init__(self, q):
-        q = float(q)
-        if not 0 <= q < 1:
-            raise ValueError("QSampler needs 0 <= q < 1")
-        self.q = q
-        self._prefix = _LogQPochPrefix(q)
-        self.log_q = self._prefix.log_q
-        self._cdfs: Dict[float, Tuple[int, Union[List[float], np.ndarray]]] = {}
-        self._phi_starts: Dict[Tuple[int, float, int], Tuple[int, float]] = {}
 
-    def log_qpoch(self, n) -> float:
-        """log (q;q)_n for an integer n >= 0 or n = INF."""
-        return self._prefix.at(n)
+@memoised
+def _phi_inverse_start(q, a: int, b, c: int) -> Tuple[int, float]:
+    """The mode of the inverse-regime weight of (a, b, c) and the weight
+    there, where a `phi_sample` walk starts; the small counts of the dynamics
+    repeat from step to step."""
+    q = float(q)
+    mode = _phi_inverse_mode(q, a, b, c, max(0, c - a), c if b == INF else min(c, b - a))
+    return mode, math.exp(log_phi_inverse(q, a, b, c, mode))
 
-    def prefix_reader(self) -> Callable:
-        """A reader of log (q;q)_n over int arrays n >= 0, for one batch.
 
-        It views the prefix as an array once, so a short (list) prefix is
-        converted once per batch, not once per read.  A read is one clamp at
-        cap, past which log (q;q)_n stays put, and one index; a read past the
-        end of the prefix grows it, views it again and reads again.
-        """
-        prefix = self._prefix
-        table = np.asarray(prefix.table)
+def _phi_inverse_batch_draw(q: float, a, b, c, lo, hi, u: np.ndarray) -> np.ndarray:
+    """Inverse-regime draws over a replica axis: uniform u[r] on [lo[r], hi[r]], q > 0.
 
-        def read(n):
-            nonlocal table
-            n = np.minimum(n, prefix.cap)
-            try:
-                return table[n]
-            except IndexError:
-                prefix.grow(int(np.max(n)))
-                table = np.asarray(prefix.table)
-                return table[n]
+    Each draw is the inverse CDF of its weight over a window around the
+    mode, in blocks of at most `_BLOCK_CELLS` window points.  The log
+    weight is concave with second differences at most 2 log q, so it
+    falls below 2^-60 of the modal weight within `reach` points of the
+    mode; the window ends are checked against that cut and widened where
+    they are not below it, so nothing above the cut is left out.
+    """
+    lp = _batch_prefix_reader(q)
+    mode = _phi_inverse_modes(q, a, b, c, lo, hi)
+    log_w_mode = log_phi_inverse(q, a, b, c, mode, lp)
+    _check_mass(np.exp(log_w_mode).min(initial=1.0), "the weight at its mode")
+    reach = math.isqrt(math.ceil(_LOG_TAIL / math.log(q))) + 2
+    left = _window_edge(q, a, b, c, mode, lo, log_w_mode, -reach, lp)
+    right = _window_edge(q, a, b, c, mode, hi, log_w_mode, reach, lp)
+    width = int((right - left).max(initial=0)) + 1
+    rows = max(1, _BLOCK_CELLS // width)
+    out = np.empty_like(mode)
+    for start in range(0, mode.size, rows):
+        blk = slice(start, start + rows)
 
-        return read
+        def rows_of(x):
+            return x[blk, None] if isinstance(x, np.ndarray) else x
 
-    def log_phi_inverse(self, a, b, c, s, lp=None):
-        """log phi_{q^{-1}, q^a, q^b}(s | c) at a support point s, q > 0.
+        last = rows_of(right - left)
+        # points past a row's right end repeat it; their CDF runs on above
+        # the row's total, so no uniform lands on them
+        s = rows_of(left) + np.minimum(np.arange(width), last)
+        cdf = log_phi_inverse(q, rows_of(a), rows_of(b), rows_of(c), s, lp)
+        cdf -= rows_of(log_w_mode)
+        np.exp(cdf, out=cdf)
+        np.cumsum(cdf, axis=1, out=cdf)
+        total = np.take_along_axis(cdf, last, axis=1)
+        out[blk] = left[blk] + (cdf < rows_of(u) * total).sum(axis=1)
+    return out
 
-        The closed form is
 
-            q^{s(a-c+s)} (q;q)_a (q;q)_c (q;q)_{b-a} (q;q)_{b-c}
-            / [(q;q)_b (q;q)_s (q;q)_{c-s} (q;q)_{a-c+s} (q;q)_{b-a-s}],
+def _window_edge(q: float, a, b, c, mode, edge, log_w_mode, reach: int, lp) -> np.ndarray:
+    """mode + reach, moved back to the support edge where it passes it and
+    widened until its weight is below 2^-60 of the modal weight."""
+    clamp = np.minimum if reach > 0 else np.maximum
+    reach = np.full(mode.shape, reach)
+    while True:
+        end = clamp(mode + reach, edge)
+        short = (end != edge) & (log_phi_inverse(q, a, b, c, end, lp) - log_w_mode >= _LOG_TAIL)
+        if not short.any():
+            return end
+        reach[short] *= 2
 
-        whose four b factors cancel at b = inf.  Integers give a float; int
-        arrays, broadcast against each other, give an array (b = INF or an
-        array).  A batch passes its `prefix_reader` as lp.
-        """
-        if lp is None:
-            lp = self.prefix_reader() if is_array(s) else self.log_qpoch
-        d = a - c + s
-        # the terms free of s are summed apart: over a replica axis they are
-        # one value per replica
-        v = s * d * self.log_q - lp(s) - lp(c - s) - lp(d) + (lp(a) + lp(c))
-        if _finite(b):
-            v = v + (lp(b - a) + lp(b - c) - lp(b)) - lp(b - a - s)
-        return v
 
-    def draw_phi_inverse(self, a: int, b, c: int, lo: int, hi: int, u: float) -> int:
-        """The inverse-regime draw for uniform u on the support [lo, hi], q > 0.
+@memoised
+def _q_geometric_table(alpha: float, q) -> Tuple[int, Union[List[float], np.ndarray]]:
+    """(lo, cdf) of the q-geometric law of alpha > 0: cdf[i] is the law's
+    mass on lo..lo+i, over the support points whose weight is at least 2^-60
+    times the modal weight.
 
-        The walk starts at the mode.  The mode and its weight are kept per
-        (a, b, c), up to `MEMO_SIZE` of them: the small counts of the dynamics
-        repeat from step to step."""
-        q = self.q
-        start = self._phi_starts.get((a, b, c))
-        if start is None:
-            if len(self._phi_starts) >= MEMO_SIZE:
-                self._phi_starts.clear()
-            mode = _phi_inverse_mode(q, a, b, c, lo, hi)
-            start = self._phi_starts[a, b, c] = mode, math.exp(self.log_phi_inverse(a, b, c, mode))
-        mode, w_mode = start
-        return _chop_down(u, mode, lo, hi, w_mode, lambda r: _phi_inverse_ratio(q, a, b, c, r))
+    It is built from the normaliser log (alpha;q)_inf (itself memoised), so
+    a draw is one bisect.  A table of at most `_VECTOR_TERMS` points is a
+    list built in plain Python, a longer one a read-only numpy array; a
+    scalar draw bisects it and a batch searches it, whichever form it has,
+    so both read the same floats.  The mass of the kept points must agree
+    with the normaliser to 1e-9, or the table is not built.
+    """
+    q = float(q)
+    mode = _q_geometric_mode(alpha, q)
+    log_alpha = math.log(alpha)
+    lp_mode = _prefix_reader(q)(mode)
+    log_w_mode = log_q_pochhammer_inf(alpha, q) + mode * log_alpha - lp_mode  # log pmf(mode)
+    lo, cdf = (_short_q_geometric_cdf(q, mode, log_alpha, lp_mode, log_w_mode)
+               or _long_q_geometric_cdf(q, mode, log_alpha, lp_mode, log_w_mode))
+    total = cdf[-1]
+    if not abs(total - 1.0) <= 1e-9:
+        raise ArithmeticError(f"q-geometric table for alpha={alpha}, q={q} has mass {total}, not 1")
+    if type(cdf) is list:
+        return lo, [c / total for c in cdf]
+    cdf /= total
+    cdf.flags.writeable = False
+    return lo, cdf
 
-    def draw_phi_inverse_batch(self, a, b, c, lo, hi, u: np.ndarray) -> np.ndarray:
-        """Inverse-regime draws over a replica axis: uniform u[r] on [lo[r], hi[r]], q > 0.
 
-        Each draw is the inverse CDF of its weight over a window around the
-        mode, in blocks of at most `_BLOCK_CELLS` window points.  The log
-        weight is concave with second differences at most 2 log q, so it
-        falls below 2^-60 of the modal weight within `reach` points of the
-        mode; the window ends are checked against that cut and widened where
-        they are not below it, so nothing above the cut is left out.
-        """
-        lp = self.prefix_reader()
-        mode = _phi_inverse_modes(self.q, a, b, c, lo, hi)
-        log_w_mode = self.log_phi_inverse(a, b, c, mode, lp)
-        _check_mass(np.exp(log_w_mode).min(initial=1.0), "the weight at its mode")
-        reach = math.isqrt(math.ceil(_LOG_TAIL / self.log_q)) + 2
-        left = self._window_edge(a, b, c, mode, lo, log_w_mode, -reach, lp)
-        right = self._window_edge(a, b, c, mode, hi, log_w_mode, reach, lp)
-        width = int((right - left).max(initial=0)) + 1
-        rows = max(1, _BLOCK_CELLS // width)
-        out = np.empty_like(mode)
-        for start in range(0, mode.size, rows):
-            blk = slice(start, start + rows)
+def _short_q_geometric_cdf(q: float, mode: int, log_alpha: float, lp_mode: float, log_w_mode: float):
+    """(lo, the unnormalised CDF as a list) if the table has at most
+    `_VECTOR_TERMS` points, else None; plain Python.
 
-            def rows_of(x):
-                return x[blk, None] if isinstance(x, np.ndarray) else x
+    The log weights fall away from the mode, so the table is the run of
+    points around it down to the cut.  Each log weight is the float that
+    `_long_q_geometric_cdf` computes.
+    """
+    lp = _prefix_reader(q)
 
-            last = rows_of(right - left)
-            # points past a row's right end repeat it; their CDF runs on above
-            # the row's total, so no uniform lands on them
-            s = rows_of(left) + np.minimum(np.arange(width), last)
-            cdf = self.log_phi_inverse(rows_of(a), rows_of(b), rows_of(c), s, lp)
-            cdf -= rows_of(log_w_mode)
-            np.exp(cdf, out=cdf)
-            np.cumsum(cdf, axis=1, out=cdf)
-            total = np.take_along_axis(cdf, last, axis=1)
-            out[blk] = left[blk] + (cdf < rows_of(u) * total).sum(axis=1)
-        return out
+    def rel(n):  # log pmf(n) - log pmf(mode)
+        return (n - mode) * log_alpha - lp(n) + lp_mode
 
-    def _window_edge(self, a, b, c, mode, edge, log_w_mode, reach: int, lp) -> np.ndarray:
-        """mode + reach, moved back to the support edge where it passes it and
-        widened until its weight is below 2^-60 of the modal weight."""
-        clamp = np.minimum if reach > 0 else np.maximum
-        reach = np.full(mode.shape, reach)
-        while True:
-            end = clamp(mode + reach, edge)
-            short = (end != edge) & (self.log_phi_inverse(a, b, c, end, lp) - log_w_mode >= _LOG_TAIL)
-            if not short.any():
-                return end
-            reach[short] *= 2
-
-    def q_geometric_cdf(self, alpha: float) -> Tuple[int, np.ndarray]:
-        """(lo, cdf): cdf[i] is the law's mass on lo..lo+i, over the table's points.
-
-        The mass of the points the 2^-60 cut keeps must agree with the
-        normaliser to 1e-9, or the table is not built.
-        """
-        lo, cdf = self._q_geometric_table(alpha)
-        return lo, np.asarray(cdf)
-
-    def _q_geometric_table(self, alpha: float) -> Tuple[int, Union[List[float], np.ndarray]]:
-        """(lo, cdf) of alpha as it is kept, built on first use: a list in
-        plain Python if it has at most `_VECTOR_TERMS` points, else a
-        read-only numpy array."""
-        table = self._cdfs.get(alpha)
-        if table is not None:
-            return table
-        mode = _q_geometric_mode(alpha, self.q)
-        log_alpha = math.log(alpha)
-        lo, cdf = (self._short_q_geometric_cdf(alpha, mode, log_alpha)
-                   or self._long_q_geometric_cdf(alpha, mode, log_alpha))
-        total = cdf[-1]
-        if not abs(total - 1.0) <= 1e-9:
-            raise ArithmeticError(
-                f"q-geometric table for alpha={alpha}, q={self.q} has mass {total}, not 1"
-            )
-        if len(self._cdfs) >= MEMO_SIZE:
-            self._cdfs.clear()
-        if type(cdf) is list:
-            cdf = [c / total for c in cdf]
-        else:
-            cdf /= total
-            cdf.flags.writeable = False
-        table = self._cdfs[alpha] = lo, cdf
-        return table
-
-    def _log_w_mode(self, alpha: float, mode: int, log_alpha: float, lp_mode: float) -> float:
-        """log pmf(mode) of the q-geometric law of alpha."""
-        return log_q_pochhammer_inf(alpha, self.q) + mode * log_alpha - lp_mode
-
-    def _short_q_geometric_cdf(self, alpha: float, mode: int, log_alpha: float):
-        """(lo, the unnormalised CDF as a list) if the table has at most
-        `_VECTOR_TERMS` points, else None; plain Python.
-
-        The log weights fall away from the mode, so the table is the run of
-        points around it down to the cut.  Each log weight is the float that
-        `_long_q_geometric_cdf` computes.
-        """
-        lp = self._prefix.at
-        lp_mode = lp(mode)
-
-        def rel(n):  # log pmf(n) - log pmf(mode)
-            return (n - mode) * log_alpha - lp(n) + lp_mode
-
-        if rel(mode + _VECTOR_TERMS) >= _LOG_TAIL:  # 65 points from the mode up are kept
+    if rel(mode + _VECTOR_TERMS) >= _LOG_TAIL:  # 65 points from the mode up are kept
+        return None
+    hi = lo = mode
+    while rel(hi + 1) >= _LOG_TAIL:
+        hi += 1
+    while lo and rel(lo - 1) >= _LOG_TAIL:
+        lo -= 1
+        if hi - lo >= _VECTOR_TERMS:
             return None
-        hi = lo = mode
-        while rel(hi + 1) >= _LOG_TAIL:
-            hi += 1
-        while lo and rel(lo - 1) >= _LOG_TAIL:
-            lo -= 1
-            if hi - lo >= _VECTOR_TERMS:
-                return None
-        log_w_mode = self._log_w_mode(alpha, mode, log_alpha, lp_mode)
-        return lo, list(accumulate(math.exp(log_w_mode + rel(n)) for n in range(lo, hi + 1)))
-
-    def _long_q_geometric_cdf(self, alpha: float, mode: int, log_alpha: float):
-        """(lo, the unnormalised CDF as a numpy array), over the points at or
-        above the cut among 0..last, where last is past the cut."""
-        prefix = self._prefix
-        last = 2 * mode + _VECTOR_TERMS - 1
-        lp = prefix.upto(last + 1)
-        lp_mode = lp[mode]
-        # log pmf(n) - log pmf(mode) at the last point
-        rel_last = (last - mode) * log_alpha - lp[last] + lp_mode
-        if rel_last >= _LOG_TAIL:
-            # past the mode the log ratios log alpha - log(1 - q^k) fall with k,
-            # so the next one bounds all later ones: this many more points reach the cut
-            step = log_alpha - math.log(-math.expm1((last + 1) * self.log_q))
-            last += math.ceil((rel_last - _LOG_TAIL) / -step) + 1
-            lp = prefix.upto(last + 1)
-        rel_w = (np.arange(last + 1) - mode) * log_alpha - lp + lp_mode
-        log_w_mode = self._log_w_mode(alpha, mode, log_alpha, lp_mode)
-        kept = np.flatnonzero(rel_w >= _LOG_TAIL)
-        lo, hi = int(kept[0]), int(kept[-1])
-        return lo, np.cumsum(np.exp(log_w_mode + rel_w[lo:hi + 1]))
+    return lo, list(accumulate(math.exp(log_w_mode + rel(n)) for n in range(lo, hi + 1)))
 
 
-# The shared samplers, one per float q: a plain dict, so that a draw finds
-# its sampler with one subscript.
-_SAMPLERS: Dict[float, QSampler] = {}
+def _long_q_geometric_cdf(q: float, mode: int, log_alpha: float, lp_mode: float, log_w_mode: float):
+    """(lo, the unnormalised CDF as a numpy array), over the points at or
+    above the cut among 0..last, where last is past the cut."""
+    prefix = np.asarray(_log_qpoch_prefix(q))
 
+    def upto(stop):  # log (q;q)_n for n < stop: a slice view, padded with its last value past cap
+        if stop <= prefix.size:
+            return prefix[:stop]
+        return np.concatenate((prefix, np.full(stop - prefix.size, prefix[-1])))
 
-def _shared_sampler(q) -> QSampler:
-    """The `QSampler` of float(q), which every float draw and float phi weight
-    reads, made on first use; past `Q_MEMO_SIZE` values of q the one made first
-    is dropped."""
-    try:
-        return _SAMPLERS[q]
-    except KeyError:  # a new q, or a Fraction whose float is a key
-        q = float(q)
-    if q not in _SAMPLERS:
-        new = QSampler(q)  # raises unless 0 <= q < 1
-        if len(_SAMPLERS) >= Q_MEMO_SIZE:
-            del _SAMPLERS[next(iter(_SAMPLERS))]
-        _SAMPLERS[q] = new
-    return _SAMPLERS[q]
+    last = 2 * mode + _VECTOR_TERMS - 1
+    lp = upto(last + 1)
+    # log pmf(n) - log pmf(mode) at the last point
+    rel_last = (last - mode) * log_alpha - lp[last] + lp_mode
+    if rel_last >= _LOG_TAIL:
+        # past the mode the log ratios log alpha - log(1 - q^k) fall with k,
+        # so the next one bounds all later ones: this many more points reach the cut
+        step = log_alpha - math.log(-math.expm1((last + 1) * math.log(q)))
+        last += math.ceil((rel_last - _LOG_TAIL) / -step) + 1
+        lp = upto(last + 1)
+    rel_w = (np.arange(last + 1) - mode) * log_alpha - lp + lp_mode
+    kept = np.flatnonzero(rel_w >= _LOG_TAIL)
+    lo, hi = int(kept[0]), int(kept[-1])
+    return lo, np.cumsum(np.exp(log_w_mode + rel_w[lo:hi + 1]))
 
 
 def _phi_inverse_mode(q: float, a: int, b, c: int, lo: int, hi: int) -> int:
@@ -985,9 +880,9 @@ def check_step_params(pars, a, alpha: bool) -> None:
 def sample_q_geometric(alpha: float, q: float, rng, size: Optional[int] = None):
     """Draw from pmf (alpha;q)_inf alpha^n/(q;q)_n; one `rng.random()` a draw.
 
-    A draw is one bisect into the CDF table for alpha of the shared sampler
-    of q, built on first use and kept in one form (a list, or a numpy array
-    past `_VECTOR_TERMS` points).  The
+    A draw is one bisect into the memoised CDF table of (alpha, q), built
+    on first use and kept in one form (a list, or a numpy array past
+    `_VECTOR_TERMS` points).  The
     table keeps every point above 2^-60 of the modal weight, about
     41.6 / (1 - alpha) of them past the mode, so alpha near 1 costs memory:
     at q = 0.5, alpha = 1 - 1e-5 builds about 4.2M points and keeps 33 MB
@@ -1002,12 +897,12 @@ def sample_q_geometric(alpha: float, q: float, rng, size: Optional[int] = None):
         u = rng.random(size)
         if alpha == 0:
             return np.zeros(size, dtype=np.int64)
-        lo, cdf = _shared_sampler(q)._q_geometric_table(alpha)
+        lo, cdf = _q_geometric_table(alpha, q)
         return lo + np.searchsorted(cdf, u, side="right")
     u = rng.random()
     if alpha == 0:
         return 0
-    lo, cdf = _shared_sampler(q)._q_geometric_table(alpha)
+    lo, cdf = _q_geometric_table(alpha, q)
     return lo + bisect_right(cdf, u)
 
 

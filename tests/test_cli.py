@@ -1,9 +1,11 @@
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
 
 import qrsk.dynamics as dyn
+from qrsk import polymers
 from qrsk.cli import SUITES, main
 from qrsk.dynamics import ROW_ALPHA, classical_rsk_step
 from qrsk.gt import zero_array
@@ -327,6 +329,29 @@ def test_polymer_limit_checks_its_sizes_before_any_work(flag, value, message, tm
     assert main(args) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["-N", "1", "-T", "1", "--theta", "0", "--theta-hat", "0"],
+    ["-N", "2", "-T", "1", "--theta", "1", "--theta=-1", "--theta-hat", "0.5"],
+    ["-N", "1", "-T", "1", "--theta", "nan", "--theta-hat", "1"],
+], ids=["zero", "negative", "nan"])
+def test_polymer_limit_checks_its_thetas_before_any_work(args, tmp_path, capsys, monkeypatch):
+    # each sum theta_j + theta-hat_s is a Gamma shape and sets alpha a_j < 1: a zero sum
+    # warned of a division by zero and then failed in the q-geometric check, a negative
+    # one failed in numpy's gamma draw ("shape < 0"), and nan warned from `det`
+    def no_work(*args, **kwargs):
+        raise AssertionError("polymer-limit ran with a bad --theta or --theta-hat")
+
+    monkeypatch.setattr(polymers, "scaling_limit_experiment", no_work)
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["polymer-limit", "--eps", "0.1", "--replicas", "20", "--out", str(out), *args])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "need every --theta + --theta-hat finite and > 0" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -580,17 +580,23 @@ def test_sample_step_rejects_a_count_that_differs_from_the_levels():
         sample_step(spec, zero_array(2), random.Random(0), inputs=(0, 0, 1))
 
 
-def test_alpha_spec_shares_one_sampler_across_steps(monkeypatch):
-    # every draw of every step reads the one shared sampler of q
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})
+def test_alpha_spec_shares_one_sampler_across_steps():
+    # every draw of every step reads the one memoised log (q;q)_n prefix of q
+    for memo in (qnum._log_qpoch_prefix, qnum._q_geometric_table):
+        memo.cache_clear()
     spec = DynamicsSpec(ROW_ALPHA, 0.5, 0.35, (1.0, 0.9))
     rng = random.Random(1)
     arr = zero_array(2)
     for _ in range(5):
         arr = sample_step(spec, arr, rng)
-    assert list(qnum._SAMPLERS) == [0.5]
-    # one q-geometric table per level parameter alpha a_j
-    assert sorted(qnum._SAMPLERS[0.5]._cdfs) == sorted({0.35 * 1.0, 0.35 * 0.9})
+    assert qnum._log_qpoch_prefix.cache_info().currsize == 1
+    assert qnum._log_qpoch_prefix.cache_info().misses == 1
+    # one q-geometric table per level parameter alpha a_j, each built once
+    tables = qnum._q_geometric_table
+    assert tables.cache_info().currsize == tables.cache_info().misses == 2
+    for alpha in (0.35 * 1.0, 0.35 * 0.9):
+        tables(alpha, 0.5)
+    assert tables.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("kind", BETA_KINDS)
@@ -1027,6 +1033,18 @@ def test_seeded_sample_step_runs_take_the_recorded_uniforms(kind, n):
     for _ in range(60 if rule.push_block else 300):
         arr = sample_step(spec, arr, rng)
     assert (arr, rng.random()) == (_GOLDEN_FINAL_ARRAYS[kind, n], _GOLDEN_NEXT_UNIFORMS[kind, n])
+
+
+def test_seeded_row_alpha_run_at_q_9_10_is_unchanged():
+    # q = 0.9: the log (q;q)_n prefix has 396 terms, summed in numpy blocks, and
+    # the q-geometric tables and phi walk starts read it; recorded, with the next
+    # uniform, before the sampling tables became memoised functions of q
+    spec = DynamicsSpec(ROW_ALPHA, 0.9, 0.35, (1.0, 0.9, 0.8))
+    rng = random.Random(90)
+    arr = zero_array(3)
+    for _ in range(100):
+        arr = sample_step(spec, arr, rng)
+    assert (arr, rng.random()) == (((413,), (431, 293), (454, 342, 256)), 0.8086464144826595)
 
 
 def _pick(weights, u):

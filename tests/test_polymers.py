@@ -20,8 +20,6 @@ from qrsk.polymers import (
     ks_statistic,
     lgv_partition,
     polymer_log_ratios,
-    sample_gamma,
-    sample_inverse_gamma,
     scaled_col_arrays,
     scaled_row_arrays,
     scaling_limit_experiment,
@@ -181,21 +179,6 @@ def test_transfer_product_identity():
     assert transfer_product_check(rand_words(rng, 4, 5))
 
 
-def test_gamma_sampler_moments():
-    rng = random.Random(6)
-    n = 40000
-    xs = [sample_gamma(2.5, rng) for _ in range(n)]
-    se = math.sqrt(2.5 / n)  # Var(Gamma(theta)) = theta
-    assert abs(np.mean(xs) - 2.5) < 4 * se
-    # theta = 1 is exponential: P(X > 1) = e^-1
-    ys = [sample_gamma(1.0, rng) for _ in range(n)]
-    p = math.exp(-1)
-    assert abs(np.mean([y > 1 for y in ys]) - p) < 4 * math.sqrt(p * (1 - p) / n)
-    # inverse-Gamma(3) has mean 1/2
-    zs = [sample_inverse_gamma(3.0, rng) for _ in range(n)]
-    assert abs(np.mean(zs) - 0.5) < 4 * np.std(zs) / math.sqrt(n)
-
-
 def test_single_cell_scaling_laws():
     rng = random.Random(7)
     th, thh = [1.2], [0.9]
@@ -247,6 +230,35 @@ def test_ks_statistic_matches_scipy(xs, ys):
     assert ks_statistic(xs, ys) == pytest.approx(expected, abs=1e-12)
 
 
+# Seeded scaled arrays at q = e^-eps > 0.52, where the log (q;q)_n prefix is summed
+# in numpy blocks (N = T = 2, theta = (1.2, 0.8), theta-hat = (0.9, 1.1), 3 replicas,
+# random.Random(21)), recorded before the sampling tables became memoised functions of q.
+_GOLDEN_SCALED_ARRAYS = {
+    ("scaled_row_arrays", 1e-2): {
+        (1, 1): [-1.1003403719761842, -0.2803403719761839, -2.0103403719761834],
+        (2, 1): [-0.08551055796427498, 0.1844894420357246, -2.075510557964275],
+        (2, 2): [-1.5751701859880916, -1.0551701859880915, -1.495170185988092]},
+    ("scaled_row_arrays", 5e-3): {
+        (1, 1): [-1.1116347330960732, -0.2866347330960721, -2.0266347330960723],
+        (2, 1): [-0.07495209964410776, 0.18004790035589124, -2.0949520996441073],
+        (2, 2): [-1.5933173665480362, -1.0683173665480359, -1.498317366548036]},
+    ("scaled_col_arrays", 1e-2): {
+        (1, 1): [1.1003403719761842, 0.2803403719761839, 2.0103403719761834],
+        (2, 1): [0.6651701859880919, 1.2151701859880917, 1.8551701859880918],
+        (2, 2): [0.9955105579642751, -0.34448944203572474, 1.7155105579642758]},
+    ("scaled_col_arrays", 5e-3): {
+        (1, 1): [1.1116347330960732, 0.2866347330960721, 2.0266347330960723],
+        (2, 1): [0.6733173665480363, 1.233317366548036, 1.8583173665480364],
+        (2, 2): [0.9949520996441077, -0.34504790035589394, 1.734952099644108]},
+}
+
+
+@pytest.mark.parametrize("name, eps", sorted(_GOLDEN_SCALED_ARRAYS))
+def test_seeded_scaled_arrays_are_unchanged(name, eps):
+    out = getattr(polymers, name)(2, 2, [1.2, 0.8], [0.9, 1.1], eps, 3, random.Random(21))
+    assert out == _GOLDEN_SCALED_ARRAYS[name, eps]
+
+
 def test_scaled_arrays_are_reproducible_from_the_rng_state():
     th, thh = [1.2, 0.8], [0.9, 1.1]
     for fn in (scaled_row_arrays, scaled_col_arrays):
@@ -257,13 +269,13 @@ def test_scaled_arrays_are_reproducible_from_the_rng_state():
         assert all(len(v) == 50 and all(type(x) is float for x in v) for v in first.values())
 
 
-def test_seeded_scaled_arrays_do_not_depend_on_the_state_of_the_prefix(monkeypatch):
+def test_seeded_scaled_arrays_do_not_depend_on_the_state_of_the_prefix():
     args = (2, 2, [1.2, 0.8], [0.9, 1.1], 5e-3, 200)
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # a cold prefix
+    qnum._log_qpoch_prefix.cache_clear()  # a cold prefix
     cold = scaled_col_arrays(*args, random.Random(7))
-    # other calls at the same q grow the shared log (q;q)_n prefix past what it held
+    # other calls at the same q read the memoised log (q;q)_n prefix
     scaled_row_arrays(*args, random.Random(8))
-    qnum._shared_sampler(math.exp(-5e-3)).log_qpoch(qnum.INF)
+    qnum._prefix_reader(math.exp(-5e-3))(qnum.INF)
     assert scaled_col_arrays(*args, random.Random(7)) == cold
 
 
@@ -271,8 +283,8 @@ def test_seeded_scaled_arrays_do_not_depend_on_the_state_of_the_prefix(monkeypat
 def test_each_scaled_arrays_call_builds_the_tables_of_its_parameters(fn, monkeypatch):
     # the traced polymer-limit benchmark records the log (alpha;q)_inf calls
     # that table builds make, in the process that has just run the replicas:
-    # each call builds the q-geometric tables of its alpha_s a_j again, in the
-    # shared sampler of q, and keeps no other table of q
+    # each call builds the q-geometric tables of its alpha_s a_j again, and
+    # keeps no other table
     th, thh, eps = [1.2, 0.8], [0.9, 1.1], 1e-2
     q = math.exp(-eps)
     alphas = sorted(math.exp(-h * eps) * math.exp(-t * eps) for h in thh for t in th)
@@ -285,11 +297,19 @@ def test_each_scaled_arrays_call_builds_the_tables_of_its_parameters(fn, monkeyp
         return log_q_pochhammer_inf(alpha, q_)
 
     monkeypatch.setattr(qnum, "log_q_pochhammer_inf", counting)
+    tables = qnum._q_geometric_table
+
+    def kept_tables():  # the memo holds a table of each alpha, and no other
+        info = tables.cache_info()
+        for alpha in alphas:
+            tables(alpha, q)
+        return tables.cache_info().misses == info.misses and info.currsize == len(alphas)
+
     first = fn(2, 2, th, thh, eps, 50, random.Random(4))
-    assert sorted(qnum._SAMPLERS[q]._cdfs) == alphas and sorted(built) == alphas
+    assert kept_tables() and sorted(built) == alphas
     built.clear()
     assert fn(2, 2, th, thh, eps, 50, random.Random(4)) == first
-    assert sorted(qnum._SAMPLERS[q]._cdfs) == alphas and sorted(built) == alphas
+    assert kept_tables() and sorted(built) == alphas
 
 
 def _scalar_replicas(level, n, t, thetas, theta_hats, eps, replicas, rng):

@@ -3,6 +3,7 @@ import operator
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -15,7 +16,6 @@ from qrsk.qnum import (
     INF,
     ExactModeError,
     PhiParams,
-    QSampler,
     ZeroMassError,
     phi_pmf,
     phi_sample,
@@ -30,6 +30,15 @@ from qrsk.qnum import (
 )
 
 SIGMAS = 6.0
+
+# The memos that hold the float sampling tables: the log (q;q)_n prefix per q,
+# the q-geometric CDF per (alpha, q) and the inverse-regime walk start per (q, a, b, c).
+_TABLE_MEMOS = (qnum._log_qpoch_prefix, qnum._q_geometric_table, qnum._phi_inverse_start)
+
+
+def _cold_tables():
+    for memo in _TABLE_MEMOS:
+        memo.cache_clear()
 
 
 def qbinom_recurrence(n, k, q):
@@ -256,13 +265,13 @@ def q_geometric_mean_var(alpha, q):
 
 
 @pytest.mark.parametrize("eps", [2e-3, 5e-4])
-def test_q_geometric_mean_where_the_weights_underflow(eps, monkeypatch):
+def test_q_geometric_mean_where_the_weights_underflow(eps):
     # log (alpha;q)_inf is below -745 here, so pmf(0) = (alpha;q)_inf, where a
     # walk from n = 0 would start, underflows to 0.0 in floating point
     q, alpha = math.exp(-eps), math.exp(-2.1 * eps)
     assert qnum.log_q_pochhammer_inf(alpha, q) < -745
     mean, var = q_geometric_mean_var(alpha, q)
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # fresh tables
+    _cold_tables()
     rng = random.Random(17)
     for draws in (4000, 150):
         xs = [sample_q_geometric(alpha, q, rng) for _ in range(draws)]
@@ -283,7 +292,7 @@ def _exact_ratio_pmf(qe, a, b, c):
 
 
 @pytest.mark.parametrize("a, b, c", [(600, INF, 600), (520, 1500, 700)])
-def test_phi_inverse_float_matches_exact_pmf_at_large_c(a, b, c, monkeypatch):
+def test_phi_inverse_float_matches_exact_pmf_at_large_c(a, b, c):
     qe = F(999, 1000)
     qf = float(qe)
     exact = _exact_ratio_pmf(qe, a, b, c)
@@ -293,7 +302,7 @@ def test_phi_inverse_float_matches_exact_pmf_at_large_c(a, b, c, monkeypatch):
         if pr > 1e-12:
             assert phi_weight(pf, s) == pytest.approx(pr, rel=1e-9), s
     # the draws, bin by bin and in the mean
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # fresh tables
+    _cold_tables()
     rng = random.Random(23)
     n = 20_000
     draws = [phi_sample(pf, rng) for _ in range(n)]
@@ -329,13 +338,13 @@ def test_phi_inverse_float_closed_form_and_mode_against_exact():
         assert ws[mode - sup[0]] == max(ws), (q, a, b, c)
 
 
-def test_a_sampler_keeps_a_bounded_set_of_walk_starts_that_change_no_draw(monkeypatch):
-    # each draw's start (the mode and its weight) is kept per (a, b, c) and reused;
-    # a draw through a warm sampler is the draw of a fresh one, and the kept
+def test_the_walk_starts_are_a_bounded_memo_that_changes_no_draw(monkeypatch):
+    # each draw's start (the mode and its weight) is kept per (q, a, b, c) and
+    # reused; a draw from warm memos is the draw from fresh ones, and the kept
     # starts stop growing at MEMO_SIZE
     q = 0.7
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})
-    warm = qnum._shared_sampler(q)
+    _cold_tables()
+    warm = qnum._phi_inverse_start
     rnd = random.Random(37)
     # supports of two points or more; b = a + c + 1 or inf: one (a, c), weights far apart
     triples = [(a, b, c) for a in range(1, 41) for c in range(1, 15) for b in (INF, a + c + 1)]
@@ -344,11 +353,15 @@ def test_a_sampler_keeps_a_bounded_set_of_walk_starts_that_change_no_draw(monkey
         seed = rnd.random()
         drawn = phi_sample(p, random.Random(seed))
         with monkeypatch.context() as fresh:
-            fresh.setattr(qnum, "_SAMPLERS", {})
+            fresh.setattr(qnum, "_phi_inverse_start", qnum.memoised(warm.__wrapped__))
+            fresh.setattr(qnum, "_log_qpoch_prefix", lru_cache(qnum.Q_MEMO_SIZE)(
+                qnum._log_qpoch_prefix.__wrapped__))
             assert drawn == phi_sample(p, random.Random(seed)), (a, b, c)
-        mode, w_mode = warm._phi_starts[a, b, c]
-        assert w_mode == math.exp(warm.log_phi_inverse(a, b, c, mode))
-        assert len(warm._phi_starts) <= qnum.MEMO_SIZE
+        hits = warm.cache_info().hits
+        mode, w_mode = warm(q, a, b, c)
+        assert warm.cache_info().hits == hits + 1  # kept by the draw
+        assert w_mode == math.exp(qnum.log_phi_inverse(q, a, b, c, mode))
+        assert warm.cache_info().currsize <= qnum.MEMO_SIZE
 
 
 def test_zero_mass_raises_instead_of_returning_a_constant():
@@ -384,17 +397,19 @@ def test_zero_mass_raises_instead_of_returning_a_constant():
         qnum._chop_down(0.5, 3, 0, 10, 0.0, lambda s: 1.0)
 
 
-def test_q_geometric_table_is_per_sampler_and_agrees_with_the_walk():
+def test_q_geometric_table_is_memoised_and_agrees_with_the_walk():
     q, alpha = 0.5, 0.4
-    s1, s2 = QSampler(q), QSampler(q)
-    lo, cdf = s1.q_geometric_cdf(alpha)
-    assert lo == 0 and cdf[-1] == 1.0 and not s2._cdfs
+    lo, cdf = qnum._q_geometric_table(alpha, q)
+    assert lo == 0 and cdf[-1] == 1.0
+    assert qnum._q_geometric_table(alpha, q)[1] is cdf  # kept
+    assert qnum._q_geometric_table.__wrapped__(alpha, q) == (lo, cdf)
     for n in range(6):
         lower = cdf[n - 1] if n else 0.0
         assert cdf[n] - lower == pytest.approx(q_geometric_pmf(alpha, q, n), rel=1e-12)
 
 
-MEMOISED = (qnum.q_binomial, qnum.q_pochhammer, qnum._phi_inverse_weight, qnum.log_q_pochhammer_inf)
+MEMOISED = (qnum.q_binomial, qnum.q_pochhammer, qnum._phi_inverse_weight, qnum.log_q_pochhammer_inf,
+            qnum._q_geometric_table, qnum._phi_inverse_start)
 
 
 def test_memoised_weights_are_bounded_and_typed():
@@ -466,59 +481,82 @@ def test_a_repeated_bad_log_q_pochhammer_inf_call_raises_each_time(a, q):
             qnum.log_q_pochhammer_inf(a, q)
 
 
-def test_the_shared_samplers_and_their_tables_keep_their_bounds(monkeypatch):
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})
+def test_the_sampling_table_memos_keep_their_bounds():
+    _cold_tables()
+    prefixes = qnum._log_qpoch_prefix
+    assert prefixes.cache_parameters() == {"maxsize": qnum.Q_MEMO_SIZE, "typed": False}
     rng = random.Random(41)
     qs = [0.5 + i / 100 for i in range(qnum.Q_MEMO_SIZE + 3)]
     for q in qs:
         sample_q_geometric(0.3, q, rng)
-        assert len(qnum._SAMPLERS) <= qnum.Q_MEMO_SIZE
-    # the last Q_MEMO_SIZE values of q keep their samplers
-    assert list(qnum._SAMPLERS) == qs[-qnum.Q_MEMO_SIZE:]
-    # one sampler of q for every draw, whatever the type of q
+        assert prefixes.cache_info().currsize <= qnum.Q_MEMO_SIZE
+    # the last Q_MEMO_SIZE values of q keep their prefixes
+    misses = prefixes.cache_info().misses
+    for q in qs[-qnum.Q_MEMO_SIZE:]:
+        prefixes(q)
+    assert prefixes.cache_info().misses == misses
+    # one prefix of q for every draw, whatever the type of q
     q = 0.5
-    sampler = qnum._shared_sampler(q)
-    assert qnum._shared_sampler(F(1, 2)) is sampler
+    assert prefixes(F(1, 2)) is prefixes(q)
+    starts = qnum._phi_inverse_start.cache_info().currsize
     phi_sample(PhiParams.inverse(q, 2, INF, 3), rng)
-    assert (2, INF, 3) in sampler._phi_starts
-    # each sampler keeps at most MEMO_SIZE tables of each kind
+    assert qnum._phi_inverse_start.cache_info().currsize == starts + 1
+    # at most MEMO_SIZE q-geometric tables are kept
     for i in range(qnum.MEMO_SIZE + 5):
         sample_q_geometric(0.1 + i / 2e4, q, rng)
-        assert len(sampler._cdfs) <= qnum.MEMO_SIZE
-    assert sampler._cdfs and qnum._shared_sampler(q) is sampler
+        assert qnum._q_geometric_table.cache_info().currsize <= qnum.MEMO_SIZE
+    assert qnum._q_geometric_table.cache_info().currsize == qnum.MEMO_SIZE
 
 
 def test_prefix_values_are_a_function_of_q_and_n_alone():
     # one q in numpy blocks, and q = 0.5, whose cap (60) is below 64: one block in plain Python
     for q in (math.exp(-1e-3), 0.5):
-        stepwise, at_once, scalar = (qnum._LogQPochPrefix(q) for _ in range(3))
-        stepwise.grow(100)
-        stepwise.grow(20_000)
-        at_once.grow(20_000)
-        for n in (7, 100, 101, 4_000, 20_000):  # scalar reads grow the prefix, in another order
-            scalar.at(n)
-        n = 20_001
-        tables = [np.asarray(prefix.table)[:n] for prefix in (stepwise, at_once, scalar)]
-        assert tables[0].tobytes() == tables[1].tobytes() == tables[2].tobytes()
-        assert [scalar.at(k) for k in range(len(tables[0]))] == tables[0].tolist()
-        with pytest.raises(ValueError):  # read by every draw at q: read-only
-            at_once.upto(10)[3] = 0.0
+        qnum._log_qpoch_prefix.cache_clear()
+        read = qnum._prefix_reader(q)  # builds the prefix of q, out to its cap
+        table = qnum._log_qpoch_prefix(q)
+        rebuilt = qnum._log_qpoch_prefix.__wrapped__(q)
+        assert np.asarray(table).tobytes() == np.asarray(rebuilt).tobytes()
+        assert [read(k) for k in range(len(table))] == list(table)
+        if not isinstance(table, list):
+            with pytest.raises(ValueError):  # read by every draw at q: read-only
+                table[3] = 0.0
         # and they are log (q;q)_n, constant past the cap
         for n in (1, 64, 65, 1_000, 20_000):
             oracle = math.fsum(math.log1p(-q ** k) for k in range(1, n + 1))
-            assert at_once.at(n) == pytest.approx(oracle, rel=1e-12, abs=1e-12), (q, n)
+            assert read(n) == pytest.approx(oracle, rel=1e-12, abs=1e-12), (q, n)
+
+
+# log (q;q)_n at n past the numpy block ends 64, 128, 4096 and at the cap, recorded
+# before the prefix was built out to its cap in one go: a cumulative sum over other
+# blocks, or one sum over the whole prefix, moves most of them.
+_GOLDEN_LOG_QPOCH = {
+    0.9: {1: -2.302585092994046, 64: -13.553307365629154, 65: -13.554369045623961,
+          128: -13.563908985529713, 129: -13.563910236606567, 200: -13.563921489944974,
+          395: -13.563921496294546},
+    math.exp(-1e-3): {64: -237.96441178305565, 65: -240.73010375667323, 129: -393.9974799173989,
+                      4097: -1623.877528850586, 20000: -1640.5612069487909,
+                      41589: -1640.5612090089141},
+}
+
+
+@pytest.mark.parametrize("q", sorted(_GOLDEN_LOG_QPOCH))
+def test_long_prefixes_keep_their_recorded_values(q):
+    golden = _GOLDEN_LOG_QPOCH[q]
+    assert len(qnum._log_qpoch_prefix(q)) == max(golden) + 1  # the cap is the last key
+    read = qnum._prefix_reader(q)
+    assert {n: read(n) for n in golden} == golden
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, math.exp(-1e-2), math.exp(-1e-3)])
 def test_scalar_and_array_log_qpoch_agree_bit_for_bit(q):
-    sampler = QSampler(q)  # a sampler owns its prefix: this one starts cold
-    cap = sampler._prefix.cap
+    qnum._log_qpoch_prefix.cache_clear()
+    cap = len(qnum._log_qpoch_prefix(q)) - 1
     ns = sorted({0, 1, 2, 63, 64, 65, 200, cap // 2, cap, cap + 1, 3 * cap + 5})
-    scalar = [sampler.log_qpoch(n) for n in ns]  # grows the prefix through the list
-    array = QSampler(q).prefix_reader()(np.array(ns))  # a cold prefix grown through the array
-    assert array.tolist() == scalar
-    assert [QSampler(q).prefix_reader()(n) for n in ns] == scalar
-    assert sampler.log_qpoch(INF) == scalar[ns.index(cap)]
+    scalar = [qnum._prefix_reader(q)(n) for n in ns]
+    batch = qnum._batch_prefix_reader(q)
+    assert batch(np.array(ns)).tolist() == scalar
+    assert [batch(n) for n in ns] == scalar
+    assert qnum._prefix_reader(q)(INF) == scalar[ns.index(cap)]
 
 
 @pytest.mark.parametrize("q, alpha", [
@@ -532,11 +570,11 @@ def test_scalar_and_array_log_qpoch_agree_bit_for_bit(q):
     (math.exp(-1e-3), 0.999),
 ])
 def test_q_geometric_table_covers_the_points_above_the_cut(q, alpha):
-    sampler = QSampler(q)
-    lo, cdf = sampler.q_geometric_cdf(alpha)
+    lo, table = qnum._q_geometric_table(alpha, q)
+    cdf = np.asarray(table)
     hi = lo + cdf.size - 1
     # a table of at most 64 points is built and kept as a list, in plain Python
-    assert (type(sampler._cdfs[alpha][1]) is list) == (cdf.size <= 64)
+    assert (type(table) is list) == (cdf.size <= 64)
     # log pmf(n) - log pmf(mode) from an fsum oracle of log (q;q)_n
     mode = qnum._q_geometric_mode(alpha, q)
     logs = [0.0] + [math.log1p(-q ** k) for k in range(1, hi + 2)]
@@ -558,55 +596,56 @@ def test_q_geometric_table_covers_the_points_above_the_cut(q, alpha):
     lambda q, rng: sample_q_geometric(q * q, q, rng),
     lambda q, rng: phi_sample(PhiParams.inverse(q, 3000, INF, 2500), rng),
 ], ids=["phi_inverse_weight", "sample_q_geometric", "phi_sample"])
-def test_a_second_one_shot_call_at_the_same_q_grows_no_prefix(draw, monkeypatch):
+def test_a_second_one_shot_call_at_the_same_q_grows_no_prefix(draw):
     q = math.exp(-1e-3)
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})  # a cold prefix
+    _cold_tables()
     rng = random.Random(0)
     draw(q, rng)
-    prefix = qnum._shared_sampler(q)._prefix
-    table, size = prefix.table, len(prefix.table)
+    table = qnum._log_qpoch_prefix(q)
+    size = len(table)
     assert size > 1
     draw(q, rng)
-    assert qnum._shared_sampler(q)._prefix is prefix
-    assert prefix.table is table and len(table) == size
+    assert qnum._log_qpoch_prefix(q) is table and len(table) == size
+    assert qnum._log_qpoch_prefix.cache_info().misses == 1
 
 
 def _read_only_array(x) -> bool:
     return isinstance(x, np.ndarray) and not x.flags.writeable
 
 
-def test_each_q_geometric_table_is_kept_in_one_form(monkeypatch):
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})
-    sampler = qnum._shared_sampler(0.5)
+def test_each_q_geometric_table_is_kept_in_one_form():
+    _cold_tables()
+    tables = qnum._q_geometric_table
     rng = random.Random(3)
     # 4146 points: built as an array, which scalar draws and a batch both read
     long_alpha = 0.99
     scalar = [sample_q_geometric(long_alpha, 0.5, rng) for _ in range(20)]
-    lo, cdf = sampler._cdfs[long_alpha]
+    lo, cdf = tables(long_alpha, 0.5)
     assert _read_only_array(cdf) and cdf.size == 4146
     batch = sample_q_geometric(long_alpha, 0.5, np.random.default_rng(3), size=50)
-    assert sampler._cdfs[long_alpha][1] is cdf and sampler.q_geometric_cdf(long_alpha)[1] is cdf
+    assert tables(long_alpha, 0.5)[1] is cdf
     assert min(scalar) >= lo and batch.min() >= lo
     # 41 points: built as a list, which stays a list after a batch
     short_alpha = 0.35
     sample_q_geometric(short_alpha, 0.5, rng)
     sample_q_geometric(short_alpha, 0.5, np.random.default_rng(3), size=50)
-    assert type(sampler._cdfs[short_alpha][1]) is list
-    assert set(sampler._cdfs) == {long_alpha, short_alpha}
+    assert type(tables(short_alpha, 0.5)[1]) is list
+    # one build of each
+    assert tables.cache_info().currsize == tables.cache_info().misses == 2
 
 
 def test_a_long_prefix_read_by_scalars_is_one_array():
-    sampler = QSampler(0.9)  # a cold prefix
-    prefix = sampler._prefix
-    assert prefix.cap > 64 and prefix.table == [0.0]
-    values = [sampler.log_qpoch(n) for n in (3, 65, 200, INF)]
-    assert _read_only_array(prefix.table) and len(prefix.table) == prefix.cap + 1
+    qnum._log_qpoch_prefix.cache_clear()  # a cold prefix
+    read = qnum._prefix_reader(0.9)
+    values = [read(n) for n in (3, 65, 200, INF)]
+    table = qnum._log_qpoch_prefix(0.9)
+    cap = math.ceil(-60 * math.log(2) / math.log(0.9))
+    assert cap > 64 and _read_only_array(table) and len(table) == cap + 1
     assert all(type(v) is float for v in values)
-    assert values == [prefix.table[n] for n in (3, 65, 200, prefix.cap)]
+    assert values == [table[n] for n in (3, 65, 200, cap)]
     # a short prefix is one list
-    short = qnum._LogQPochPrefix(0.5)
-    short.at(10)
-    assert type(short.table) is list and len(short.table) == short.cap + 1
+    short = qnum._log_qpoch_prefix(0.5)
+    assert type(short) is list and len(short) == 61  # cap 60
 
 
 class _GivenUniforms:
@@ -627,14 +666,13 @@ class _GivenUniforms:
 @pytest.mark.parametrize("alpha, q", [
     (0.4, 0.5), (0.0, 0.5), (math.exp(-2e-2), math.exp(-1e-2)), (math.exp(-2.1e-3), math.exp(-1e-3)),
 ])
-def test_batch_q_geometric_draws_equal_the_scalar_table_draws(alpha, q, monkeypatch):
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})
-    sampler = qnum._shared_sampler(q)
+def test_batch_q_geometric_draws_equal_the_scalar_table_draws(alpha, q):
+    _cold_tables()
     u = np.random.default_rng(5).random(3000)
     batch = sample_q_geometric(alpha, q, np.random.default_rng(5), size=u.size)
     if alpha:
         # uniforms on the table's own points test the side of each bisect
-        lo, cdf = sampler.q_geometric_cdf(alpha)
+        cdf = np.asarray(qnum._q_geometric_table(alpha, q)[1])
         u = np.concatenate((u, cdf[:-1:max(1, cdf.size // 50)]))
         batch = np.concatenate((batch, sample_q_geometric(
             alpha, q, _GivenUniforms(u[3000:]), size=u.size - 3000)))
@@ -760,7 +798,7 @@ def test_one_point_batch_phi_returns_its_support_after_drawing_its_uniforms(monk
     def no_window(*args):
         raise AssertionError("a one-point support needs no inverse-CDF window")
 
-    monkeypatch.setattr(QSampler, "draw_phi_inverse_batch", no_window)
+    monkeypatch.setattr(qnum, "_phi_inverse_batch_draw", no_window)
     c = np.array([0, 2, 5, 1, 9])
     for a, b in ((np.zeros(5, dtype=np.int64), INF), (c + 3, c + 3)):
         rng, twin = np.random.default_rng(8), np.random.default_rng(8)
@@ -913,8 +951,8 @@ def test_a_batch_views_a_short_prefix_as_an_array_once(monkeypatch):
             calls.append(len(x))
         return asarray(x, *args, **kwargs)
 
-    monkeypatch.setattr(qnum, "_SAMPLERS", {})
-    qnum._shared_sampler(0.5).log_qpoch(10)  # a short prefix: a list, grown to its cap
+    _cold_tables()
+    qnum._prefix_reader(0.5)(10)  # a short prefix: a list, built out to its cap
     monkeypatch.setattr(qnum.np, "asarray", counting)
     c = np.array([3, 7, 12, 5] * 25)
     a = c + np.array([0, 2, 5, 1] * 25)
