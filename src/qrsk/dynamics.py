@@ -446,6 +446,8 @@ def col_beta_prob(ctx: LevelUpdateContext, nu: Signature, beta, a_j, q):
 def _draws(count) -> bool:
     """Whether a split of `count` boxes needs a phi draw: not for a scalar 0.  Over a
     replica axis every replica draws; a count of 0 draws the one point of its support."""
+    if type(count) is int:  # a scalar walk's count: no `is_array` call
+        return count != 0
     return is_array(count) or count != 0
 
 

@@ -10,7 +10,7 @@ zeros (the empty word (1, 0, ..., 0) is the length-1 prefix case).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .dynamics import COL_ALPHA, ROW_ALPHA, _sample_col_alpha_level, _sample_row_alpha_level
@@ -106,10 +106,14 @@ class PolymerEnv:
     A batch of environments is a numpy array of shape (t, n, replicas): each
     weight is then a vector over replicas, and partition functions come out
     as vectors too.
+
+    The weights are read, never changed: the determinant route of
+    `lgv_partition` builds its matrix for each t once and keeps it here.
     """
 
     mode: str
     weights: Union[List[List[float]], np.ndarray]
+    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -122,6 +126,17 @@ class PolymerEnv:
 
     def w(self, t: int, j: int):
         return self.weights[t - 1][j - 1]
+
+    def matrix(self, t: int) -> np.ndarray:
+        """The determinant route's matrix at time t, over all n levels: the
+        single-path sums E[..., p, r] (LogGamma) or H(a_1) ... H(a_t)
+        (StrictWeak).  Built on first use; each partition function is the
+        determinant of a block of it."""
+        m = self._matrices.get(t)
+        if m is None:
+            build = _single_path_sums_loggamma if self.mode == "LogGamma" else _h_product_strictweak
+            m = self._matrices[t] = build(self, t)
+        return m
 
 
 def _loggamma_tuples(env: PolymerEnv, j: int, k: int, t: int):
@@ -197,9 +212,13 @@ def _strictweak_tuples(env: PolymerEnv, j: int, k: int, t: int):
     yield from tuples(0, None, 1.0)
 
 
-def _single_path_sums_loggamma(env: PolymerEnv, t: int, jmax: int) -> np.ndarray:
-    """E[..., p, r] = weighted sum over single up/right paths (1, p) -> (t, r)."""
-    n = jmax
+def _single_path_sums_loggamma(env: PolymerEnv, t: int) -> np.ndarray:
+    """E[..., p, r] = weighted sum over single up/right paths (1, p) -> (t, r).
+
+    An entry reads the weights of levels up to r alone, so a block of E
+    has the bits whatever n is.
+    """
+    n = env.n
     batch = env.batch_shape
     E = np.zeros(batch + (n + 1, n + 1))
     for p in range(1, n + 1):
@@ -249,15 +268,13 @@ def lgv_partition(
             raise ValueError("LogGamma needs t >= k")
         if method == "enumerate":
             return _scalar_or_batch(sum(_loggamma_tuples(env, j, k, t)))
-        E = _single_path_sums_loggamma(env, t, max(j, k))
-        return _scalar_or_batch(np.linalg.det(E[..., 1:k + 1, j - k + 1:j + 1]))
+        return _scalar_or_batch(np.linalg.det(env.matrix(t)[..., 1:k + 1, j - k + 1:j + 1]))
     if env.mode == "StrictWeak":
         if t < j - k:
             raise ValueError("StrictWeak needs t >= j - k")
         if method == "enumerate":
             return _scalar_or_batch(sum(_strictweak_tuples(env, j, k, t)))
-        M = _h_product_strictweak(env, t)
-        return _scalar_or_batch(np.linalg.det(M[..., 0:k, j - k:j]))
+        return _scalar_or_batch(np.linalg.det(env.matrix(t)[..., 0:k, j - k:j]))
     raise ValueError(f"unknown polymer mode {env.mode!r}")
 
 
@@ -402,7 +419,10 @@ def polymer_log_ratios(mode, n, t, thetas, theta_hats, replicas, rng, targets):
     The weights of all replicas are drawn at once from a numpy generator
     seeded from `rng` (one 64-bit draw), and the partition functions are
     computed over the replica axis, each Z^j_k once however many targets
-    share it.
+    share it, from one matrix per environment (`PolymerEnv.matrix`).  A
+    partition function that is not finite and > 0 on every replica (its
+    determinant cancels or overflows, as where the weights spread over tens
+    of orders of magnitude) raises ValueError, naming the thetas.
     """
     gen = np.random.default_rng(rng.getrandbits(64))
     shape = np.add.outer(theta_hats[:t], thetas[:n])[:, :, None]
@@ -416,7 +436,14 @@ def polymer_log_ratios(mode, n, t, thetas, theta_hats, replicas, rng, targets):
         if k == 0:
             return 1.0
         if (j, k) not in z:
-            z[j, k] = lgv_partition(env, j, k, t, method="determinant")
+            value = lgv_partition(env, j, k, t, method="determinant")
+            # nan fails both tests
+            if not (np.minimum.reduce(value) > 0.0 and np.maximum.reduce(value) < math.inf):
+                raise ValueError(
+                    f"the {mode} partition function Z^{j}_{k} is not finite and > 0 on every replica"
+                    f" in float arithmetic: its weights, Gamma(theta_j + theta-hat_s) with theta ="
+                    f" {list(thetas[:n])} and theta-hat = {list(theta_hats[:t])}, spread too widely")
+            z[j, k] = value
         return z[j, k]
 
     return {(j, k): np.log(partition(j, k) / partition(j, k - 1)).tolist() for j, k in targets}

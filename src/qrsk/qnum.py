@@ -33,8 +33,9 @@ _LOG_TAIL = math.log(_POCHHAMMER_TAIL)
 # the same floats, and a short table costs no numpy import.
 _VECTOR_TERMS = 64
 # A batch of inverse-regime phi draws evaluates its weights in blocks of at
-# most this many (replica, support point) cells: its memory stays flat, and
-# each 128 KiB float block stays in cache (blocks of 2^18 cells ran slower).
+# most this many (replica, window point) cells, a block of rows of one common
+# width: its memory stays flat whatever the number of replicas, and each
+# 128 KiB float block stays in cache (blocks of 2^18 cells ran slower).
 _BLOCK_CELLS = 1 << 14
 # Float q-binomial products are rescaled by 2^512 whenever they fall below 2^-512.
 _RESCALE_BITS = 512
@@ -471,10 +472,13 @@ def phi_sample(p: PhiParams, rng):
     each draw is the inverse CDF of its weight over a window around the mode
     (`_phi_inverse_batch_draw`).
     """
-    if is_array(p.y) or is_array(p.a):
-        return _phi_sample_batch(p, rng)
-    u = rng.random()
     q, y, xi, eta, a, b = p
+    # a scalar draw's count is an int, and its exponent a an int or None
+    if (type(y) is not int or type(a) is not int and a is not None) and (is_array(y) or is_array(a)):
+        if a is None:
+            raise TypeError("phi_sample takes replica arrays in the inverse regime only")
+        return _phi_inverse_batch(q, a, b, y, rng)
+    u = rng.random()
     if a is not None:
         # phi_support(p), as bounds
         lo = y - a if y > a else 0
@@ -496,7 +500,10 @@ def phi_inverse_draw(q, a: int, b, y: int, rng):
     """`phi_sample(PhiParams.inverse(q, a, b, y), rng)`, b an int or INF; where the
     support is one point (ints a, y), it takes its uniform and returns it, making neither call."""
     if not (type(y) is type(a) is int and 0 <= q < 1 and 0 <= a <= b and y <= b):
-        # arrays, numpy ints, bad parameters
+        if is_array(y) or is_array(a):
+            # replica arrays: phi_sample's batch draw runs the checks of PhiParams.inverse
+            return phi_sample(PhiParams(q, y, None, None, a, b), rng)
+        # numpy ints, bad parameters
         return phi_sample(PhiParams.inverse(q, a, b, y), rng)
     lo = y - a if y > a else 0
     if lo == (y if b == INF or y <= b - a else b - a):
@@ -546,18 +553,29 @@ def _phi_direct_mode(q: float, xi: float, eta: float, y) -> Tuple[int, float]:
     return lo, math.exp(log_w)
 
 
-def _phi_sample_batch(p: PhiParams, rng) -> np.ndarray:
-    if not p.is_inverse:
-        raise TypeError("phi_sample takes replica arrays in the inverse regime only")
-    a, c = np.broadcast_arrays(p.a, p.y)
-    lo = np.maximum(0, c - a)
-    hi = np.minimum(c, p.b - a) if _finite(p.b) else c
-    if np.any(hi < lo):
+def _phi_inverse_batch(q, a, b, c, rng) -> np.ndarray:
+    """`phi_sample(PhiParams.inverse(q, a, b, c), rng)` over int64 arrays a and c
+    (and b, or an int or INF), one entry per replica: one pass of the checks
+    of `PhiParams.inverse` and of the support, with their messages, then
+    c.size uniforms."""
+    if b is None:
+        b = INF
+    if not (0 <= q < 1):
+        raise ValueError("inverse regime needs 0 <= q < 1")
+    a, c = np.broadcast_arrays(a, c)
+    finite = _finite(b)
+    room = b - a if finite else None  # b - a >= 0 and b - c >= 0 where 0 <= a <= b and c <= b
+    if a.min(initial=0) < 0 or finite and (room.min(initial=0) < 0 or (b - c).min(initial=0) < 0):
+        raise ValueError("inverse regime needs 0 <= a <= b and y <= b")
+    lo = c - a
+    np.maximum(lo, 0, out=lo)
+    hi = np.minimum(c, room) if finite else c
+    if c.min(initial=0) < 0:  # with the checks above, the one way to an empty support
         raise ValueError("empty support")
     u = rng.random(c.shape)
-    if p.q == 0 or np.array_equal(lo, hi):  # every support is the one point lo
+    if q == 0 or (lo == hi).all():  # every support is the one point lo
         return lo
-    return _phi_inverse_batch_draw(float(p.q), a, p.b, c, lo, hi, u)
+    return _phi_inverse_batch_draw(float(q), a, b, c, lo, hi, u)
 
 
 def _check_mass(w: float, what) -> None:
@@ -630,7 +648,7 @@ def log_phi_inverse(q, a, b, c, s, lp=None):
 
     whose four b factors cancel at b = inf.  Integers give a float; int
     arrays, broadcast against each other, give an array (b = INF or an
-    array).  A batch passes its `_batch_prefix_reader` as lp.
+    array).  A batch passes its own array reader of the prefix as lp.
     """
     if lp is None:
         lp = (_batch_prefix_reader if is_array(s) else _prefix_reader)(q)
@@ -662,8 +680,23 @@ def _phi_inverse_batch_draw(q: float, a, b, c, lo, hi, u: np.ndarray) -> np.ndar
     falls below 2^-60 of the modal weight within `reach` points of the
     mode; the window ends are checked against that cut and widened where
     they are not below it, so nothing above the cut is left out.
+
+    A block's log weights are `log_phi_inverse`'s, summed in place term by
+    term in its order, so each has the bits of a one-point call.  The four
+    terms that vary along a row, lp(s), lp(c - s), lp(a - c + s) and
+    lp(b - a - s), are each one contiguous row slice of a padded copy of
+    the log (q;q)_n prefix, read forwards or backwards, not a gather of
+    clamped indices.  A block is as wide as the widest window, so a row's
+    cells run on past its right end; they may hold any weight that keeps
+    its CDF rising (the padding gives weight 0 off the support), and no
+    uniform lands on them.
     """
-    lp = _batch_prefix_reader(q)
+    prefix = np.asarray(_log_qpoch_prefix(q))
+    cap = prefix.size - 1
+
+    def lp(n):  # `_batch_prefix_reader(q)`, over the one array view of the prefix
+        return prefix[np.minimum(n, cap)]
+
     mode = _phi_inverse_modes(q, a, b, c, lo, hi)
     log_w_mode = log_phi_inverse(q, a, b, c, mode, lp)
     _check_mass(np.exp(log_w_mode).min(initial=1.0), "the weight at its mode")
@@ -672,23 +705,42 @@ def _phi_inverse_batch_draw(q: float, a, b, c, lo, hi, u: np.ndarray) -> np.ndar
     right = _window_edge(q, a, b, c, mode, hi, log_w_mode, reach, lp)
     width = int((right - left).max(initial=0)) + 1
     rows = max(1, _BLOCK_CELLS // width)
+    # the cells of row r are the points left[r], ..., left[r] + pad
+    pad = width - 1
+    top = cap + pad
+    # log (q;q)_n at ext[pad + n] for n = -pad, ..., cap + pad: +inf below 0,
+    # where a cell's weight is 0, and the cap value past cap
+    ext = np.concatenate((np.full(pad, INF), prefix, np.full(pad, prefix[-1])))
+    # window m holds ext[m], ..., ext[m + pad]: lp(n), ..., lp(n + pad) at
+    # m = min(n + pad, top), and reversed lp(n), ..., lp(n - pad) at m = min(n, top)
+    windows = np.lib.stride_tricks.as_strided(ext, (top + 1, width), (ext.itemsize,) * 2, writeable=False)
+    steps = np.arange(width)
+    finite = _finite(b)
+    log_q = math.log(q)
     out = np.empty_like(mode)
     for start in range(0, mode.size, rows):
         blk = slice(start, start + rows)
-
-        def rows_of(x):
-            return x[blk, None] if isinstance(x, np.ndarray) else x
-
-        last = rows_of(right - left)
-        # points past a row's right end repeat it; their CDF runs on above
-        # the row's total, so no uniform lands on them
-        s = rows_of(left) + np.minimum(np.arange(width), last)
-        cdf = log_phi_inverse(q, rows_of(a), rows_of(b), rows_of(c), s, lp)
-        cdf -= rows_of(log_w_mode)
+        a_, c_, left_ = a[blk], c[blk], left[blk]
+        d_ = a_ - c_ + left_  # d at a row's first cell
+        # log_phi_inverse at every cell, term by term in its order; cells past
+        # a row's right end have weight 0 or run its CDF on past its total, so
+        # no uniform lands on them
+        s = left_[:, None] + steps
+        cdf = s * (s + (a_ - c_)[:, None]) * log_q
+        cdf -= windows[np.minimum(left_ + pad, top)]  # lp(s)
+        cdf -= windows[np.minimum(c_ - left_, top), ::-1]  # lp(c - s)
+        cdf -= windows[np.minimum(d_ + pad, top)]  # lp(d)
+        cdf += (lp(a_) + lp(c_))[:, None]
+        if finite:
+            b_ = b[blk] if is_array(b) else b
+            cdf += (lp(b_ - a_) + lp(b_ - c_) - lp(b_))[:, None]
+            cdf -= windows[np.minimum(b_ - a_ - left_, top), ::-1]  # lp(b - a - s)
+        cdf -= log_w_mode[blk, None]
         np.exp(cdf, out=cdf)
         np.cumsum(cdf, axis=1, out=cdf)
-        total = np.take_along_axis(cdf, last, axis=1)
-        out[blk] = left[blk] + (cdf < rows_of(u) * total).sum(axis=1)
+        total = cdf[np.arange(left_.size), right[blk] - left_]
+        # each row's CDF rises, so the cells below u total are a run from its start
+        out[blk] = left_ + (cdf < (u[blk] * total)[:, None]).argmin(axis=1)
     return out
 
 

@@ -355,6 +355,21 @@ def test_polymer_limit_checks_its_thetas_before_any_work(args, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["row", "col"])
+def test_polymer_limit_exits_2_where_a_partition_function_is_not_finite_and_positive(kind, tmp_path, capsys):
+    # Gamma(0.1) polymer weights: Z^3_2 cancels to 0 or below on some replicas, and
+    # the run exited 0 with nan in its report
+    thetas = [arg for _ in range(4) for arg in ("--theta", "0.05", "--theta-hat", "0.05")]
+    out = tmp_path / "r.json"
+    args = ["polymer-limit", "--kind", kind, "-N", "4", "-T", "4", *thetas, "--eps", "0.05",
+            "--replicas", "500", "--seed", "1", "--out", str(out), "--csv", str(tmp_path / "r.csv")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "not finite and > 0" in captured.err and "Traceback" not in captured.err
+    assert "theta = [0.05, 0.05, 0.05, 0.05] and theta-hat = [0.05, 0.05, 0.05, 0.05]" in captured.err
+    assert not out.exists() and captured.out == ""
+
+
 def test_simulate_rejects_a_negative_step_parameter(tmp_path, capsys):
     # beta a_j < 0 ran a frozen trajectory (every input 0), and beta a_j = -1 divided by zero
     out = ["--out", str(tmp_path / "run")]

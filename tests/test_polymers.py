@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -371,3 +372,137 @@ def test_strict_weak_convergence_is_resolved_between_eps_1e2_and_1e3():
     noise = _ks_noise_floor(xs, poly, gen)
     assert ks[1e-2] > 3 * noise, (ks, noise)
     assert ks[1e-3] <= 3 * noise, (ks, noise)
+
+
+# Sums and digests of every float of seeded replica-axis runs: the benchmark's
+# shape (N = T = 2, 100 replicas) at eps 1e-2 and 5e-3, and N = T = 3 over 300
+# replicas at eps 1e-3, whose phi draws include finite b and windows of up to
+# 411 points, 39 rows a block.  Any change to a draw or a float moves a digest.
+_GOLDEN_REPLICA_AXIS = {
+    ('scaled_row_arrays', 2, 0.01): {
+        (1, 1): (-107.22403719761834, '51247958b36aa977'),
+        (2, 1): (-32.16105579642752, 'a758951323af59ce'),
+        (2, 2): (-133.87701859880917, '52ce16632be4d3da'),
+    },
+    ('scaled_row_arrays', 2, 0.005): {
+        (1, 1): (-108.07847330960725, '754f176222957cfa'),
+        (2, 1): (-32.64520996441078, '095fe4813ea9f1d7'),
+        (2, 2): (-134.88173665480363, '5539e2985511cc54'),
+    },
+    ('scaled_col_arrays', 2, 0.01): {
+        (1, 1): (107.22403719761834, '4a6c9ba541b3b82d'),
+        (2, 1): (114.93701859880917, '1d10df7caa7546ad'),
+        (2, 2): (51.10105579642751, 'a4690656979fbed0'),
+    },
+    ('scaled_col_arrays', 2, 0.005): {
+        (1, 1): (108.07847330960725, '8d59565a23df3555'),
+        (2, 1): (115.83173665480362, '54ea895ba200f058'),
+        (2, 2): (51.69520996441077, 'df263a37f9aa0256'),
+    },
+    ('scaled_row_arrays', 3, 0.001): {
+        (1, 1): (-470.07975108392304, '220a8bb233a2160d'),
+        (2, 1): (-97.14533477856396, '871357fbdf8cb237'),
+        (2, 2): (-665.365167389282, '7231e93a9bc6cff2'),
+        (3, 1): (48.72508152679505, '02a5a2d3793d6c63'),
+        (3, 2): (-651.2807510839231, 'a232acd92a33390c'),
+        (3, 3): (-512.919583694641, 'afde03ca9e7a010d'),
+    },
+    ('scaled_col_arrays', 3, 0.001): {
+        (1, 1): (492.926751083923, '77419dcd34019978'),
+        (2, 1): (671.272167389282, '798d913902833310'),
+        (2, 2): (104.76433477856403, 'f3dcbba7c2e84b3c'),
+        (3, 1): (507.153583694641, '66a750d880bc5bd2'),
+        (3, 2): (662.511751083923, '19d6bbef43ecbbcb'),
+        (3, 3): (-53.073081526794994, 'ef1486a1088d5a6c'),
+    },
+}
+
+_GOLDEN_POLYMER_LOG_RATIOS = {
+    ('LogGamma', 2): {
+        (1, 1): (-113.66982774387577, 'dc5c875575c12595'),
+        (2, 1): (-52.338608982673186, '47b4f1d1fd1ff10c'),
+        (2, 2): (-123.01632126479356, '7dc60b67fcd8a4ec'),
+    },
+    ('StrictWeak', 2): {
+        (1, 1): (113.66982774387577, '96b8ab3323cecb6f'),
+        (2, 1): (134.43910622056097, '53db501a0782b4ea'),
+        (2, 2): (40.91582402690577, 'ba87409a85597b9f'),
+    },
+    ('LogGamma', 3): {
+        (1, 1): (-479.301697389154, 'a472dd13e6d0095d'),
+        (2, 1): (-52.82532848276067, '0a9b66a7144506a2'),
+        (2, 2): (-645.0778715835796, '3018609be5d9d32d'),
+        (3, 1): (52.905701793260796, 'a108865d8642d9b7'),
+        (3, 2): (-636.7177796707819, 'f77d97d019f69fc1'),
+        (3, 3): (-505.90286805149873, '30c97231444ada9a'),
+    },
+    ('StrictWeak', 3): {
+        (1, 1): (479.301697389154, '2b369ecca7cab1e2'),
+        (2, 1): (653.4325119929038, '159a5c98b6e29eda'),
+        (2, 2): (44.47068807343652, '1ea7564a97588b37'),
+        (3, 1): (517.759348443114, 'ced29621d07739e4'),
+        (3, 2): (654.5956952597692, '086edc153035df34'),
+        (3, 3): (-82.64009777386349, 'd901d259ffedc44d'),
+    },
+}
+
+_REPLICA_AXIS_ARGS = {2: ([1.2, 0.8], [0.9, 1.1], 100), 3: ([1.2, 0.8, 1.0], [0.9, 1.1, 1.0], 300)}
+
+
+def _sums_and_digests(out):
+    return {cell: (math.fsum(vals), hashlib.sha256(np.array(vals).tobytes()).hexdigest()[:16])
+            for cell, vals in out.items()}
+
+
+@pytest.mark.parametrize("name, n, eps", sorted(_GOLDEN_REPLICA_AXIS))
+def test_seeded_replica_axis_runs_keep_every_bit(name, n, eps, monkeypatch):
+    th, thh, reps = _REPLICA_AXIS_ARGS[n]
+    finite_b = []
+    draw = qnum._phi_inverse_batch_draw
+
+    def recording(q, a, b, c, lo, hi, u):
+        finite_b.append(qnum._finite(b))
+        return draw(q, a, b, c, lo, hi, u)
+
+    monkeypatch.setattr(qnum, "_phi_inverse_batch_draw", recording)
+    out = getattr(polymers, name)(n, n, th, thh, eps, reps, random.Random(26))
+    assert _sums_and_digests(out) == _GOLDEN_REPLICA_AXIS[name, n, eps]
+    assert any(finite_b) == (n == 3)
+
+
+@pytest.mark.parametrize("mode, n", sorted(_GOLDEN_POLYMER_LOG_RATIOS))
+def test_seeded_polymer_log_ratios_keep_every_bit(mode, n):
+    th, thh, reps = _REPLICA_AXIS_ARGS[n]
+    kind = "RowAlpha" if mode == "LogGamma" else "ColAlpha"
+    targets = polymers._scaling_targets(kind, n, n)
+    out = polymer_log_ratios(mode, n, n, th, thh, reps, random.Random(26), targets)
+    assert _sums_and_digests(out) == _GOLDEN_POLYMER_LOG_RATIOS[mode, n]
+
+
+def test_polymer_log_ratios_build_one_matrix_per_environment(monkeypatch):
+    built = []
+    for name in ("_single_path_sums_loggamma", "_h_product_strictweak"):
+        def counting(env, t, _build=getattr(polymers, name), _name=name):
+            built.append(_name)
+            return _build(env, t)
+
+        monkeypatch.setattr(polymers, name, counting)
+    th, thh = [1.2, 0.8, 1.0], [0.9, 1.1, 1.0]
+    for mode, kind, name in (("LogGamma", "RowAlpha", "_single_path_sums_loggamma"),
+                             ("StrictWeak", "ColAlpha", "_h_product_strictweak")):
+        built.clear()
+        targets = polymers._scaling_targets(kind, 3, 3)
+        polymer_log_ratios(mode, 3, 3, th, thh, 20, random.Random(3), targets)
+        assert built == [name], mode
+
+
+@pytest.mark.parametrize("mode", ["LogGamma", "StrictWeak"])
+def test_polymer_log_ratios_raise_where_a_partition_function_is_not_finite_and_positive(mode):
+    # theta_j + theta-hat_s = 0.1: the Gamma(0.1) weights spread over some 30 orders
+    # of magnitude, and Z^3_2 cancels to 0 or below on some replicas; its log
+    # ratios were nan
+    th = [0.05] * 4
+    kind = "RowAlpha" if mode == "LogGamma" else "ColAlpha"
+    targets = polymers._scaling_targets(kind, 4, 4)
+    with pytest.raises(ValueError, match=r"Z\^3_2 is not finite and > 0 .* theta = \[0.05, 0.05, 0.05, 0.05\]"):
+        polymer_log_ratios(mode, 4, 4, th, th, 500, random.Random(1), targets)

@@ -960,3 +960,101 @@ def test_a_batch_views_a_short_prefix_as_an_array_once(monkeypatch):
         calls.clear()
         phi_sample(PhiParams.inverse(0.5, a, b, c), np.random.default_rng(4))
         assert len(calls) == 1, b
+
+
+_Q_NEAR_ONE = st.sampled_from([0.5, 0.9, math.exp(-1e-2), math.exp(-5e-3)])
+
+
+@st.composite
+def _batch_rows(draw):
+    """(a, b, c, u) rows of one batch: counts up to 3000 next to counts up to 3,
+    so windows around the modes run from one point to a few hundred, with b
+    INF or one finite b per row."""
+    finite = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(2, 12))):
+        top = draw(st.sampled_from([3, 40, 3000]))
+        a, c = draw(st.integers(0, top)), draw(st.integers(0, top))
+        b = max(a, c) + draw(st.integers(0, top)) if finite else INF
+        rows.append((a, b, c, draw(st.floats(0.0, 1.0, exclude_max=True))))
+    return rows
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_Q_NEAR_ONE, _batch_rows(), st.data())
+def test_a_batch_phi_draw_equals_its_halves_drawn_apart(q, rows, data):
+    # a row's draw reads its own cells alone, whatever the widths of the other
+    # rows, so values that leak across rows or past a row's end show here
+    def draws(part):
+        a, b, c, u = (np.array(col) for col in zip(*part))
+        return qnum.phi_inverse_draw(q, a, INF if b[0] == INF else b, c, _GivenUniforms(u)).tolist()
+
+    whole = draws(rows)
+    cut = data.draw(st.integers(1, len(rows) - 1))
+    assert draws(rows[:cut]) + draws(rows[cut:]) == whole
+    with pytest.MonkeyPatch.context() as patch:  # one row a block
+        patch.setattr(qnum, "_BLOCK_CELLS", 1)
+        assert draws(rows) == whole
+
+
+@pytest.mark.parametrize("a, b, c, message", [
+    ([1, -1], INF, [2, 2], "inverse regime needs 0 <= a <= b and y <= b"),
+    ([1, 4], [3, 3], [2, 2], "inverse regime needs 0 <= a <= b and y <= b"),
+    ([1, 1], [3, 3], [2, 4], "inverse regime needs 0 <= a <= b and y <= b"),
+    ([1, 1], 3, [2, 4], "inverse regime needs 0 <= a <= b and y <= b"),
+    ([1, 1], INF, [2, -1], "empty support"),
+    ([1, 1], [3, 3], [-1, 2], "empty support"),
+])
+def test_a_batch_phi_draw_with_bad_parameters_raises_before_taking_its_uniforms(a, b, c, message):
+    # one pass of checks, with the messages of PhiParams.inverse and phi_sample
+    a, c = np.array(a), np.array(c)
+    b = np.array(b) if isinstance(b, list) else b
+    for draw in (lambda rng: qnum.phi_inverse_draw(0.9, a, b, c, rng),
+                 lambda rng: phi_sample(PhiParams(0.9, c, None, None, a, b), rng)):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            draw(rng)
+        assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="inverse regime needs 0 <= q < 1"):
+        qnum.phi_inverse_draw(1.0, a, b, c, np.random.default_rng(1))
+
+
+def test_a_scalar_phi_draw_makes_no_array_check(monkeypatch):
+    # int counts and exponents are scalars: a draw tests their type, not is_array
+    from qrsk import dynamics
+
+    def forbidden(x):
+        raise AssertionError(f"is_array({x!r}) on a scalar draw")
+
+    params = [PhiParams.inverse(0.9, 4, INF, 6), PhiParams.inverse(0.9, 4, 9, 6),
+              PhiParams.direct(0.9, 0.5, 0.2, 6)]
+    for p in params:  # the memoised modes, built once per law, may look
+        phi_sample(p, random.Random(0))
+    monkeypatch.setattr(qnum, "is_array", forbidden)
+    monkeypatch.setattr(dynamics, "is_array", forbidden)
+    rng = random.Random(5)
+    for p in params:
+        assert phi_sample(p, rng) in phi_support(p)
+    assert 2 <= qnum.phi_inverse_draw(0.9, 4, 9, 6, rng) <= 5
+    assert dynamics._draws(3) and not dynamics._draws(0)
+
+
+def test_a_replica_array_draw_goes_through_phi_sample(monkeypatch):
+    # the per-layer probe qnum.phi_sample.long_us times the calls it records from
+    # the polymer-limit workload, whose draws are all replica arrays
+    calls = []
+    sample = qnum.phi_sample
+
+    def recording(p, rng):
+        calls.append(p)
+        return sample(p, rng)
+
+    monkeypatch.setattr(qnum, "phi_sample", recording)
+    c = np.array([3, 7, 12, 5])
+    a = c + np.array([0, 2, 5, 1])
+    for b in (INF, a + c):
+        calls.clear()
+        drawn = qnum.phi_inverse_draw(0.5, a, b, c, np.random.default_rng(4))
+        assert len(calls) == 1 and calls[0].a is a and calls[0].b is b
+        assert drawn.tolist() == sample(PhiParams.inverse(0.5, a, b, c), np.random.default_rng(4)).tolist()
