@@ -27,7 +27,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .gt import (
     InterlacingArray,
     Signature,
+    chain_paths,
     enumerate_signatures,
+    evolve,
     interlaces_h,
     interlaces_v,
     part,
@@ -604,6 +606,14 @@ def _psi_rows(v, ws, nb, q, exact):
         row = [e * (1 - q ** (v - w)) / c for e, w in zip(row, ws)]
 
 
+# Entries kept by the memos of the main-equation sweep and of the push-block
+# chain.  The sweep runs nu innermost, so consecutive calls share their
+# (lam, nu_bar) and a few entries serve it; a larger memo only holds more
+# Fractions.  push_block_prob asks for the chain of one (lam, nu_bar) once per nu.
+SQUARE_MEMO_SIZE = 4
+
+
+@lru_cache(maxsize=SQUARE_MEMO_SIZE, typed=True)
 def _push_block_chain(kind, lam, nu_bar, par, a_j, q):
     """The push-block weight of one level as a nearest-neighbour chain in nu_1..nu_j.
 
@@ -668,17 +678,6 @@ def _push_block_chain(kind, lam, nu_bar, par, a_j, q):
     return ranges, nodes, rows, back, total
 
 
-# Entries kept by the memos of the main-equation sweep.  The sweep runs nu
-# innermost, so consecutive calls share their (lam, nu_bar) and a few entries
-# serve it; a larger memo only holds more Fractions.
-SQUARE_MEMO_SIZE = 4
-
-# The chain of one (lam, nu_bar), for exact push_block_prob calls, which ask
-# for it once per nu.  Float calls and the sampler rebuild it: their
-# arguments do not repeat.
-_exact_push_block_chain = lru_cache(maxsize=SQUARE_MEMO_SIZE, typed=True)(_push_block_chain)
-
-
 def push_block_prob(kind: str, lam, nu_bar, nu, par, a_j, q):
     """Conditional probability not depending on the lower starting state.
 
@@ -686,9 +685,7 @@ def push_block_prob(kind: str, lam, nu_bar, nu, par, a_j, q):
     cuts each nu_i (see `_push_block_chain`) and is floating-mode only: a
     level past a cut, of probability at most about 2^-50, reads 0.0.
     """
-    exact = is_exact(par) and is_exact(a_j) and is_exact(q)
-    chain = _exact_push_block_chain if exact else _push_block_chain
-    ranges, nodes, rows, _, total = chain(kind, tuple(lam), tuple(nu_bar), par, a_j, q)
+    ranges, nodes, rows, _, total = _push_block_chain(kind, tuple(lam), tuple(nu_bar), par, a_j, q)
     # within the bounds of `_strip_bounds`, nu is a strip above lam over nu_bar
     if len(nu) != len(lam) or not all(map(range.__contains__, ranges, nu)):
         return q * 0 if _rule(kind).exact else 0.0
@@ -700,7 +697,7 @@ def push_block_prob(kind: str, lam, nu_bar, nu, par, a_j, q):
 
 def _sample_push_block_level(kind, lam, nu_bar, par, a_j, q, rng):
     """Draw nu_1 from the chain's backward sums, then each nu_{i+1} given nu_i from its row."""
-    ranges, _, rows, back, _ = _push_block_chain(kind, lam, nu_bar, par, a_j, q)
+    ranges, _, rows, back, _ = _push_block_chain(kind, tuple(lam), tuple(nu_bar), par, a_j, q)
     nu = []
     weights = back[0]
     for i, values in enumerate(ranges):
@@ -898,34 +895,24 @@ def exact_array_distribution(spec: DynamicsSpec, n: int, steps: int):
     """Exact distribution of the array after `steps` steps from the zero array.
 
     Beta kinds only (finite branching).  `spec.step_param` may be a list of
-    per-step parameters.
+    per-step parameters.  A step's moves are built up level by level.
     """
     pars = spec.step_param
     pars = pars if isinstance(pars, (list, tuple)) else [pars] * steps
-    dist = {zero_array(n): spec.q * 0 + 1}
+    one = spec.q * 0 + 1
+    dist = {zero_array(n): one}
     for t in range(steps):
         step_spec = DynamicsSpec(spec.kind, spec.q, pars[t], spec.a)
-        new = {}
-        for arr, p in dist.items():
-            for (narr, tp) in _array_transitions(step_spec, arr):
-                new[narr] = new.get(narr, spec.q * 0) + p * tp
-        dist = new
+
+        def moves(arr):
+            def levels(i, prefix):
+                lam_bar, nu_bar = (arr[i - 1], prefix[-1]) if i else ((), ())
+                return [(nu, level_transition_prob(step_spec, i + 1, lam_bar, nu_bar, arr[i], nu))
+                        for nu in level_candidates(spec.kind, arr[i], nu_bar, 1)]
+            return chain_paths(len(arr), levels, one)
+
+        dist = evolve(dist, 1, moves, spec.q * 0)
     return dist
-
-
-def _array_transitions(spec: DynamicsSpec, arr: InterlacingArray):
-    """The (array, probability) pairs of one step from arr, built up level by level."""
-    paths = [((), spec.q * 0 + 1)]
-    for j, lam in enumerate(arr, start=1):
-        extended = []
-        for prefix, prob in paths:
-            lam_bar, nu_bar = (arr[j - 2], prefix[-1]) if j > 1 else ((), ())
-            for nu in level_candidates(spec.kind, lam, nu_bar, 1):
-                tp = level_transition_prob(spec, j, lam_bar, nu_bar, lam, nu)
-                if tp != 0:
-                    extended.append((prefix + (nu,), prob * tp))
-        paths = extended
-    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
-"""Signatures, interlacing arrays, strip relations and brute-force enumerators.
+"""Signatures, interlacing arrays, strip relations, enumerators and finite laws.
 
 A signature is a plain tuple of weakly decreasing nonnegative ints; an
 interlacing array (Gelfand-Tsetlin pattern) is a tuple of signatures with
 level j of length j, consecutive levels related by a horizontal strip.
 Signatures keep their stored length; comparisons zero-pad on the fly.
+A law is a dict {state: probability}, exact or float.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterator, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 Signature = Tuple[int, ...]
 InterlacingArray = Tuple[Signature, ...]
@@ -157,3 +158,32 @@ def gl_dimension(lam: Sequence[int], n: int) -> int:
             num *= lam[i] - lam[j] + j - i
             den *= j - i
     return num // den
+
+
+def chain_paths(n: int, choices: Callable[[int, tuple], Iterable[tuple]], one) -> List[tuple]:
+    """Every path (x_0, ..., x_{n-1}) with its weight, one times the product of
+    its step weights.
+
+    choices(i, path) gives the (x_i, weight) steps from a path of length i.
+    Steps of weight 0 are dropped.  The paths come in the lexicographic order
+    that the steps' order sets.
+    """
+    paths = [((), one)]
+    for i in range(n):
+        paths = [(path + (x,), w * pw) for path, w in paths for x, pw in choices(i, path) if pw != 0]
+    return paths
+
+
+def evolve(dist: Dict, steps: int, transitions: Callable[[object], Iterable[tuple]], zero) -> Dict:
+    """The law `dist` ({state: p}) after `steps` steps of a chain whose
+    transitions(state) gives the (next state, probability) pairs of a state.
+
+    `zero` starts each sum; a state whose total is 0 is dropped.
+    """
+    for _ in range(steps):
+        new = {}
+        for state, p in dist.items():
+            for nxt, tp in transitions(state):
+                new[nxt] = new.get(nxt, zero) + p * tp
+        dist = {state: p for state, p in new.items() if p != 0}
+    return dist

@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, Tuple
 
+from .gt import chain_paths, evolve
 from .particles import exact_trajectory_distribution, step_config
 from .qnum import INF, PhiParams, phi_weight, q_geometric_pmf
 
@@ -94,14 +96,15 @@ def _put(coef: Fraction, forms: Dict[Form, int], form: Form, e: int) -> Fraction
     return coef
 
 
-def _residues(coef: Fraction, forms: Dict[Form, int], j: int, p: Form):
-    """Residue in z_j at z_j = p of coef * prod L**e, as a list of terms.
+def _residues(forms: Dict[Form, int], j: int, p: Form):
+    """Residue in z_j at z_j = p of prod L**e, as a list of terms.
 
     p is a linear form without z_j.  With z_j = p + u each form L is
     L(p) + c u, c its z_j coefficient; the forms with L(p) = 0 give the pole
     order, the others are expanded to u^(order - 1).
     """
     shift = p[:j] + (Fraction(-1),) + p[j + 1:]
+    coef = Fraction(1)
     order = 0
     rest: Dict[Form, int] = {}
     series = []  # (L(p), c, e) for each factor (L(p) + c u)**e
@@ -192,14 +195,12 @@ def nested_moment_residues(query: MomentQuery) -> Fraction:
     for j in range(1, k + 1):
         points = [(p,) + zeros for p in inside]
         points += [zeros[:B] + (q,) + zeros[B:] for B in range(j + 1, k + 1)]  # q z_B
-        new: Dict[frozenset, Fraction] = {}
-        for key, coef in terms.items():
+
+        def residues(key):  # a term's residues are linear in its coefficient
             forms = dict(key)
-            for p in points:
-                for c, f in _residues(coef, forms, j, p):
-                    key_f = frozenset(f.items())
-                    new[key_f] = new.get(key_f, 0) + c
-        terms = {key: c for key, c in new.items() if c}
+            return [(frozenset(f.items()), c) for p in points for c, f in _residues(forms, j, p)]
+
+        terms = evolve(terms, 1, residues, Fraction(0))
     if any(terms):
         raise ArithmeticError("a form survived the last residue")
     return (-1) ** k * q ** (k * (k - 1) // 2) * sum(terms.values(), Fraction(0))
@@ -252,38 +253,21 @@ def _geometric_qmoment_series(query: MomentQuery, rel_tol=1e-12) -> float:
             f"series ratio {ratio:.3f} >= 1: the requested q-moment diverges"
         )
     vcap = max(4, int(math.log(rel_tol * (1 - ratio)) / math.log(ratio)) + 2)
+    jumps = [[q_geometric_pmf(alpha * aj, q, v) for v in range(vcap + 1)] for aj in a]
 
-    def transitions(cfg):
-        def rec(j, x, prob):
-            if j == n_parts:
-                yield tuple(x), prob
-                return
-            pushes = [(0, 1.0)]
-            if j > 0:
-                gap = cfg[j - 1] - cfg[j] - 1
-                c = cfg[j - 1] - x[j - 1]
-                if c > 0:
-                    params = PhiParams.inverse(q, gap, INF, c)
-                    pushes = [
-                        (w, float(phi_weight(params, w)))
-                        for w in range(max(0, c - gap), c + 1)
-                    ]
-            for v in range(vcap + 1):
-                pv = q_geometric_pmf(alpha * a[j], q, v)
-                for w, pw in pushes:
-                    if pw == 0.0:
-                        continue
-                    x[j] = cfg[j] - v - w
-                    yield from rec(j + 1, x, prob * pv * pw)
-            x[j] = cfg[j]
+    @lru_cache(maxsize=None)
+    def pushes(gap, c):  # the law of the push split off a neighbour's move c
+        params = PhiParams.inverse(q, gap, INF, c)
+        return [(w, float(phi_weight(params, w))) for w in range(max(0, c - gap), c + 1)]
 
-        yield from rec(0, list(cfg), 1.0)
+    def moves(cfg):
+        def steps(i, path):  # path = (v_0, w_0, v_1, w_1, ...): jumps v_j and pushes w_j
+            j, push = divmod(i, 2)
+            if not push:
+                return enumerate(jumps[j])
+            return pushes(cfg[j - 1] - cfg[j] - 1, path[i - 3] + path[i - 2]) if j else [(0, 1.0)]
+        return [(tuple(x - v - w for x, v, w in zip(cfg, path[::2], path[1::2])), p)
+                for path, p in chain_paths(2 * n_parts, steps, 1.0)]
 
-    dist = {step_config(n_parts): 1.0}
-    for _ in range(query.t):
-        new = {}
-        for cfg, p in dist.items():
-            for ncfg, tp in transitions(cfg):
-                new[ncfg] = new.get(ncfg, 0.0) + p * tp
-        dist = new
+    dist = evolve({step_config(n_parts): 1.0}, query.t, moves, 0.0)
     return _moment_sum(dist, query.n, q)

@@ -8,8 +8,10 @@ initial configuration is x_i(0) = -i.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from operator import add
+from typing import Sequence, Tuple
 
+from .gt import chain_paths, evolve
 from .qnum import (INF, PhiParams, check_step_params, memoised, phi_inverse_draw, phi_sample,
                    sample_q_geometric)
 
@@ -25,14 +27,6 @@ def flip(cfg: Sequence[int]) -> ParticleConfig:
     return tuple(-x for x in cfg)
 
 
-def _check_params(q, par, a, alpha: bool, q_one: bool = False) -> None:
-    """Raise ValueError unless 0 <= q < 1 (or q = 1, with `q_one`) and each par a_j
-    is in range."""
-    if not (0 <= q < 1 or q_one and q == 1):
-        raise ValueError(f"need 0 <= q < 1{' or q = 1' if q_one else ''}, got q = {q}")
-    check_step_params((par,), a, alpha)
-
-
 def _check_config(x: Sequence[int], n: int) -> None:
     """Raise ValueError unless x holds n particles, strictly decreasing."""
     if n != len(x):
@@ -40,13 +34,6 @@ def _check_config(x: Sequence[int], n: int) -> None:
     for i in range(n - 1):
         if x[i] <= x[i + 1]:
             raise ValueError("particles must be strictly decreasing")
-
-
-def _check_step(x: Sequence[int], q, par, a, alpha: bool, q_one: bool = False) -> None:
-    """Raise ValueError unless 0 <= q < 1 (or q = 1, with `q_one`), each par a_j is in
-    range, a holds one a_j per particle and x is strictly decreasing."""
-    _check_params(q, par, a, alpha, q_one)
-    _check_config(x, len(a))
 
 
 def _jump_prob(push, cfg, j, b, q, prev_jumped):
@@ -73,7 +60,9 @@ def _step_plan(system: str, par, q, *a) -> tuple:
     0.7000000000000001), and the key of a tuple would count only the tuple's.
     """
     bernoulli = system.startswith("Bernoulli")
-    _check_params(q, par, a, not bernoulli)
+    if not 0 <= q < 1:
+        raise ValueError(f"need 0 <= q < 1, got q = {q}")
+    check_step_params((par,), a, not bernoulli)
     q = float(q)
     xs = tuple([float(par * aj) for aj in a])
     if not bernoulli:
@@ -148,28 +137,6 @@ def geometric_qtasep_step(cfg, alpha, a, q, rng) -> ParticleConfig:
 # exact trajectory distributions (Bernoulli systems: finite branching)
 # ---------------------------------------------------------------------------
 
-def _bernoulli_transitions(system, cfg, beta, a, q):
-    """(configuration, probability) over the one-step moves of a Bernoulli system."""
-    push = system == "BernoulliPush"
-    direction = -1 if push else 1
-    one = q * 0 + 1
-
-    def rec(j, x, prob, prev_jumped):
-        if j == len(x):
-            yield tuple(x), prob
-            return
-        p = _jump_prob(push, cfg, j, beta * a[j], q, prev_jumped)
-        for jumped in (False, True):
-            pr = p if jumped else one - p
-            if pr == 0:
-                continue
-            x[j] += direction if jumped else 0
-            yield from rec(j + 1, x, prob * pr, jumped)
-            x[j] -= direction if jumped else 0
-
-    yield from rec(0, list(cfg), one, False)
-
-
 def evolve_distribution(dist, system: str, steps: int, beta, a, q):
     """Push an exact configuration distribution through `steps` updates of the
     'BernoulliPush' or 'BernoulliTasep' system.  Raises ValueError where a step
@@ -177,15 +144,21 @@ def evolve_distribution(dist, system: str, steps: int, beta, a, q):
     certain, and each step is still a law."""
     if system not in ("BernoulliPush", "BernoulliTasep"):
         raise ValueError(f"unknown Bernoulli system {system!r}")
+    if not 0 <= q <= 1:
+        raise ValueError(f"need 0 <= q < 1 or q = 1, got q = {q}")
+    check_step_params((beta,), a, False)
     for cfg in dist:
-        _check_step(cfg, q, beta, a, False, q_one=True)
-    for _ in range(steps):
-        new: Dict[ParticleConfig, object] = {}
-        for cfg, p in dist.items():
-            for ncfg, tp in _bernoulli_transitions(system, cfg, beta, a, q):
-                new[ncfg] = new.get(ncfg, q * 0) + p * tp
-        dist = new
-    return dist
+        _check_config(cfg, len(a))
+    push = system == "BernoulliPush"
+    one = q * 0 + 1
+
+    def moves(cfg):
+        def jumps(j, path):  # stay, or jump with the probability set by particle j - 1
+            p = _jump_prob(push, cfg, j, beta * a[j], q, bool(path) and path[-1] != 0)
+            return (0, one - p), (-1 if push else 1, p)
+        return [(tuple(map(add, cfg, path)), p) for path, p in chain_paths(len(cfg), jumps, one)]
+
+    return evolve(dist, steps, moves, q * 0)
 
 
 def exact_trajectory_distribution(system: str, n: int, t: int, beta, a, q, t2: int = 0):

@@ -829,7 +829,8 @@ def _long_q_geometric_cdf(q: float, mode: int, log_alpha: float, lp_mode: float,
     if rel_last >= _LOG_TAIL:
         # past the mode the log ratios log alpha - log(1 - q^k) fall with k,
         # so the next one bounds all later ones: this many more points reach the cut
-        step = log_alpha - math.log(-math.expm1((last + 1) * math.log(q)))
+        # (at q = 0 every ratio is log alpha)
+        step = log_alpha - math.log(-math.expm1((last + 1) * math.log(q))) if q else log_alpha
         last += math.ceil((rel_last - _LOG_TAIL) / -step) + 1
         lp = upto(last + 1)
     rel_w = (np.arange(last + 1) - mode) * log_alpha - lp + lp_mode

@@ -270,16 +270,25 @@ def test_a_planted_wrong_level_weight_is_reported_on_its_squares(kind, weight_na
     assert expected and sorted(reported) == sorted(expected)
 
 
-def test_float_push_block_prob_leaves_the_chain_memo_empty():
-    dyn._exact_push_block_chain.cache_clear()
+def test_push_block_prob_reads_one_chain_memo():
     for kind in (PUSH_BLOCK_BETA, PUSH_BLOCK_ALPHA):
         for par, aj, q in ((0.4, 0.8, 0.5), (F(2, 5), F(4, 5), 0.5), (0.4, F(4, 5), F(1, 2))):
             assert push_block_prob(kind, (2, 1), (2,), (3, 1), par, aj, q) > 0
-    assert dyn._exact_push_block_chain.cache_info().currsize == 0
+    dyn._push_block_chain.cache_clear()
     exact = push_block_prob(PUSH_BLOCK_BETA, (2, 1), (2,), (3, 1), F(2, 5), F(4, 5), F(1, 2))
-    assert dyn._exact_push_block_chain.cache_info().currsize == 1
+    assert dyn._push_block_chain.cache_info().currsize == 1
     assert exact == push_block_prob(PUSH_BLOCK_BETA, [2, 1], [2], (3, 1), F(2, 5), F(4, 5), F(1, 2))
-    assert dyn._exact_push_block_chain.cache_info().hits == 1
+    assert dyn._push_block_chain.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("kind, par", [(PUSH_BLOCK_BETA, 0.4), (PUSH_BLOCK_ALPHA, 0.35)])
+def test_float_push_block_prob_over_a_square_builds_one_chain(kind, par):
+    lam, nu_bar = (3, 1, 0), (3, 2)
+    dyn._push_block_chain.cache_clear()
+    total = math.fsum(push_block_prob(kind, lam, nu_bar, nu, par, 0.8, 0.5)
+                      for nu in level_candidates(kind, lam, nu_bar, 60))
+    assert total == pytest.approx(1.0, abs=1e-12)
+    assert dyn._push_block_chain.cache_info().misses == 1
 
 
 def test_rsk_type_property():

@@ -1,15 +1,21 @@
+import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qrsk.gt import (
     array_from_json,
     array_to_json,
+    chain_paths,
     complement,
     enumerate_arrays_with_top,
     enumerate_interlacing_below,
     enumerate_signatures,
+    evolve,
     gl_dimension,
     interlaces_h,
     interlaces_v,
@@ -132,3 +138,58 @@ def psi_prime_invariant(kap, mu, cm, ck):
 
     q = F(1, 2)
     return psi_prime(ck, cm, q) == psi_prime(kap, mu, q)
+
+
+# Step laws of a chain on tuples: law i has weights laws[i] on the values
+# 0, 1, ..., and a step reads the law that its state and path pick.
+_laws = st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any),
+                 min_size=1, max_size=4)
+
+
+def _choices(laws, state):
+    def choices(i, path):
+        weights = laws[(sum(state) + 3 * i + sum(path)) % len(laws)]
+        return [(x, F(w, sum(weights))) for x, w in enumerate(weights)]
+    return choices
+
+
+@given(_laws, st.integers(0, 4), st.lists(st.integers(0, 3), max_size=3))
+def test_chain_paths_are_the_nonzero_paths_in_lexicographic_order(laws, n, state):
+    choices = _choices(laws, state)
+    paths = chain_paths(n, choices, F(1))
+    expected = []
+    for path in product(*[range(4)] * n):  # every path, in lexicographic order
+        steps = [dict(choices(i, path[:i])).get(x, 0) for i, x in enumerate(path)]
+        if all(steps):
+            expected.append((path, math.prod(steps, start=F(1))))
+    assert paths == expected
+    assert sum(w for _, w in paths) == 1
+    assert paths == sorted(paths)
+
+
+@given(_laws, st.integers(1, 3), st.integers(0, 4))
+def test_evolve_conserves_the_mass_of_a_stochastic_chain(laws, n, steps):
+    def moves(state):
+        return [(tuple((s + x) % 3 for s, x in zip(state, path)), w)
+                for path, w in chain_paths(n, _choices(laws, state), F(1))]
+
+    dist = evolve({(0,) * n: F(1, 3), (1,) * n: F(2, 3)}, steps, moves, F(0))
+    assert sum(dist.values()) == 1 and all(p > 0 for p in dist.values())
+
+
+@given(st.dictionaries(st.integers(0, 5), st.integers(-3, 3)),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(-3, 3)), max_size=6))
+def test_evolve_drops_the_states_whose_total_is_zero(dist, moves):
+    # a signed chain: every state moves by the same (shift, weight) pairs
+    out = evolve(dist, 1, lambda s: [((s + d) % 6, w) for d, w in moves], 0)
+    totals = {}
+    for s, p in dist.items():
+        for d, w in moves:
+            totals[(s + d) % 6] = totals.get((s + d) % 6, 0) + p * w
+    assert out == {s: p for s, p in totals.items() if p != 0}
+    assert 0 not in out.values()
+
+
+@given(st.dictionaries(st.tuples(st.integers(), st.integers()), st.fractions()))
+def test_evolve_of_no_steps_is_the_identity(dist):
+    assert evolve(dist, 0, lambda s: [(s, 1)], F(0)) == dist

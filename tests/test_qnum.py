@@ -591,6 +591,21 @@ def test_q_geometric_table_covers_the_points_above_the_cut(q, alpha):
     assert cdf[-1] == 1.0
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.99])
+def test_q_geometric_table_at_q0_is_the_geometric_law(alpha):
+    # at q = 0 the law is (1 - alpha) alpha^n; past alpha ~ 0.52 its table passes 64 points
+    lo, table = qnum._q_geometric_table(alpha, 0.0)
+    cdf = np.asarray(table)
+    hi = cdf.size - 1
+    assert lo == 0 and (type(table) is list) == (cdf.size <= 64)
+    # the kept points are those of weight at least 2^-60 times the mode's, at n = 0
+    assert alpha ** hi >= 2.0 ** -60 > alpha ** (hi + 1)
+    mass = np.diff(cdf, prepend=0.0)
+    for n in range(6):
+        assert mass[n] == pytest.approx((1 - alpha) * alpha ** n, rel=1e-12), n
+    assert np.abs(cdf - (1 - alpha ** np.arange(1, hi + 2))).max() <= 1e-12
+
+
 @pytest.mark.parametrize("draw", [
     lambda q, rng: qnum._phi_inverse_weight.__wrapped__(q, 3000, INF, 2500, 2400),
     lambda q, rng: sample_q_geometric(q * q, q, rng),
